@@ -437,33 +437,44 @@ class _WalkFrame:
 
     The out dart of position p is p itself and its reverse is k + p, placed
     at the next vertex of the same walk.  Internal darts are numbered
-    upward from 2k in pairs, so the reverse of dart d >= 2k is d ^ 1.
+    upward from 2k in pairs, so the reverse of dart d >= 2k is d ^ 1.  The
+    graph stays simple, so it has at most V(V-1)/2 edges; ``capacity``
+    darts therefore always suffice, and each engine array is allocated
+    once per shape.
     """
 
     def __init__(self, walks: tuple[tuple[int, ...], ...]):
         self.walks = walks
         flat: list[int] = []
         self.next_pos: list[int] = []
-        self.walk_of: list[int] = []
-        for w, walk in enumerate(walks):
+        for walk in walks:
             base = len(flat)
             n = len(walk)
             flat.extend(walk)
             self.next_pos.extend(base + (i + 1) % n for i in range(n))
-            self.walk_of.extend([w] * n)
-        self.k = len(flat)
+        k = self.k = len(flat)
         self.seq = flat
-        self.V = max(flat) + 1
-        self.edges = {
-            frozenset((flat[p], flat[self.next_pos[p]])) for p in range(self.k)
-        }
+        V = self.V = max(flat) + 1
+        self.capacity = 2 * k + V * (V - 1)
+        self.alpha = (
+            [d + k for d in range(k)]
+            + [d - k for d in range(k, 2 * k)]
+            + [d ^ 1 for d in range(2 * k, self.capacity)]
+        )
+        edges = {frozenset((flat[p], flat[self.next_pos[p]])) for p in range(k)}
+        # fresh internal edges go from v to a higher vertex it does not
+        # already meet along the walks
+        self.cand = [
+            [u for u in range(v + 1, V) if frozenset((v, u)) not in edges]
+            for v in range(V)
+        ]
         # corner blocks in visit order: (reverse of the arriving dart, out
         # dart); the spanning orbit forces these two to sit consecutively
         # in the rotation
-        self.blocks: list[list[tuple[int, int]]] = [[] for _ in range(self.V)]
-        for p in range(self.k):
+        self.blocks: list[list[tuple[int, int]]] = [[] for _ in range(V)]
+        for p in range(k):
             vertex = flat[self.next_pos[p]]
-            self.blocks[vertex].append((self.k + p, self.next_pos[p]))
+            self.blocks[vertex].append((k + p, self.next_pos[p]))
 
 
 def _run_walk_engine(frame: _WalkFrame, spec: EmptyCircuitSpec, clock: _Clock, sink) -> None:
@@ -472,220 +483,184 @@ def _run_walk_engine(frame: _WalkFrame, spec: EmptyCircuitSpec, clock: _Clock, s
     Each vertex rotation is built one link at a time, and every face orbit
     is checked the instant its last link appears, so a forbidden face cuts
     off all orderings and edge choices that would share the same prefix.
+
+    The face permutation is phi(d) = succ[alpha[d]], so a link
+    ``succ[tail] = head`` adds the phi-edge ``alpha[tail] -> head``.  The
+    spanning out darts (those below k) form the known spanning orbits.
+    Their links, the corner blocks, are set before the search starts, so
+    they are never chained and no link ever targets them.  Every other
+    dart lies on one partial orbit: a chain of phi-edges, a single dart at
+    first.  ``start_of`` and ``end_of`` are valid only at chain ends:
+    ``end_of[s]`` at a start s and ``start_of[e]`` at an end e.  A link
+    closes a face exactly when ``start_of[alpha[tail]] == head``.  Any
+    other link joins two chains in O(1) by rewriting those two entries,
+    and its undo writes them back.  An entry is never written while its
+    dart is interior, so undoing links in reverse order restores every end
+    exactly.  Only a closing link walks its face.  ``succ`` is never
+    cleared, because only closed orbits and the finished map read it.
     """
     k, V = frame.k, frame.V
     k2 = 2 * k
-    seq = frame.seq
+    last = V - 1
     max_edges = spec.max_edges
     distinct = spec.distinct_neighbors
     single = spec.single_neighbor
+    alpha = frame.alpha
+    blocks = frame.blocks
+    cand = frame.cand
+    tick = clock.tick
 
-    vertex_of: list[int] = [0] * k2
+    size = frame.capacity
+    vertex_of = [0] * size
+    succ = [-1] * size
     for p in range(k):
-        vertex_of[p] = seq[p]
-        vertex_of[k + p] = seq[frame.next_pos[p]]
-
-    def alpha(d: int) -> int:
-        if d < k:
-            return d + k
-        if d < k2:
-            return d - k
-        return d ^ 1
-
-    succ: dict[int, int] = {}
-    claimed: dict[int, int] = {}
-    for p in range(k):
-        claimed[p] = -1 - frame.walk_of[p]  # the spanning orbits are known a priori
+        vertex_of[p] = frame.seq[p]
+        vertex_of[k + p] = frame.seq[frame.next_pos[p]]
+        succ[k + p] = frame.next_pos[p]  # every corner block is fixed in advance
+    claimed = [-1] * size  # face index of a dart on a closed ordinary face, else -1
+    start_of = list(range(size))
+    end_of = list(range(size))
+    faces: list[list[int]] = []
     closed_backs: list[int] = []
-    pending: list[list[int]] = [[] for _ in range(V)]
-    degree = [2 * len(frame.blocks[v]) for v in range(V)]
-    edge_total = [k]
-    internal_top = [k2]
+    pending: list[list[tuple[int]]] = [[] for _ in range(V)]
+    in_use: list[set[int]] = [set() for _ in range(V)]
+    degree = [2 * len(blocks[v]) for v in range(V)]
+    edge_total = k
+    top = k2
 
-    def link_check(
-        y: int,
-        claims: list[int],
-        _get=succ.get,
-        _claimed=claimed,
-        _closed=closed_backs,
-        _k=k,
-        _k2=k2,
-        _distinct=distinct,
-        _single=single,
-    ) -> bool:
-        """Inspect the face orbit a fresh link may have closed.
+    def link_check(tail: int, head: int) -> bool:
+        """Set ``succ[tail] = head`` and account for the phi-edge it adds.
 
-        True when the orbit is still open, is a pre-claimed spanning face,
-        or closes as an admissible face (then its darts are claimed and
-        recorded in ``claims``).  False kills the whole branch.
+        True when the orbit stays open or closes as an admissible face (then
+        its darts are claimed and the face recorded); a True link is undone
+        by ``unlink``.  False kills the whole branch and leaves nothing to
+        undo.  Chain ends follow the invariant in ``_run_walk_engine``; only
+        a closing link walks its face.
         """
-        if y in _claimed:
+        succ[tail] = head
+        start = start_of[alpha[tail]]
+        if start != head:
+            end = end_of[head]
+            end_of[start] = end
+            start_of[end] = start
             return True
-        path = [y]
-        append = path.append
-        cur = y
-        while True:
-            a = cur + _k if cur < _k else (cur - _k if cur < _k2 else cur ^ 1)
-            nxt = _get(a)
-            if nxt is None:
-                return True
-            cur = nxt
-            if cur == y:
-                break
-            append(cur)
+        # the face closes: walk it once, claiming as we go, so that an edge
+        # with both sides on it (a dual loop) shows up at its second side
+        fid = len(faces)
+        path: list[int] = []
+        shared: list[int] = []
         backs = 0
-        for d in path:
-            if _k <= d < _k2:
+        cur = head
+        while True:
+            claimed[cur] = fid
+            path.append(cur)
+            if cur < k2:
                 backs += 1
-        if backs:
-            if _distinct and backs >= 2:
-                return False
-            if _single and backs < _k:
-                return False
-        on_face = set(path)
-        shared: set[int] = set()
+                if distinct and backs >= 2:
+                    break
+            other = claimed[alpha[cur]]
+            if other >= 0:
+                # the same face across an edge is a dual loop; the same
+                # other face twice means two faces sharing two edges
+                if other == fid or other in shared:
+                    break
+                shared.append(other)
+            cur = succ[alpha[cur]]
+            if cur == head:
+                if not (single and backs and backs < k):
+                    faces.append(path)
+                    closed_backs.append(backs)
+                    return True
+                break
         for d in path:
-            rev = d + _k if d < _k else (d - _k if d < _k2 else d ^ 1)
-            if rev in on_face:
-                return False  # both sides of one edge on this face: dual loop
-            other = _claimed.get(rev)
-            if other is not None and other >= 0:
-                if other in shared:
-                    return False  # two ordinary faces sharing two edges
-                shared.add(other)
-        fid = len(_closed)
-        for d in path:
-            _claimed[d] = fid
-            claims.append(d)
-        _closed.append(backs)
-        return True
+            claimed[d] = -1
+        return False
+
+    def unlink(tail: int, head: int) -> None:
+        """Undo a link that ``link_check`` accepted."""
+        if claimed[head] >= 0:
+            for d in faces.pop():
+                claimed[d] = -1
+            closed_backs.pop()
+        else:
+            a = alpha[tail]
+            end_of[start_of[a]] = a
+            start_of[end_of[head]] = head
 
     def finish() -> None:
-        if len(claimed) != len(vertex_of):
+        if min(claimed[k:top]) < 0:
             raise RuntimeError("search invariant broken: unclaimed darts at completion")
         if spec.min_faces and len(frame.walks) + len(closed_backs) < spec.min_faces:
             return
         if spec.detached_face and 0 not in closed_backs:
             return
-        m = Map(
-            tuple(vertex_of),
-            tuple(succ[d] for d in range(len(vertex_of))),
-            tuple(alpha(d) for d in range(len(vertex_of))),
-        )
+        m = Map(tuple(vertex_of[:top]), tuple(succ[:top]), tuple(alpha[:top]))
         report = validate(m)
         if not report.ok:
-            if all("connect" in p for p in report.problems):
-                return  # pair walks may fail to join up; discard quietly
-            raise RuntimeError("search produced a broken map: " + "; ".join(report.problems))
+            problems = report.problems
+            if any(p.startswith("map is disconnected") for p in problems) and all(
+                p.startswith(("map is disconnected", "negative genus")) for p in problems
+            ):
+                # pair walks may fail to join up; a disconnected completion
+                # is no map of the family, and its genus count is meaningless
+                return
+            raise RuntimeError("search produced a broken map: " + "; ".join(problems))
         sink(m)
 
     def place(v: int) -> None:
-        blocks = frame.blocks[v]
-        anchor = blocks[0]
-        rest: list[tuple[int, ...]] = list(blocks[1:])
-        rest.extend((d,) for d in pending[v])
-        cand = [u for u in range(v + 1, V) if frozenset((v, u)) not in frame.edges]
-        in_use: set[int] = set()
-        anchor_head = anchor[0]
-        last = V - 1
+        rest: list[tuple[int, ...]] = blocks[v][1:]
+        rest.extend(pending[v])
+        arrange(v, blocks[v][0][1], rest)
 
-        def arrange(
-            tail: int,
-            todo: list[tuple[int, ...]],
-            _succ=succ,
-            _claimed=claimed,
-            _closed=closed_backs,
-            _check=link_check,
-            _tick=clock.tick,
-            _degree=degree,
-            _edges=edge_total,
-        ) -> None:
-            _tick()
-            if not todo:
-                # wrap the rotation shut and move to the next vertex
-                _succ[tail] = anchor_head
-                claims: list[int] = []
-                if _check(anchor_head, claims):
-                    if v == last:
-                        finish()
-                    else:
-                        place(v + 1)
-                    for d in claims:
-                        del _claimed[d]
-                    if claims:
-                        _closed.pop()
-                del _succ[tail]
-            for i in range(len(todo)):
-                item = todo.pop(i)
-                head = item[0]
-                _succ[tail] = head
-                claims = []
-                if _check(head, claims):
-                    if len(item) == 1:
-                        arrange(head, todo)
-                    else:
-                        other = item[1]
-                        _succ[head] = other
-                        inner: list[int] = []
-                        if _check(other, inner):
-                            arrange(other, todo)
-                            for d in inner:
-                                del _claimed[d]
-                            if inner:
-                                _closed.pop()
-                        del _succ[head]
-                    for d in claims:
-                        del _claimed[d]
-                    if claims:
-                        _closed.pop()
-                del _succ[tail]
-                todo.insert(i, item)
-            if _degree[v] >= last:
-                return
-            if max_edges is not None and _edges[0] >= max_edges:
-                return
-            for u in cand:
-                if u in in_use or _degree[u] >= last:
-                    continue
-                d_here = internal_top[0]
-                internal_top[0] = d_here + 2
-                vertex_of.append(v)
-                vertex_of.append(u)
-                pending[u].append(d_here + 1)
-                _degree[u] += 1
-                _degree[v] += 1
-                _edges[0] += 1
-                in_use.add(u)
-                _succ[tail] = d_here
-                claims = []
-                if _check(d_here, claims):
-                    arrange(d_here, todo)
-                    for d in claims:
-                        del _claimed[d]
-                    if claims:
-                        _closed.pop()
-                del _succ[tail]
-                in_use.discard(u)
-                _edges[0] -= 1
-                _degree[v] -= 1
-                _degree[u] -= 1
-                pending[u].pop()
-                del vertex_of[d_here:]
-                internal_top[0] = d_here
+    def arrange(v: int, tail: int, todo: list[tuple[int, ...]]) -> None:
+        nonlocal edge_total, top
+        tick()
+        if not todo:
+            # wrap the rotation shut and move to the next vertex
+            head = blocks[v][0][0]
+            if link_check(tail, head):
+                if v == last:
+                    finish()
+                else:
+                    place(v + 1)
+                unlink(tail, head)
+        for i in range(len(todo)):
+            item = todo.pop(i)
+            head = item[0]
+            if link_check(tail, head):
+                # a corner block carries its own fixed inner link
+                arrange(v, item[-1], todo)
+                unlink(tail, head)
+            todo.insert(i, item)
+        if degree[v] >= last:
+            return
+        if max_edges is not None and edge_total >= max_edges:
+            return
+        used = in_use[v]
+        for u in cand[v]:
+            if u in used or degree[u] >= last:
+                continue
+            d = top
+            top = d + 2
+            vertex_of[d] = v
+            vertex_of[d + 1] = u
+            pending[u].append((d + 1,))
+            degree[u] += 1
+            degree[v] += 1
+            edge_total += 1
+            used.add(u)
+            if link_check(tail, d):
+                arrange(v, d, todo)
+                unlink(tail, d)
+            used.discard(u)
+            edge_total -= 1
+            degree[v] -= 1
+            degree[u] -= 1
+            pending[u].pop()
+            top = d
 
-        if len(anchor) == 2:
-            succ[anchor[0]] = anchor[1]
-            start_claims: list[int] = []
-            if link_check(anchor[1], start_claims):
-                arrange(anchor[1], rest)
-                for d in start_claims:
-                    del claimed[d]
-                if start_claims:
-                    closed_backs.pop()
-            del succ[anchor[0]]
-        else:
-            arrange(anchor[0], rest)
-
+    if max_edges is not None and edge_total > max_edges:
+        return  # the walks alone use more edges than the spec allows
     place(0)
 
 

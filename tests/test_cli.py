@@ -171,6 +171,14 @@ class TestSearchCommands:
             m = parse(f.read_text())
             assert m.vertex_count == 6
 
+    def test_pair_search_with_disjoint_walks_exits_zero(self, capsys):
+        # some completions leave the two walks unjoined; they are dropped
+        code, out, _ = run_cli(
+            capsys, "search", "empty", "--spec", "k=6; mode=pair; max-edges=7"
+        )
+        assert code == 0
+        assert "found: 4; complete: yes" in out
+
     def test_incomplete_search_is_exit_three(self, capsys):
         code, out, _ = run_cli(
             capsys,

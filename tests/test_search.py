@@ -1,5 +1,7 @@
 """Exhaustive-search engine tests: spec parsing, small oracles, budgets."""
 
+import hashlib
+
 import pytest
 
 import ormaps
@@ -31,6 +33,11 @@ def six_distinct():
 @pytest.fixture(scope="module")
 def small_corpus():
     return enumerate_connected_maps(6)
+
+
+@pytest.fixture(scope="module")
+def pair_corpus():
+    return enumerate_connected_maps(7)
 
 
 class TestSpecConstruction:
@@ -142,6 +149,76 @@ class TestSmallOracle:
         out = enumerate_empty(EmptyCircuitSpec(k=4))
         stats = sorted((m.vertex_count, m.edge_count, len(m.faces)) for m in out.maps)
         assert stats == [(4, 4, 2), (4, 5, 3)]
+
+    @pytest.mark.parametrize(
+        "text, finds",
+        [
+            ("k=6; mode=pair:3+3; max-edges=7", 4),
+            ("k=6; mode=pair; max-edges=7", 4),
+            ("k=7; mode=pair:3+4; max-edges=7", 2),
+        ],
+    )
+    def test_pair_enumeration_matches_brute_force(self, text, finds, pair_corpus):
+        # the two walks of a pair need not join up; such completions are
+        # dropped, not reported as broken maps
+        spec = parse_empty_spec(text)
+        out = enumerate_empty(spec)
+        assert out.complete
+        mine = {canonical_code(m) for m in out.maps}
+        brute = {canonical_code(m) for m in pair_corpus if not empty_map_problems(m, spec)}
+        assert mine == brute
+        assert len(mine) == finds
+
+    @pytest.mark.parametrize("text", ["k=6; max-edges=5", "k=7; mode=pair:3+4; max-edges=6"])
+    def test_edge_cap_below_the_spanning_size_is_empty(self, text):
+        out = enumerate_empty(parse_empty_spec(text))
+        assert out.complete and not out.maps and out.nodes == 0
+
+
+# Fingerprints of the spanning-walk engine, captured from the original
+# dict-based engine: (spec, node budget, nodes, finds, sha1 of the
+# concatenated canonical codes in output order).  Any engine rewrite must
+# keep the DFS order, and with it every node count, exactly.
+_EMPTY_SHA1 = "da39a3ee5e6b4b0d3255bfef95601890afd80709"
+ENGINE_GOLDEN = [
+    ("k=3; mode=circuit; constraints=distinct-neighbors", None, 3, 0, _EMPTY_SHA1),
+    ("k=4; mode=circuit; constraints=distinct-neighbors", None, 16, 0, _EMPTY_SHA1),
+    ("k=5; mode=circuit; constraints=distinct-neighbors", None, 512, 0, _EMPTY_SHA1),
+    ("k=3; mode=circuit; constraints=detached-face", None, 3, 0, _EMPTY_SHA1),
+    ("k=4; mode=circuit; constraints=detached-face", None, 18, 0, _EMPTY_SHA1),
+    ("k=5; mode=circuit; constraints=detached-face", None, 565, 0, _EMPTY_SHA1),
+    ("k=6; mode=circuit; constraints=distinct-neighbors", None, 349731, 11,
+     "0289d45be761fcabd119adf03b4406ad9b2a043e"),
+    ("k=6; mode=circuit; constraints=single-neighbor,min-faces:3", None, 231770, 0, _EMPTY_SHA1),
+    ("k=6; mode=pair; constraints=distinct-neighbors", None, 354870, 4,
+     "8ed49ec1503bac585eb9039c32b7e195e7619582"),
+    ("k=6; mode=pair; constraints=single-neighbor,min-faces:4", None, 227133, 0, _EMPTY_SHA1),
+    ("k=7; mode=pair; constraints=distinct-neighbors; max-vertices=6", None, 95007, 0,
+     _EMPTY_SHA1),
+    ("k=6; mode=circuit", None, 402871, 184, "9f64542700b238acc0afc9597e8ee4dfb9534a79"),
+    ("k=5; mode=circuit; constraints=single-neighbor", None, 420, 1,
+     "8096d5df9654b02e584f6e0937a926ac0d4054b0"),
+    ("k=7; mode=circuit; constraints=distinct-neighbors; max-vertices=6", None, 96650, 0,
+     _EMPTY_SHA1),
+    # truncated runs on hard shapes: which finds precede the cut depends on
+    # the DFS order
+    ("k=7; mode=circuit; constraints=single-neighbor,min-faces:3", 200_000, 200_001, 0,
+     _EMPTY_SHA1),
+    ("k=9; mode=circuit; constraints=single-neighbor", 150_000, 150_001, 1,
+     "98a004c0506535ad850865615297025a85296584"),
+]
+
+
+class TestEngineGolden:
+    @pytest.mark.parametrize("text, max_nodes, nodes, finds, digest", ENGINE_GOLDEN)
+    def test_engine_matches_its_fingerprint(self, text, max_nodes, nodes, finds, digest):
+        budget = SearchBudget(max_nodes=max_nodes) if max_nodes is not None else None
+        out = enumerate_empty(parse_empty_spec(text), budget)
+        assert out.complete == (max_nodes is None)
+        assert out.nodes == nodes
+        assert len(out.maps) == finds
+        codes = b"".join(canonical_code(m) for m in out.maps)
+        assert hashlib.sha1(codes).hexdigest() == digest
 
 
 class TestEngineOutputs:
