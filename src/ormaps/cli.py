@@ -3,14 +3,14 @@
 Every command prints its analysis to stdout and emits a machine-parseable
 run manifest (``key: value`` lines) to stderr, or to the file named by
 ``--manifest``.  Exit codes: 0 success / certified; 1 I/O or usage error;
-2 invalid input or failed precondition; 3 search budget exhausted.
+2 invalid input or failed precondition; 3 search budget exhausted;
+4 internal error (a broken invariant inside the library).
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
-import os
 import sys
 import time
 from pathlib import Path
@@ -24,8 +24,6 @@ from .bounds import (
 from .connectivity import adjacency_of, find_cutsets, vertex_connectivity
 from .core import (
     Map,
-    RotParseError,
-    ValidationError,
     canonical_code,
     emit,
     genus,
@@ -36,7 +34,6 @@ from .core import (
 from .dual import dual
 from .search import (
     SearchBudget,
-    SearchError,
     enumerate_empty,
     parse_empty_spec,
     parse_witness_spec,
@@ -61,6 +58,7 @@ EXIT_OK = 0
 EXIT_IO = 1
 EXIT_INVALID = 2
 EXIT_EXHAUSTED = 3
+EXIT_INTERNAL = 4
 
 
 class _Manifest:
@@ -479,12 +477,6 @@ def _cmd_export(args, manifest) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
-        "--jobs",
-        type=int,
-        default=argparse.SUPPRESS,
-        help="worker cap for parallel phases (default: ORMAPS_JOBS or 1)",
-    )
-    common.add_argument(
         "--manifest",
         metavar="PATH",
         default=argparse.SUPPRESS,
@@ -582,6 +574,14 @@ _DISPATCH = {
 }
 
 
+def _fail(manifest: _Manifest, message: str, code: int) -> int:
+    """Report an error on stderr and in the manifest; return its exit code."""
+    print(f"error: {message}", file=sys.stderr)
+    manifest.add("outcome", "error")
+    manifest.add("error", message)
+    return code
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = _build_parser()
@@ -589,34 +589,19 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_IO
-
-    jobs = getattr(args, "jobs", None)
-    if jobs is None:
-        try:
-            jobs = max(1, int(os.environ.get("ORMAPS_JOBS", "1")))
-        except ValueError:
-            jobs = 1
-    if jobs < 1:
-        print("error: --jobs must be at least 1", file=sys.stderr)
-        return EXIT_IO
     manifest_path = getattr(args, "manifest", None)
 
     manifest = _Manifest(args.command)
     manifest.add("argv", " ".join(argv))
-    manifest.add("jobs", jobs)
     started = time.perf_counter()
     try:
         code = _DISPATCH[args.command](args, manifest)
     except _Failure as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        manifest.add("outcome", "error")
-        manifest.add("error", str(exc))
-        code = exc.code
-    except (RotParseError, ValidationError, SurgeryError, SearchError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        manifest.add("outcome", "error")
-        manifest.add("error", str(exc))
-        code = EXIT_INVALID
+        code = _fail(manifest, str(exc), exc.code)
+    except ValueError as exc:  # RotParseError, ValidationError, SurgeryError, SearchError
+        code = _fail(manifest, str(exc), EXIT_INVALID)
+    except RuntimeError as exc:  # a broken library invariant, not bad input
+        code = _fail(manifest, f"internal: {exc}", EXIT_INTERNAL)
     else:
         manifest.add(
             "outcome",

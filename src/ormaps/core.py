@@ -561,38 +561,37 @@ def emit(m: Map, header_comments: Sequence[str] = ()) -> str:
 
 
 def _root_code(m: Map, root: int) -> tuple[bytes, list[int]]:
-    """Traversal encoding from one root dart, with the dart visit order."""
+    """Traversal encoding from one root dart, with the dart visit order.
+
+    Dart ids are packed as 16-bit words while the map has at most 65,535
+    darts and as 32-bit words above that, so the code never overflows.
+    """
     sigma = m.next_in_rotation
     alpha = m.reverse
     newid = {root: 0}
     order = [root]
-    head = 0
-    while head < len(order):
-        d = order[head]
-        head += 1
+    for d in order:  # grows while it is read: a breadth-first visit
         for e in (sigma[d], alpha[d]):
             if e not in newid:
                 newid[e] = len(order)
                 order.append(e)
-    out = bytearray(struct.pack(">H", len(order)))
+    words = [len(order)]
     for d in order:
-        out += struct.pack(">HH", newid[sigma[d]], newid[alpha[d]])
-    return bytes(out), order
+        words += (newid[sigma[d]], newid[alpha[d]])
+    width = "H" if m.dart_count <= 0xFFFF else "I"
+    return struct.pack(f">{len(words)}{width}", *words), order
 
 
-def canonical_code(m: Map) -> bytes:
-    """Orientation-preserving isomorphism invariant.
+def canonical(m: Map) -> tuple[bytes, Map]:
+    """Canonical code and canonical form, from one scan over the root darts.
 
-    Equal codes exactly when the maps differ by a relabeling of darts and
-    vertices that preserves rotations.  A map and its mirror may get
-    different codes; compare against ``canonical_code(m.mirror())`` to test
-    equivalence up to orientation reversal.
+    The code is the smallest root traversal code.  Equal codes exactly when
+    the maps differ by a relabeling of darts and vertices that preserves
+    rotations.  A map and its mirror may get different codes; compare
+    against ``canonical(m.mirror())`` to test equivalence up to orientation
+    reversal.  The form is the map relabeled in the visit order of a root
+    that attains the code; labels are dropped.
     """
-    return min(_root_code(m, r)[0] for r in range(m.dart_count))
-
-
-def canonical_form(m: Map) -> Map:
-    """The relabeled map realizing canonical_code. Labels are dropped."""
     code, order = min((_root_code(m, r) for r in range(m.dart_count)), key=lambda t: t[0])
     pos = {d: i for i, d in enumerate(order)}
     vmap: dict[int, int] = {}
@@ -600,11 +599,21 @@ def canonical_form(m: Map) -> Map:
         v = m.vertex_of[d]
         if v not in vmap:
             vmap[v] = len(vmap)
-    return Map(
+    return code, Map(
         tuple(vmap[m.vertex_of[d]] for d in order),
         tuple(pos[m.next_in_rotation[d]] for d in order),
         tuple(pos[m.reverse[d]] for d in order),
     )
+
+
+def canonical_code(m: Map) -> bytes:
+    """Orientation-preserving isomorphism invariant; see ``canonical``."""
+    return canonical(m)[0]
+
+
+def canonical_form(m: Map) -> Map:
+    """The relabeled map realizing canonical_code; see ``canonical``."""
+    return canonical(m)[1]
 
 
 def maps_isomorphic_bruteforce(a: Map, b: Map) -> bool:
@@ -618,8 +627,8 @@ def maps_isomorphic_bruteforce(a: Map, b: Map) -> bool:
     D = a.dart_count
     if D != b.dart_count or a.vertex_count != b.vertex_count:
         return False
-    for root in range(D):
-        h = {0: root}
+    for image in range(D):
+        h = {0: image}
         stack = [0]
         ok = True
         while stack and ok:

@@ -19,7 +19,6 @@ class DualReport:
     dual: Map
     loops: tuple[int, ...]  # edge ids with the same face on both sides
     multi_pairs: tuple[tuple[int, int], ...]  # face index pairs sharing >= 2 edges
-    edge_bijection: tuple[tuple[int, int], ...]
 
     @property
     def verdict(self) -> str:
@@ -69,8 +68,7 @@ def dual(m: Map) -> DualReport:
         else:
             between[(a, b) if a < b else (b, a)] += 1
     multi = tuple(sorted(pair for pair, k in between.items() if k >= 2))
-    bijection = tuple((e, e) for e in m.edge_ids)
-    return DualReport(dual_map, tuple(loops), multi, bijection)
+    return DualReport(dual_map, tuple(loops), multi)
 
 
 def is_dual_separating(m: Map, K, side: frozenset | set | None = None):

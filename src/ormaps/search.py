@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from .connectivity import vertex_connectivity
 from .core import (
     Map,
-    canonical_code,
+    canonical,
     canonical_form,
     from_rotations,
     genus,
@@ -710,8 +710,7 @@ def enumerate_empty(
     found: dict[bytes, Map] = {}
 
     def sink(m: Map) -> None:
-        cm = canonical_form(m)
-        code = canonical_code(cm)
+        code, cm = canonical(m)
         if code in found:
             return
         problems = empty_map_problems(cm, spec)
@@ -729,8 +728,7 @@ def enumerate_empty(
     if complete:
         # shape canonicalization folded reflections away; restore chiral twins
         for m in list(found.values()):
-            mirrored = canonical_form(m.mirror())
-            code = canonical_code(mirrored)
+            code, mirrored = canonical(m.mirror())
             if code not in found:
                 if empty_map_problems(mirrored, spec):
                     raise RuntimeError("mirror image fell outside the family")
@@ -1262,8 +1260,7 @@ def search_empty_9_cycle(
             return False
         if empty_map_problems(m, member_spec):
             return False
-        cm = canonical_form(m)
-        code = canonical_code(cm)
+        code, cm = canonical(m)
         if code in found:
             return False
         found[code] = cm
@@ -1318,7 +1315,7 @@ def triangular_complete_map(n: int) -> Map:
     _run_glue_engine(rules, _Clock(None), accept, stop_after=9)
     if not candidates:
         raise RuntimeError(f"found no all-triangle embedding for n={n}")
-    best = min((canonical_form(m) for m in candidates), key=canonical_code)
+    _, best = min((canonical(m) for m in candidates), key=lambda t: t[0])
     assert genus(best) == (0 if n == 4 else 1)
     assert vertex_connectivity(best) == degree
     _COMPLETE_CACHE[n] = best
@@ -1344,8 +1341,8 @@ def enumerate_connected_maps(max_edges: int) -> tuple[Map, ...]:
         raise SearchError("need at least one edge")
     if max_edges in _CORPUS_CACHE:
         return _CORPUS_CACHE[max_edges]
-    base = canonical_form(from_rotations([[1], [0]]))
-    levels: list[dict[bytes, Map]] = [{canonical_code(base): base}]
+    code, base = canonical(from_rotations([[1], [0]]))
+    levels: list[dict[bytes, Map]] = [{code: base}]
     while len(levels) < max_edges:
         grown: dict[bytes, Map] = {}
         for m in levels[-1].values():
@@ -1368,8 +1365,8 @@ def enumerate_connected_maps(max_edges: int) -> tuple[Map, ...]:
                             rows[w].insert(sw, u)
                             children.append(rows)
             for rows in children:
-                child = canonical_form(from_rotations(rows))
-                grown.setdefault(canonical_code(child), child)
+                code, child = canonical(from_rotations(rows))
+                grown.setdefault(code, child)
         levels.append(grown)
     merged: list[Map] = []
     for level in levels:

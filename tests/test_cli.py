@@ -297,10 +297,21 @@ class TestManifest:
         assert code == 1
         assert "outcome: error" in path.read_text()
 
-    def test_jobs_environment_default_is_recorded(self, capsys, rot_dir, monkeypatch):
-        monkeypatch.setenv("ORMAPS_JOBS", "4")
-        _, _, err = run_cli(capsys, "genus", str(rot_dir / "k6torus.rot"))
-        assert "jobs: 4" in err
+    def test_internal_error_is_exit_four(self, capsys, tmp_path, monkeypatch):
+        def broken(spec, budget):
+            raise RuntimeError("search produced a broken map")
+
+        monkeypatch.setattr("ormaps.cli.enumerate_empty", broken)
+        path = tmp_path / "m.txt"
+        code, _, err = run_cli(
+            capsys, "search", "empty", "--spec", "k=4", "--manifest", str(path)
+        )
+        assert code == 4
+        assert err == "error: internal: search produced a broken map\n"
+        record = path.read_text().splitlines()
+        assert "outcome: error" in record
+        assert "error: internal: search produced a broken map" in record
+        assert "exit-code: 4" in record
 
 
 class TestDeterminism:

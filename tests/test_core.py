@@ -1,4 +1,5 @@
 import itertools
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +10,9 @@ from ormaps.core import (
     Map,
     RotParseError,
     ValidationError,
+    _root_code,
     angles_of,
+    canonical,
     canonical_code,
     canonical_form,
     degree_multiset,
@@ -211,7 +214,7 @@ def test_canonical_code_ignores_dart_labels(m, rng):
     perm = list(range(m.dart_count))
     rng.shuffle(perm)
     shuffled = relabel_darts(m, perm)
-    assert canonical_code(shuffled) == canonical_code(m)
+    assert canonical(shuffled) == canonical(m)  # the same code and the same form
 
 
 @given(connected_simple_maps())
@@ -224,6 +227,16 @@ def test_canonical_form_is_canonical(m):
     assert degree_multiset(cf) == degree_multiset(m)
     # idempotent: the canonical form of the canonical form is itself
     assert canonical_form(cf) == cf
+
+
+@pytest.mark.parametrize("n, word", [(32_767, ">H"), (32_768, ">I")])
+def test_code_word_width_follows_the_dart_count(n, word):
+    # 16-bit words up to 65,535 darts, 32-bit words from 65,536 on
+    cycle = from_rotations([[(i - 1) % n, (i + 1) % n] for i in range(n)])
+    code, order = _root_code(cycle, 0)
+    assert len(order) == cycle.dart_count == 2 * n
+    assert len(code) == struct.calcsize(word) * (2 * cycle.dart_count + 1)
+    assert struct.unpack_from(word, code)[0] == cycle.dart_count
 
 
 @given(connected_simple_maps())

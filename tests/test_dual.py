@@ -71,10 +71,10 @@ class TestDualConstruction:
             for i, d in enumerate(f.darts):
                 assert report.dual.next_in_rotation[d] == f.darts[(i + 1) % k]
 
-    def test_edge_bijection_is_identity(self, cube):
+    def test_dual_keeps_every_dart_and_edge_id(self, cube):
         report = dual(cube)
-        assert all(e == e_star for e, e_star in report.edge_bijection)
-        assert len(report.edge_bijection) == cube.edge_count
+        assert report.dual.dart_count == cube.dart_count
+        assert report.dual.reverse == cube.reverse
 
     def test_dual_labels_name_faces(self, tetrahedron):
         report = dual(tetrahedron)

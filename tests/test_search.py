@@ -471,6 +471,13 @@ class TestConnectedMapCorpus:
     def test_corpus_is_cached(self):
         assert enumerate_connected_maps(6) is enumerate_connected_maps(6)
 
+    def test_codes_and_order_match_their_fingerprint(self, pair_corpus):
+        # sha1 of the concatenated canonical codes in output order, captured
+        # from the original canonicalisation: codes and order must not drift
+        codes = b"".join(canonical_code(m) for m in pair_corpus)
+        assert len(pair_corpus) == 385
+        assert hashlib.sha1(codes).hexdigest() == "3da9d42ccfaf91e92285823fd189514e4f0a2e03"
+
 
 class TestIndependentChecker:
     def test_rejects_map_without_spanning_face(self, small_corpus):
