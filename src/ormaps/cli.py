@@ -297,7 +297,9 @@ def _cmd_construct(args, manifest) -> int:
         if args.file is None:
             raise _Failure(EXIT_IO, "insert-cycle needs a triangulation file")
         host = _load(args.file, manifest)
-        if args.triangles and args.pivots:
+        if bool(args.triangles) != bool(args.pivots):
+            raise _Failure(EXIT_IO, "give both triangles and pivots, or neither")
+        if args.triangles:
             tris = _parse_int_list(args.triangles)
             pivots = _parse_int_list(args.pivots)
         else:

@@ -15,7 +15,7 @@ from collections.abc import Hashable, Sequence
 from dataclasses import dataclass
 
 from .bounds import one_cut_size_threshold
-from .connectivity import adjacency_of, find_cutsets, vertex_connectivity
+from .connectivity import _disconnects, vertex_connectivity
 from .core import (
     Face,
     Map,
@@ -110,8 +110,16 @@ def _rotation_from(m: Map, d: int) -> list[int]:
     """Darts at d's vertex in rotation order, starting just after d, without d."""
     cyc = m.rotations[m.vertex_of[d]]
     i = cyc.index(d)
-    n = len(cyc)
-    return [cyc[(i + j) % n] for j in range(1, n)]
+    return list(cyc[i + 1 :] + cyc[:i])
+
+
+def _editable(m: Map) -> tuple[dict[int, list], dict]:
+    """m's rotations and mates as assemble input, to be edited before reassembly."""
+    return {u: list(rot) for u, rot in enumerate(m.rotations)}, dict(enumerate(m.reverse))
+
+
+def _simple_triangles(m: Map) -> list[Face]:
+    return [f for f in m.faces if f.size == 3 and len(set(walk_vertices(m, f.darts))) == 3]
 
 
 def _insert_before(cycle: Sequence, anchor, new: Sequence) -> list:
@@ -121,6 +129,36 @@ def _insert_before(cycle: Sequence, anchor, new: Sequence) -> list:
             out.extend(new)
         out.append(d)
     return out
+
+
+def _require_counts(out: Map, V: int, E: int, F: int, g: int) -> None:
+    """Raise unless out has V vertices, E edges, F faces and genus g.
+
+    A RuntimeError rather than an assert, so the check survives ``python -O``.
+    """
+    got = (out.vertex_count, out.edge_count, len(out.faces))
+    if got != (V, E, F) or genus(out) != g:
+        raise RuntimeError(
+            f"surgery broke its counts: (V, E, F) = {got}, expected {(V, E, F)} at genus {g}"
+        )
+
+
+def _disjoint_union(a: Map, b: Map) -> Map:
+    """a and b side by side; b's darts and vertices follow a's."""
+    Da, Va = a.dart_count, a.vertex_count
+    return Map(
+        a.vertex_of + tuple(v + Va for v in b.vertex_of),
+        a.next_in_rotation + tuple(d + Da for d in b.next_in_rotation),
+        a.reverse + tuple(d + Da for d in b.reverse),
+    )
+
+
+def _has_chord(m: Map, verts: Sequence[int]) -> bool:
+    """Whether two vertices of the cycle verts are adjacent off the cycle."""
+    vset, k = set(verts), len(verts)
+    return any(
+        (m.adjacency[v] & vset) - {verts[j - 1], verts[(j + 1) % k]} for j, v in enumerate(verts)
+    )
 
 
 def _faces_with_vertices(m: Map, size: int, vset: set[int]) -> list[int]:
@@ -168,11 +206,8 @@ def delete_vertex(m: Map, v: int) -> Map:
 def _subdivide(m: Map, d0: int) -> tuple[Map, dict[Hashable, int]]:
     d0 = m.edge_id(d0)  # either dart names the edge; normalize for determinism
     d1 = m.reverse[d0]
-    rotations: dict[int, list] = {u: list(m.rotations[u]) for u in range(m.vertex_count)}
+    rotations, mate = _editable(m)
     rotations[m.vertex_count] = [("mid", 0), ("mid", 1)]
-    mate: dict[Hashable, Hashable] = {
-        d: m.reverse[d] for d in range(m.dart_count) if d not in (d0, d1)
-    }
     mate[d0] = ("mid", 0)
     mate[("mid", 0)] = d0
     mate[d1] = ("mid", 1)
@@ -185,9 +220,7 @@ def subdivide_edge(m: Map, e: int) -> Map:
 
     Both incident faces grow by one; the genus stays put.
     """
-    if not 0 <= e < m.dart_count:
-        raise SurgeryError(f"no dart {e}")
-    return _subdivide(m, e)[0]
+    return subdivide_edges(m, [e])
 
 
 def subdivide_edges(m: Map, edges: Sequence[int]) -> Map:
@@ -218,29 +251,13 @@ def wedge_at_vertex(a: Map, va: int, b: Map, vb: int) -> Map:
         raise SurgeryError(f"no vertex {va} in the first map")
     if not 0 <= vb < b.vertex_count:
         raise SurgeryError(f"no vertex {vb} in the second map")
-    vmap_b: dict[int, int] = {}
-    fresh = a.vertex_count
-    for w in range(b.vertex_count):
-        if w == vb:
-            vmap_b[w] = va
-        else:
-            vmap_b[w] = fresh
-            fresh += 1
-    rotations: dict[int, list] = {
-        u: [("a", d) for d in a.rotations[u]] for u in range(a.vertex_count)
-    }
-    for w in range(b.vertex_count):
-        toks = [("b", d) for d in b.rotations[w]]
-        if w == vb:
-            rotations[va].extend(toks)
-        else:
-            rotations[vmap_b[w]] = toks
-    mate: dict = {("a", d): ("a", a.reverse[d]) for d in range(a.dart_count)}
-    mate.update({("b", d): ("b", b.reverse[d]) for d in range(b.dart_count)})
-    out, _ = assemble(rotations, mate)
-    assert out.vertex_count == a.vertex_count + b.vertex_count - 1
-    assert len(out.faces) == len(a.faces) + len(b.faces) - 1
-    assert genus(out) == genus(a) + genus(b)
+    u = _disjoint_union(a, b)
+    # b's vertex vb merges into va; b's other vertices keep their order after a's
+    rotations = [list(rot) for rot in u.rotations]
+    rotations[va] += rotations.pop(a.vertex_count + vb)
+    out, _ = assemble(dict(enumerate(rotations)), dict(enumerate(u.reverse)))
+    V, E = a.vertex_count + b.vertex_count - 1, a.edge_count + b.edge_count
+    _require_counts(out, V, E, len(a.faces) + len(b.faces) - 1, genus(a) + genus(b))
     return out
 
 
@@ -327,63 +344,17 @@ def glue_faces(a: Map, b: Map, spec: GlueSpec, *, require_simple: bool = True) -
         d0 = fb.darts[0]
         b = b.mirror()
         fb = b.face_of_dart(b.reverse[d0])
-    ua = _require_simple_cycle(a, fa)
-    ub = _require_simple_cycle(b, fb)
-    size = fa.size
-    if fb.size != size:
+    _require_simple_cycle(a, fa)
+    _require_simple_cycle(b, fb)
+    if fb.size != fa.size:
         raise SurgeryError(f"cannot glue a {fa.size}-gon to a {fb.size}-gon")
-    psi = [(spec.offset - i) % size for i in range(size)]
-
-    vmap_b: dict[int, int] = {}
-    for i in range(size):
-        vmap_b[ub[psi[i]]] = ua[i]
-    fresh = a.vertex_count
-    for w in range(b.vertex_count):
-        if w not in vmap_b:
-            vmap_b[w] = fresh
-            fresh += 1
-
-    on_a = set(ua)
-    on_b = set(ub)
-    rotations: dict[int, list] = {}
-    for u in range(a.vertex_count):
-        if u not in on_a:
-            rotations[u] = [("a", d) for d in a.rotations[u]]
-    for w in range(b.vertex_count):
-        if w not in on_b:
-            rotations[vmap_b[w]] = [("b", d) for d in b.rotations[w]]
-    for i in range(size):
-        cut_a = [("a", d) for d in _rotation_from(a, fa.darts[i])]
-        cut_b = [("b", d) for d in _rotation_from(b, fb.darts[psi[i]])]
-        rotations[ua[i]] = cut_a + cut_b
-
-    dead_a = set(fa.darts)
-    dead_b = set(fb.darts)
-    mate: dict = {}
-    for d in range(a.dart_count):
-        if d not in dead_a and a.reverse[d] not in dead_a:
-            mate[("a", d)] = ("a", a.reverse[d])
-    for d in range(b.dart_count):
-        if d not in dead_b and b.reverse[d] not in dead_b:
-            mate[("b", d)] = ("b", b.reverse[d])
-    seam_tokens = []
-    for i in range(size):
-        ra = ("a", a.reverse[fa.darts[i]])
-        rb = ("b", b.reverse[fb.darts[(psi[i] - 1) % size]])
-        mate[ra] = rb
-        mate[rb] = ra
-        seam_tokens.append(ra)
-
-    out, ids = assemble(rotations, mate)
-    assert out.vertex_count == a.vertex_count + b.vertex_count - size
-    assert out.edge_count == a.edge_count + b.edge_count - size
-    assert len(out.faces) == len(a.faces) + len(b.faces) - 2
-    assert genus(out) == genus(a) + genus(b)
-    assert validate(out).ok
-    if require_simple and not out.is_simple_graph():
-        raise SurgeryError("gluing created parallel edges")
-    seam = tuple(sorted(out.edge_id(ids[t]) for t in seam_tokens))
-    return GlueResult(out, seam, {u: u for u in range(a.vertex_count)}, vmap_b)
+    # a's faces keep their indices in the union; b's follow them
+    u = _disjoint_union(a, b)
+    fb = u.faces[len(a.faces) + fb.index]
+    res = _sew(u, u.faces[fa.index], fb, spec.offset, genus(a) + genus(b), require_simple)
+    vmap, Va = res.vertex_map_a, a.vertex_count
+    vmap_b = {w: vmap[Va + w] for w in range(b.vertex_count)}
+    return GlueResult(res.map, res.seam_edges, {v: vmap[v] for v in range(Va)}, vmap_b)
 
 
 def glue_faces_self(
@@ -400,59 +371,59 @@ def glue_faces_self(
         raise SurgeryError("cannot glue a face to itself")
     ua = _require_simple_cycle(m, fa)
     ub = _require_simple_cycle(m, fb)
-    size = fa.size
-    if fb.size != size:
+    if fb.size != fa.size:
         raise SurgeryError(f"cannot glue a {fa.size}-gon to a {fb.size}-gon")
     if set(ua) & set(ub):
         raise SurgeryError("the faces share vertices")
+    return _sew(m, fa, fb, offset, genus(m) + 1, require_simple)
+
+
+def _sew(m: Map, fa: Face, fb: Face, offset: int, g: int, require_simple: bool) -> GlueResult:
+    """Drop two vertex-disjoint, equal-size simple faces of m and identify their walks.
+
+    Vertex i of fa's walk lands on vertex (offset - i) of fb's, and fb's
+    vertices disappear into fa's.  The result must come out with genus g.
+    Both vertex maps of the GlueResult are the same map from m's vertices.
+    """
+    ua = walk_vertices(m, fa.darts)
+    ub = walk_vertices(m, fb.darts)
+    size = fa.size
     psi = [(offset - i) % size for i in range(size)]
 
     gone = set(ub)
-    newid: dict[int, int] = {}
-    for u in range(m.vertex_count):
-        if u not in gone:
-            newid[u] = len(newid)
+    kept = [u for u in range(m.vertex_count) if u not in gone]
+    newid = {u: i for i, u in enumerate(kept)}
     vmap = dict(newid)
     for i in range(size):
         vmap[ub[psi[i]]] = newid[ua[i]]
 
     on_a = set(ua)
-    rotations: dict[int, list] = {}
-    for u in range(m.vertex_count):
-        if u in gone or u in on_a:
-            continue
-        rotations[newid[u]] = list(m.rotations[u])
+    rotations = {newid[u]: list(m.rotations[u]) for u in kept if u not in on_a}
     for i in range(size):
         rotations[newid[ua[i]]] = _rotation_from(m, fa.darts[i]) + _rotation_from(
             m, fb.darts[psi[i]]
         )
 
-    dead = set(fa.darts) | set(fb.darts)
-    mate: dict = {
-        d: m.reverse[d]
-        for d in range(m.dart_count)
-        if d not in dead and m.reverse[d] not in dead
-    }
-    seam_tokens = []
+    # the faces' own darts sit in no rotation, so assemble never reads their
+    # mates; the darts facing them across the boundary pair up along the seam
+    mate = dict(enumerate(m.reverse))
+    seam_darts = []
     for i in range(size):
         ra = m.reverse[fa.darts[i]]
         rb = m.reverse[fb.darts[(psi[i] - 1) % size]]
         mate[ra] = rb
         mate[rb] = ra
-        seam_tokens.append(ra)
+        seam_darts.append(ra)
 
     out, ids = assemble(rotations, mate)
-    assert out.vertex_count == m.vertex_count - size
-    assert out.edge_count == m.edge_count - size
-    assert len(out.faces) == len(m.faces) - 2
-    assert genus(out) == genus(m) + 1
+    _require_counts(out, m.vertex_count - size, m.edge_count - size, len(m.faces) - 2, g)
     assert validate(out).ok
     if require_simple:
         if any(u == w for u, w in map(out.endpoints, out.edge_ids)):
             raise SurgeryError("gluing created a loop")
         if not out.is_simple_graph():
             raise SurgeryError("gluing created parallel edges")
-    seam = tuple(sorted(out.edge_id(ids[t]) for t in seam_tokens))
+    seam = tuple(sorted(out.edge_id(ids[d]) for d in seam_darts))
     return GlueResult(out, seam, vmap, vmap)
 
 
@@ -478,11 +449,8 @@ def interior_fill(host: Map, face: Face | int, c: int, l: int, *, verify: bool =
     cp = f.size
     if cp < l * (c - 1):
         raise SurgeryError(f"face of size {cp} is too small; need {l * (c - 1)}")
-    vset = set(verts)
-    for j in range(cp):
-        rim_nbrs = {verts[(j + 1) % cp], verts[(j - 1) % cp]}
-        if (host.adjacency[verts[j]] & vset) - rim_nbrs:
-            raise SurgeryError("face has a chord")
+    if _has_chord(host, verts):
+        raise SurgeryError("face has a chord")
     if verify and vertex_connectivity(host) < c:
         raise SurgeryError(f"host is not {c}-connected")
 
@@ -499,7 +467,7 @@ def interior_fill(host: Map, face: Face | int, c: int, l: int, *, verify: bool =
             # incoming boundary edge and must come first in the corner
             entries.sort(key=lambda e: (e[1] - 1) not in arcs[e[0]])
 
-    rotations: dict[int, list] = {u: list(host.rotations[u]) for u in range(host.vertex_count)}
+    rotations, mate = _editable(host)
     for j in range(cp):
         new = [("naf", i, t) for i, t in inserts[j]]
         rotations[verts[j]] = _insert_before(rotations[verts[j]], f.darts[j], new)
@@ -509,7 +477,6 @@ def interior_fill(host: Map, face: Face | int, c: int, l: int, *, verify: bool =
             [("cw", i)] + [("fan", i, t) for t in reversed(arc)] + [("ccw", i)]
         )
 
-    mate: dict = {d: host.reverse[d] for d in range(host.dart_count)}
     for i in range(l):
         mate[("cw", i)] = ("ccw", (i + 1) % l)
         mate[("ccw", (i + 1) % l)] = ("cw", i)
@@ -520,14 +487,10 @@ def interior_fill(host: Map, face: Face | int, c: int, l: int, *, verify: bool =
 
     out, ids = assemble(rotations, mate)
     inner = out.face_index_of[ids[("cw", 0)]]
-    assert out.vertex_count == host.vertex_count + l
-    assert out.edge_count == host.edge_count + cp + 2 * l
-    assert len(out.faces) == len(host.faces) + cp + l
-    assert genus(out) == genus(host)
+    V, E, F = host.vertex_count + l, host.edge_count + cp + 2 * l, len(host.faces) + cp + l
+    _require_counts(out, V, E, F, genus(host))
     assert out.faces[inner].size == l
-    expected = sorted(
-        [s for s in face_size_multiset(host)] + [l] + [3] * (cp + l)
-    )
+    expected = sorted([*face_size_multiset(host), l] + [3] * (cp + l))
     expected.remove(cp)
     assert list(face_size_multiset(out)) == expected
     # the inner face stays chordless and meets each neighbor face just once
@@ -575,13 +538,12 @@ def insert_cycle_in_triangles(
         if q in m.adjacency[p]:
             raise SurgeryError(f"pivots {p} and {q} are adjacent; the new edge would be doubled")
 
-    rotations: dict[int, list] = {u: list(m.rotations[u]) for u in range(m.vertex_count)}
+    rotations, mate = _editable(m)
     for i in range(6):
         dep = next(d for d in faces[i].darts if m.vertex_of[d] == pivots[i])
         rotations[pivots[i]] = _insert_before(
             rotations[pivots[i]], dep, [("out", i), ("back", i)]
         )
-    mate: dict = {d: m.reverse[d] for d in range(m.dart_count)}
     for i in range(6):
         mate[("out", i)] = ("back", (i + 1) % 6)
         mate[("back", (i + 1) % 6)] = ("out", i)
@@ -591,9 +553,7 @@ def insert_cycle_in_triangles(
     small = out.face_index_of[ids[("back", 0)]]
     assert out.faces[big].size == 24
     assert out.faces[small].size == 6
-    assert out.edge_count == m.edge_count + 6
-    assert len(out.faces) == len(m.faces) - 4
-    assert genus(out) == genus(m) + 5
+    _require_counts(out, m.vertex_count, m.edge_count + 6, len(m.faces) - 4, genus(m) + 5)
     for d in out.faces[small].darts:
         assert out.face_index_of[out.reverse[d]] == big
     assert validate(out).ok
@@ -609,17 +569,15 @@ def stack_vertex(m: Map, face: Face | int) -> Map:
     if f.size != 3:
         raise SurgeryError("can only stack inside a triangle")
     vs = _require_simple_cycle(m, f)
-    rotations: dict[int, list] = {u: list(m.rotations[u]) for u in range(m.vertex_count)}
+    rotations, mate = _editable(m)
     for j in range(3):
         rotations[vs[j]] = _insert_before(rotations[vs[j]], f.darts[j], [("up", j)])
     rotations[m.vertex_count] = [("down", 0), ("down", 2), ("down", 1)]
-    mate: dict = {d: m.reverse[d] for d in range(m.dart_count)}
     for j in range(3):
         mate[("up", j)] = ("down", j)
         mate[("down", j)] = ("up", j)
     out, _ = assemble(rotations, mate)
-    assert len(out.faces) == len(m.faces) + 2
-    assert genus(out) == genus(m)
+    _require_counts(out, m.vertex_count + 1, m.edge_count + 3, len(m.faces) + 2, genus(m))
     return out
 
 
@@ -632,16 +590,10 @@ def stacked_triangulation(n: int) -> Map:
     if n < 4:
         raise SurgeryError("triangulations start at four vertices")
     m = wheel(3)
-    queue: deque[frozenset[int]] = deque(
-        frozenset(walk_vertices(m, f.darts)) for f in m.faces
-    )
+    queue = deque(frozenset(walk_vertices(m, f.darts)) for f in m.faces)
     while m.vertex_count < n:
         triple = queue.popleft()
-        face = next(
-            f
-            for f in m.faces
-            if f.size == 3 and frozenset(walk_vertices(m, f.darts)) == triple
-        )
+        face = m.faces[_faces_with_vertices(m, 3, triple)[0]]
         vs = walk_vertices(m, face.darts)
         w = m.vertex_count
         m = stack_vertex(m, face.index)
@@ -661,11 +613,7 @@ def find_disjoint_triangles(
     with the opened-up 24-gon) and the pivots must be pairwise non-adjacent,
     so that a complete-graph cap can land on them without doubling an edge.
     """
-    tris = [
-        f
-        for f in m.faces
-        if f.size == 3 and len(set(walk_vertices(m, f.darts))) == 3
-    ]
+    tris = _simple_triangles(m)
     tri_verts = {f.index: walk_vertices(m, f.darts) for f in tris}
     nbr_faces = {
         f.index: frozenset(m.face_index_of[m.reverse[d]] for d in f.darts)
@@ -752,17 +700,32 @@ def check_fill_ingredient(m: Map, l: int, c: int) -> tuple[str, ...]:
         verts = walk_vertices(m, f.darts)
         if len(set(verts)) != l:
             problems.append("glue face is not a simple cycle")
-        else:
-            vset = set(verts)
-            for j in range(l):
-                rim = {verts[(j + 1) % l], verts[(j - 1) % l]}
-                if (m.adjacency[verts[j]] & vset) - rim:
-                    problems.append("glue face has a chord")
-                    break
+        elif _has_chord(m, verts):
+            problems.append("glue face has a chord")
     kappa = vertex_connectivity(m)
     if kappa < c:
         problems.append(f"connectivity {kappa} below {c}")
     return tuple(problems)
+
+
+def _cut_face_problems(m: Map, size: int) -> list[str]:
+    """Problems keeping m from certifying a dual cut vertex at one size-gon.
+
+    Wanted: every face a triangle except one size-gon, a simple dual, and
+    that face a cut vertex of the dual.
+    """
+    problems: list[str] = []
+    odd = [f for f in m.faces if f.size != 3]
+    if len(odd) != 1 or odd[0].size != size:
+        problems.append(
+            f"face sizes {face_size_multiset(m)}; expected one {size}-gon among triangles"
+        )
+    d = dual(m)
+    if not d.simple:
+        problems.append(f"dual is not simple ({d.verdict})")
+    if not problems and not _disconnects(d.dual.adjacency, frozenset({odd[0].index})):
+        problems.append(f"dual has no cut vertex at the {size}-gon")
+    return problems
 
 
 def one_cut_witness_problems(m: Map, c: int) -> tuple[str, ...]:
@@ -778,18 +741,29 @@ def one_cut_witness_problems(m: Map, c: int) -> tuple[str, ...]:
     kappa = vertex_connectivity(m)
     if kappa != c:
         problems.append(f"connectivity {kappa}, expected {c}")
-    d = dual(m)
-    if not d.simple:
-        problems.append(f"dual is not simple ({d.verdict})")
-    want = one_cut_size_threshold(c)
-    odd = [f for f in m.faces if f.size != 3]
-    if len(odd) != 1 or odd[0].size != want:
-        problems.append(
-            f"face sizes {face_size_multiset(m)}; expected one {want}-gon among triangles"
-        )
-    elif d.simple and frozenset({odd[0].index}) not in find_cutsets(adjacency_of(d.dual), 1):
-        problems.append("dual has no cut vertex at the big face")
+    problems += _cut_face_problems(m, one_cut_size_threshold(c))
     return tuple(problems)
+
+
+def _alignments(a: Map, b: Map, fa: int, fb: int, size: int):
+    """The gluings of a's face fa onto b's size-gon fb that succeed, in (offset, mirror) order."""
+    for offset in range(size):
+        for mirror in (False, True):
+            try:
+                res = glue_faces(a, b, GlueSpec(fa, fb, offset, mirror))
+            except SurgeryError:
+                continue
+            yield res
+
+
+def _first_certified(candidates, problems_of, failure: str) -> Map:
+    """The first candidate map with no problems; else SurgeryError with the last problems seen."""
+    problems: Sequence[str] = ()
+    for m in candidates:
+        problems = problems_of(m)
+        if not problems:
+            return m
+    raise SurgeryError(failure + (f"; last attempt: {'; '.join(problems)}" if problems else ""))
 
 
 def _glue_face_size(m: Map) -> int:
@@ -870,9 +844,7 @@ def _fill_gadget(c: int, ingredients: Sequence[Map]) -> PipelineOutcome:
         if problems:
             raise SurgeryError(f"{size}-gon ingredient: " + "; ".join(problems))
 
-    gadget = cycle_square_gadget(c)
     big_size = _GADGET_FACES[c][-1]
-    last_problems: tuple[str, ...] = ()
 
     def attempts(current: Map, step: int):
         if step == len(ings):
@@ -883,25 +855,16 @@ def _fill_gadget(c: int, ingredients: Sequence[Map]) -> PipelineOutcome:
         big = next(f.index for f in current.faces if f.size == big_size)
         target = _min_face_of_size(current, size, skip=big)
         source = _min_face_of_size(ing, size)
-        for offset in range(size):
-            for mirror in (False, True):
-                try:
-                    res = glue_faces(current, ing, GlueSpec(target, source, offset, mirror))
-                except SurgeryError:
-                    continue
-                yield from attempts(res.map, step + 1)
+        for res in _alignments(current, ing, target, source, size):
+            yield from attempts(res.map, step + 1)
 
-    for candidate in attempts(gadget, 0):
-        problems = one_cut_witness_problems(candidate, c)
-        if not problems:
-            return PipelineOutcome(
-                candidate,
-                _witness_report(candidate, c, f"gadget on {c} vertices with both satellites glued over"),
-            )
-        last_problems = problems
-    raise SurgeryError(
-        f"no gluing alignment certified the c={c} witness"
-        + (f"; last attempt: {'; '.join(last_problems)}" if last_problems else "")
+    out = _first_certified(
+        attempts(cycle_square_gadget(c), 0),
+        lambda m: one_cut_witness_problems(m, c),
+        f"no gluing alignment certified the c={c} witness",
+    )
+    return PipelineOutcome(
+        out, _witness_report(out, c, f"gadget on {c} vertices with both satellites glued over")
     )
 
 
@@ -936,63 +899,39 @@ def _cap_gadget_six(ingredients: Sequence[Map]) -> PipelineOutcome:
         set(walk_vertices(gadget, f.darts)) for f in gadget.faces if f.size == 3
     ]
     hex_source = _min_face_of_size(hexing, 6)
-    last_problems: tuple[str, ...] = ()
 
-    for off1 in range(6):
-        for mir1 in (False, True):
-            try:
-                step1 = glue_faces(gadget, hexing, GlueSpec(hex_face, hex_source, off1, mir1))
-            except SurgeryError:
-                continue
+    def attempts():
+        for step1 in _alignments(gadget, hexing, hex_face, hex_source, 6):
             # gadget vertex ids survive both gluings, so the two satellite
             # triangles stay findable by their vertex sets
-            first_faces = _faces_with_vertices(step1.map, 3, tri_sets[0])
-            for first in first_faces:
+            for first in _faces_with_vertices(step1.map, 3, tri_sets[0]):
                 for tf, tg in pairs:
-                    for off2 in range(3):
-                        for mir2 in (False, True):
+                    for step2 in _alignments(step1.map, torus, first, tf.index, 3):
+                        image = {step2.vertex_map_b[v] for v in walk_vertices(torus, tg.darts)}
+                        seconds = _faces_with_vertices(step2.map, 3, image)
+                        remaining = _faces_with_vertices(step2.map, 3, tri_sets[1])
+                        for gi, ri, off3 in itertools.product(seconds, remaining, range(3)):
                             try:
-                                step2 = glue_faces(
-                                    step1.map, torus, GlueSpec(first, tf.index, off2, mir2)
-                                )
+                                res = glue_faces_self(step2.map, gi, ri, off3)
                             except SurgeryError:
                                 continue
-                            image = {
-                                step2.vertex_map_b[v]
-                                for v in walk_vertices(torus, tg.darts)
-                            }
-                            seconds = _faces_with_vertices(step2.map, 3, image)
-                            remaining = _faces_with_vertices(step2.map, 3, tri_sets[1])
-                            for gi in seconds:
-                                for ri in remaining:
-                                    for off3 in range(3):
-                                        try:
-                                            res = glue_faces_self(step2.map, gi, ri, off3)
-                                        except SurgeryError:
-                                            continue
-                                        problems = one_cut_witness_problems(res.map, 6)
-                                        if not problems:
-                                            return PipelineOutcome(
-                                                res.map,
-                                                _witness_report(
-                                                    res.map,
-                                                    6,
-                                                    "six-vertex gadget capped by hexagon "
-                                                    "ingredient and doubled torus triangles",
-                                                ),
-                                            )
-                                        last_problems = problems
-    raise SurgeryError(
-        "no gluing alignment certified the c=6 witness"
-        + (f"; last attempt: {'; '.join(last_problems)}" if last_problems else "")
+                            yield res.map
+
+    out = _first_certified(
+        attempts(),
+        lambda m: one_cut_witness_problems(m, 6),
+        "no gluing alignment certified the c=6 witness",
+    )
+    return PipelineOutcome(
+        out,
+        _witness_report(
+            out, 6, "six-vertex gadget capped by hexagon ingredient and doubled torus triangles"
+        ),
     )
 
 
 def _distant_triangle_pairs(m: Map):
-    tris = [
-        f for f in m.faces if f.size == 3 and len(set(walk_vertices(m, f.darts))) == 3
-    ]
-    for f, g in itertools.combinations(tris, 2):
+    for f, g in itertools.combinations(_simple_triangles(m), 2):
         a = set(walk_vertices(m, f.darts))
         b = set(walk_vertices(m, g.darts))
         if a & b:
@@ -1008,8 +947,8 @@ def _torus_hexagon_cap() -> Map:
 
     k7 = triangular_complete_map(7)
     cap = delete_vertex(k7, 0)
+    _require_counts(cap, 6, 15, 9, 1)
     assert face_size_multiset(cap) == (3,) * 8 + (6,)
-    assert genus(cap) == 1
     return cap
 
 
@@ -1047,39 +986,29 @@ def one_cut_witness_from_triangulation(
     cap = _torus_hexagon_cap()
     cap_face = next(f.index for f in cap.faces if f.size == 6)
 
-    last_problems: list[str] = []
-    for offset in range(6):
-        for mirror in (False, True):
-            try:
-                res = glue_faces(ins.map, cap, GlueSpec(ins.small_face_index, cap_face, offset, mirror))
-            except SurgeryError:
-                continue
-            out = res.map
-            problems = list(_cap_problems(out, host, expect_connectivity))
-            if not problems:
-                big = next(f for f in out.faces if f.size == 24)
-                return PipelineOutcome(
-                    out,
-                    PipelineReport(
-                        (
-                            ("construction", "6-cycle threaded through six triangles, hexagon capped"),
-                            ("host-vertices", str(host.vertex_count)),
-                            ("host-genus", str(genus(host))),
-                            ("pivots", " ".join(map(str, pivots))),
-                            ("vertices", str(out.vertex_count)),
-                            ("edges", str(out.edge_count)),
-                            ("faces", str(len(out.faces))),
-                            ("genus", f"{genus(out)} (host + 6)"),
-                            ("big-face-size", str(big.size)),
-                            ("dual", "simple, cut vertex at the 24-gon"),
-                            ("checks", "passed"),
-                        )
-                    ),
-                )
-            last_problems = problems
-    raise SurgeryError(
-        "no cap alignment certified the pipeline output"
-        + (f"; last attempt: {'; '.join(last_problems)}" if last_problems else "")
+    out = _first_certified(
+        (res.map for res in _alignments(ins.map, cap, ins.small_face_index, cap_face, 6)),
+        lambda m: _cap_problems(m, host, expect_connectivity),
+        "no cap alignment certified the pipeline output",
+    )
+    big = next(f for f in out.faces if f.size == 24)
+    return PipelineOutcome(
+        out,
+        PipelineReport(
+            (
+                ("construction", "6-cycle threaded through six triangles, hexagon capped"),
+                ("host-vertices", str(host.vertex_count)),
+                ("host-genus", str(genus(host))),
+                ("pivots", " ".join(map(str, pivots))),
+                ("vertices", str(out.vertex_count)),
+                ("edges", str(out.edge_count)),
+                ("faces", str(len(out.faces))),
+                ("genus", f"{genus(out)} (host + 6)"),
+                ("big-face-size", str(big.size)),
+                ("dual", "simple, cut vertex at the 24-gon"),
+                ("checks", "passed"),
+            )
+        ),
     )
 
 
@@ -1089,16 +1018,7 @@ def _cap_problems(out: Map, host: Map, expect_connectivity: int | None) -> list[
         return ["output failed validation"]
     if genus(out) != genus(host) + 6:
         problems.append(f"genus {genus(out)}, expected {genus(host) + 6}")
-    odd = [f for f in out.faces if f.size != 3]
-    if len(odd) != 1 or odd[0].size != 24:
-        problems.append(f"face sizes {face_size_multiset(out)}; expected one 24-gon")
-    d = dual(out)
-    if not d.simple:
-        problems.append(f"dual is not simple ({d.verdict})")
-    elif len(odd) == 1 and frozenset({odd[0].index}) not in find_cutsets(
-        adjacency_of(d.dual), 1
-    ):
-        problems.append("dual has no cut vertex at the 24-gon")
+    problems += _cut_face_problems(out, 24)
     if expect_connectivity is not None:
         kappa = vertex_connectivity(out)
         if kappa != expect_connectivity:

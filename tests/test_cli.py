@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface."""
 
+import hashlib
 import re
 
 import pytest
@@ -7,7 +8,9 @@ import pytest
 from ormaps.cli import main
 from ormaps.core import canonical_code, emit, parse
 from ormaps.search import triangular_complete_map
-from ormaps.surgery import delete_vertex, k4_wedge
+from ormaps.surgery import delete_vertex, k4_wedge, stacked_triangulation, wheel
+
+from conftest import make_cube
 
 
 def run_cli(capsys, *argv):
@@ -141,6 +144,17 @@ class TestConstruct:
         assert code == 0
         m = parse(out_file.read_text())
         assert (m.vertex_count, m.edge_count) == (5, 9)
+
+    @pytest.mark.parametrize(
+        "half", [["--triangles", "1,19,34,43,53,59"], ["--pivots", "0,32,15,9,21,30"]]
+    )
+    def test_half_given_placement_is_usage_error(self, capsys, tmp_path, half):
+        host = tmp_path / "stack33.rot"
+        host.write_text(emit(stacked_triangulation(33)))
+        code, out, err = run_cli(capsys, "construct", "insert-cycle", str(host), *half)
+        assert code == 1
+        assert out == ""
+        assert "error: give both triangles and pivots, or neither" in err
 
     def test_missing_parameter_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "construct", "zc")
@@ -313,6 +327,19 @@ class TestManifest:
         assert "error: internal: search produced a broken map" in record
         assert "exit-code: 4" in record
 
+    def test_broken_surgery_counts_exit_four(self, capsys, tmp_path, monkeypatch):
+        # every assembly comes back as the same 5-vertex wheel, so the
+        # wedge's vertex count is off and its postcondition must fire
+        monkeypatch.setattr("ormaps.surgery.assemble", lambda rotations, mate: (wheel(4), {}))
+        path = tmp_path / "m.txt"
+        code, out, err = run_cli(capsys, "construct", "k4-wedge", "--manifest", str(path))
+        assert code == 4
+        assert out == ""
+        assert err.startswith("error: internal: surgery broke its counts")
+        record = path.read_text().splitlines()
+        assert "outcome: error" in record
+        assert "exit-code: 4" in record
+
 
 class TestDeterminism:
     def test_identical_runs_produce_identical_stdout(self, capsys):
@@ -326,3 +353,221 @@ class TestDeterminism:
             capsys, "search", "empty", "--spec", "k=4; constraints=distinct-neighbors"
         )
         assert re.search(r"nodes: \d+", out)
+
+
+# -- golden run: every command on a fixed corpus --------------------------------
+
+# argv per command; "@name" stands for corpus file name.rot
+GOLDEN_COMMANDS = {
+    **{
+        f"{command} {name}": [*command.split(), f"@{name}", *extra]
+        for name, c in (
+            ("tetrahedron", 3),
+            ("k4wedge", 1),
+            ("k6torus", 5),
+            ("wheel6", 3),
+            ("cube", 3),
+            ("stack12", 3),
+            ("loop", 1),
+            ("broken", 1),
+        )
+        for command, extra in (
+            ("validate", []),
+            ("faces", []),
+            ("genus", []),
+            ("dual", []),
+            ("connectivity", []),
+            ("connectivity --dual", []),
+            ("check-thresholds", ["--c", str(c)]),
+            ("export", ["--format", "graph-description"]),
+        )
+    },
+    "construct k4-wedge": ["construct", "k4-wedge"],
+    **{f"construct zc {c}": ["construct", "zc", "--c", str(c)] for c in (3, 4, 5, 6, 7)},
+    "construct zc no-c": ["construct", "zc"],
+    "construct fill": ["construct", "interior-fill", "@wheel6", "--c", "2", "--l", "3"],
+    "construct fill face": [
+        "construct", "interior-fill", "@wheel6", "--c", "2", "--l", "3", "--face", "6",
+    ],
+    "construct fill too-small": ["construct", "interior-fill", "@wheel6", "--c", "3", "--l", "4"],
+    "construct fill no-l": ["construct", "interior-fill", "@wheel6", "--c", "3"],
+    "construct glue": ["construct", "glue", "@tetrahedron", "@tetrahedron"],
+    "construct glue cubes": [
+        "construct", "glue", "@cube", "@cube", "--face", "0", "--face-b", "1",
+        "--offset", "1", "--mirror",
+    ],
+    "construct glue mismatch": ["construct", "glue", "@tetrahedron", "@cube"],
+    "construct glue range": ["construct", "glue", "@cube", "@cube", "--face-b", "9"],
+    "construct glue one-file": ["construct", "glue", "@cube"],
+    "construct insert-cycle": ["construct", "insert-cycle", "@stack33"],
+    "construct insert-cycle placed": [
+        "construct", "insert-cycle", "@stack33",
+        "--triangles", "1,19,34,43,53,59", "--pivots", "0,32,15,9,21,30",
+    ],
+    "construct insert-cycle cube": ["construct", "insert-cycle", "@cube"],
+    "construct delta1 1": ["construct", "delta1-witness", "--c", "1"],
+    "construct delta1 3": ["construct", "delta1-witness", "--c", "3"],
+    "construct delta1 3 given": [
+        "construct", "delta1-witness", "--c", "3",
+        "--ingredient", "@wheel6", "--ingredient", "@tetrahedron",
+    ],
+    "construct delta1 5": ["construct", "delta1-witness", "--c", "5"],
+    "construct delta1 no-c": ["construct", "delta1-witness"],
+    "construct delta1 stack33": [
+        "construct", "delta1-witness", "--c", "3", "--triangulation", "@stack33",
+    ],
+    "construct delta1 cube": [
+        "construct", "delta1-witness", "--c", "3", "--triangulation", "@cube",
+    ],
+    "search empty": [
+        "search", "empty", "--spec", "k=5; constraints=distinct-neighbors", "--max-nodes", "5000",
+    ],
+    "search empty budget": [
+        "search", "empty", "--spec", "k=6; mode=pair", "--max-nodes", "300",
+    ],
+    "search witness": [
+        "search", "witness", "--spec",
+        "c=2; pair-sum=7; dual=simple,has-2-cut; pair=shares-two-vertices",
+        "--max-nodes", "3000",
+    ],
+    "search nine-cycle": ["search", "nine-cycle", "--max-nodes", "3000"],
+    "search remark24 i": ["search", "remark24", "--case", "i", "--max-nodes", "20000"],
+}
+
+# SHA-1 of each command's exit code, stdout and manifest (see _golden_record)
+GOLDEN_DIGESTS = {
+    "check-thresholds broken": "39913a2483c9c7b196b4f62a6b8dec8723345ed6",
+    "check-thresholds cube": "afb66c1bb45f4e758da4a903f4e8e94cc8c96085",
+    "check-thresholds k4wedge": "50e35ed4eba1a615ecb788967cf82ec42b1515e5",
+    "check-thresholds k6torus": "c282218bc574221a1e8c608636f9117b63912443",
+    "check-thresholds loop": "15cd845c1cfdf8b80c4c0cf77bb2ee392242780f",
+    "check-thresholds stack12": "723ecda1c411309d674a508e44e0f69624c55acd",
+    "check-thresholds tetrahedron": "c280aa9d085d5037856d73b72ce68bfad9bd4d19",
+    "check-thresholds wheel6": "b2a690b521f71b55f81eb9dc49f4092057dd29b1",
+    "connectivity --dual broken": "952fcef8f747b7a8beae940dd0e397ab4a52b14c",
+    "connectivity --dual cube": "a893c300afed25c43182ea5df625c74f23cd002d",
+    "connectivity --dual k4wedge": "5c2fb0b587a7033722f9ba94592c0f2338953891",
+    "connectivity --dual k6torus": "bf89643e82ae406cb4438d2c37b7c484f16db799",
+    "connectivity --dual loop": "fd937ba6ae732ca2dcc1846da441043971ddc8cc",
+    "connectivity --dual stack12": "0c330ffee9e9b42a013e48e47362453f1a4de53d",
+    "connectivity --dual tetrahedron": "2dc42b22b0b8cd100004c46358c08971152a7f30",
+    "connectivity --dual wheel6": "86671d82bf0e5cac5b0f0f3263042e30f6c2dcd0",
+    "connectivity broken": "852ec01c7d1e8d2b6ded92a4875c93996560b0c1",
+    "connectivity cube": "ebb084f3cdc1f6a0d3d0ec3f25cc8b3c2d6b64a1",
+    "connectivity k4wedge": "4cfe5d2d5895748d3563f54dc7472e78fc8a8f4c",
+    "connectivity k6torus": "219e66c82bd9ac70c2078b28a4d82ab99eb7e33f",
+    "connectivity loop": "9ea5f0e748279f2f9a1a555dbbfe28347c7ec312",
+    "connectivity stack12": "a8e81d0573668e12486916af8ebdc5b5b5f3ccbe",
+    "connectivity tetrahedron": "e116bae181f7cbc6cccedaca920a8a76bd2fdb3d",
+    "connectivity wheel6": "b6283a7c09d99fdad1a73367669683e3af0d39bc",
+    "construct delta1 1": "259822c25d5a420ebcc6a47815de16c84807c4d8",
+    "construct delta1 3": "888fedb0f1e4da1fa4d9cd1d7713e6d6f77101a4",
+    "construct delta1 3 given": "4507fdbc9866c375657d64f03142f2983ffeba93",
+    "construct delta1 5": "43a95f0f2c5b3cd9cbc1f17d98663934b8571581",
+    "construct delta1 cube": "14b09b7d18ce011cb7c339a7c5cd05c57987fa98",
+    "construct delta1 no-c": "7b706d655cd262c0f85ae42eff494307010f79f2",
+    "construct delta1 stack33": "4bcf210c0726a45466cdd38daf07f1033b8c199e",
+    "construct fill": "deaaa4d8df515f878fed9cdd66a4324f74291d3f",
+    "construct fill face": "02279d4e3a4bd43475acc2bc89b89eca768b8a89",
+    "construct fill no-l": "c42b197fa30686304fe2a80ebcd8734a7f03bba3",
+    "construct fill too-small": "39cdd04cfcc1893e46747d11027574bfcc1f354a",
+    "construct glue": "82fa1c6d2443d82acbf47d051ce02e2357164973",
+    "construct glue cubes": "27b92f4fe130e9bfd194534f25601efc7fbf71bb",
+    "construct glue mismatch": "b73f4e1338f5e31cc533245f1bebbfc5223173f2",
+    "construct glue one-file": "6437f57cf3ec012987440ffc368227d7bb3aeebe",
+    "construct glue range": "cc35a32d162dfee55a71fc154a995c3df155491e",
+    "construct insert-cycle": "66ae83606f8f4217d5ee8b13aff71ceaa055d82e",
+    "construct insert-cycle cube": "f3f7c1ce73fd24f5a17c2dc849b2c4411c844cca",
+    "construct insert-cycle placed": "74bf788f9685e57ea5974876248fd5a24bc2dbcb",
+    "construct k4-wedge": "ae5e5b2637735628972b619b5592a6a192ec43f4",
+    "construct zc 3": "1559a5b5e0761118e4e5c0f8733aace07fc1c0e4",
+    "construct zc 4": "671c025b104517a284f3ad13283c50c6266a6fc4",
+    "construct zc 5": "8d4075119688df38d73c112179a84ad229177b19",
+    "construct zc 6": "eaf2480092e80401317d58c079bce9593b14c288",
+    "construct zc 7": "4ff4e704d7a7d7ac6e785f713798e56a011e4f17",
+    "construct zc no-c": "595857d74991b5eed7264746abd5a92a721c5232",
+    "dual broken": "01368b4e903e4d5264f67e75d52b97282a9652cb",
+    "dual cube": "1ecbec1269aad0ac45e9a8e6eb7e349d9cf436ab",
+    "dual k4wedge": "bf74a2af276948cf3a85fdddcba3f8266dde1cdf",
+    "dual k6torus": "a4332d8ed392d95ac0a32211db1389c0955ab0e6",
+    "dual loop": "3564000834c021e5c43cc5409c8b19fc6e639b86",
+    "dual stack12": "20ace51e1991027f3848af20f35f20383f32cc61",
+    "dual tetrahedron": "e45422bac405b5a4defd3befc491975bb877402a",
+    "dual wheel6": "1c96e182ef1b12b7312c51d472ca436605cb8846",
+    "export broken": "dffd1138cc5f614a89a4adf1d49aea3a3aaf126b",
+    "export cube": "aaf067ee7925c06fe7be95e1425b98f9263677fe",
+    "export k4wedge": "b852a170bae1fa9132d845fba55665e2d0d65041",
+    "export k6torus": "7e2df49a8504cb05add8e3c97bc6a1fbcb0886a0",
+    "export loop": "c5178b81fab31b05be3f8e38654f6ee781eeb489",
+    "export stack12": "c1fe246f679acb43524bd9d441233a4f289b2eae",
+    "export tetrahedron": "7dd4aee8c7bd5704463e492a65ec58b0ea0b6d39",
+    "export wheel6": "53fed29ca0f5eebc6da88a3993d648985f504f0b",
+    "faces broken": "2af747beefdc014021d9bf2f61c24789e82f15ad",
+    "faces cube": "63df331c7da675f2408fc614d4c011d94107a967",
+    "faces k4wedge": "57634594442fef3ce3abd4bec1c2cb6aba2d3ef3",
+    "faces k6torus": "c5f7543d2b850dcee7b688f2b6467ca868254c82",
+    "faces loop": "b11f3471aa8335794e02dd1592d1f88da5345518",
+    "faces stack12": "a49cd897a24aec4459adef2d3457f83a2d6661b4",
+    "faces tetrahedron": "4f0c837e9629ebca771025b33a57ae8228ee6f0f",
+    "faces wheel6": "4b5d6cbfb1f18d638bfd29e1a4375d9b3f9ea9d2",
+    "genus broken": "87d7f756954f151e05163c491db50a3867d0a4da",
+    "genus cube": "5bf60671d8c71b6d776d8022e253cd9f2e467208",
+    "genus k4wedge": "e15fbb4a9008041b643c952eced78280fc575660",
+    "genus k6torus": "50de5f76a9ba38f2ba062685dd695d18fd9142e9",
+    "genus loop": "fad4dd1056a45ca09fdf1a9f96be66342b39cd75",
+    "genus stack12": "2c042070c03c5c695d66071093db1e3478e16881",
+    "genus tetrahedron": "2547c78a2ed9f6e5487b499522935a397eabb8fa",
+    "genus wheel6": "bb86b04c77c7384e9e54f56a538ce1b422731933",
+    "search empty": "b222ff27a8ca30d29219a9dc38612e7bad706927",
+    "search empty budget": "016a64a8323b2ccd9b7050532e1b25e833d82b0b",
+    "search nine-cycle": "628e32b59db9d10656bae1f296dcbfa221c4434f",
+    "search remark24 i": "8eb40924ad075f2bc9d5d80012f6db66197a6f79",
+    "search witness": "d2259cf9ea2470e3fa0e3cc5e6539750afce0ae0",
+    "validate broken": "f042b38bb05ce9e1e876379d49ec88663a1ac4b3",
+    "validate cube": "79f397c96432f7b3052375052c405da2edbe0101",
+    "validate k4wedge": "0c9091df24cedf1ce3e4dcadae99561efc556dba",
+    "validate k6torus": "86d13403d91563e321f753dc39075a25f40b0a39",
+    "validate loop": "82ad644727e51fd1228814065dcc9d2d97bfd17e",
+    "validate stack12": "7545df009e47d385be1dcdc4b72d3d745b76158d",
+    "validate tetrahedron": "0f194cbc8dda16bee4e84719759321c0bea8dab6",
+    "validate wheel6": "8e2605a03654b971c6f36fb722bbb0141b5ef0c3",
+}
+
+
+@pytest.fixture(scope="module")
+def golden_corpus(tmp_path_factory):
+    d = tmp_path_factory.mktemp("golden")
+    for name, m in (
+        ("tetrahedron", triangular_complete_map(4)),
+        ("k4wedge", k4_wedge()),
+        ("k6torus", delete_vertex(triangular_complete_map(7), 0)),
+        ("wheel6", wheel(6)),
+        ("cube", make_cube()),
+        ("stack12", stacked_triangulation(12)),
+        ("stack33", stacked_triangulation(33)),
+    ):
+        (d / f"{name}.rot").write_text(emit(m))
+    (d / "loop.rot").write_text("vertices: 2\n1: 1 2 1\n2: 1\n")
+    (d / "broken.rot").write_text("vertices: 3\n1: 2\n2: 1\n3: 3\n")
+    return d
+
+
+def _golden_record(capsys, corpus, argv) -> str:
+    """Exit code, stdout and manifest minus seconds:, with the corpus path masked."""
+    manifest = corpus / "manifest.txt"
+    manifest.unlink(missing_ok=True)
+    argv = [str(corpus / f"{w[1:]}.rot") if w.startswith("@") else w for w in argv]
+    code = main(argv + ["--manifest", str(manifest)])
+    out = capsys.readouterr().out
+    record = manifest.read_text() if manifest.exists() else "no manifest\n"
+    kept = [line for line in record.splitlines() if not line.startswith("seconds:")]
+    text = f"exit: {code}\n{out}" + "\n".join(kept)
+    # remark24 verdict lines carry their wall time
+    text = re.sub(r"time=\d+\.\d+s", "time=<s>", text)
+    return text.replace(str(corpus), "<corpus>")
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_COMMANDS))
+def test_golden_run(capsys, golden_corpus, name):
+    text = _golden_record(capsys, golden_corpus, GOLDEN_COMMANDS[name])
+    assert hashlib.sha1(text.encode()).hexdigest() == GOLDEN_DIGESTS[name], text

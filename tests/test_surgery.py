@@ -1,5 +1,6 @@
 """Tests for cut-and-paste operations and the witness pipelines."""
 
+import hashlib
 import itertools
 
 import pytest
@@ -11,7 +12,11 @@ from ormaps.connectivity import adjacency_of, find_cutsets, vertex_connectivity
 from ormaps.core import face_size_multiset, genus, validate, walk_vertices
 from ormaps.dual import dual, is_dual_separating
 from ormaps.surgery import (
+    FillResult,
+    GlueResult,
     GlueSpec,
+    InsertResult,
+    PipelineOutcome,
     SurgeryError,
     build_one_cut_witness,
     check_fill_ingredient,
@@ -753,3 +758,166 @@ class TestTorusCapPipeline:
         host = stacked_triangulation(33)
         with pytest.raises(SurgeryError, match="both triangles and pivots"):
             one_cut_witness_from_triangulation(host, triangles=(0, 1, 2, 3, 4, 5))
+
+
+# -- golden fingerprint of every surgery outcome -----------------------------------
+
+
+def _raw_outcome(result):
+    """A hashable record of an operation's result; maps as raw dart arrays.
+
+    Raw arrays rather than emit(): glued multigraphs have no .rot text.
+    """
+    if isinstance(result, GlueResult):
+        return (
+            _raw_outcome(result.map),
+            result.seam_edges,
+            sorted(result.vertex_map_a.items()),
+            sorted(result.vertex_map_b.items()),
+        )
+    if isinstance(result, FillResult):
+        return (_raw_outcome(result.map), result.inner_face_index)
+    if isinstance(result, InsertResult):
+        return (_raw_outcome(result.map), result.big_face_index, result.small_face_index)
+    if isinstance(result, PipelineOutcome):
+        return (_raw_outcome(result.map), result.report.lines())
+    return (result.vertex_of, result.next_in_rotation, result.reverse)
+
+
+def _two_faces_per_size(m):
+    picked: dict[int, list] = {}
+    for f in m.faces:
+        picked.setdefault(f.size, [])
+        if len(picked[f.size]) < 2:
+            picked[f.size].append(f.index)
+    return [i for indices in picked.values() for i in indices]
+
+
+def _surgery_operations():
+    """(key, thunk) for a fixed set of surgery calls, refusals included."""
+    from ormaps.surgery import one_cut_witness_from_triangulation
+
+    pool = [
+        wheel(3),
+        wheel(4),
+        wheel(5),
+        wheel(6),
+        make_cube(),
+        cycle_square_gadget(3),
+        stacked_triangulation(6),
+        k4_wedge(),
+    ]
+    for (ia, a), (ib, b) in itertools.product(enumerate(pool), repeat=2):
+        for fa, fb in itertools.product(_two_faces_per_size(a), _two_faces_per_size(b)):
+            size = a.faces[fa].size
+            offsets = range(size) if size == b.faces[fb].size else (0,)
+            for offset, mirror, simple in itertools.product(
+                offsets, (False, True), (True, False)
+            ):
+                spec = GlueSpec(fa, fb, offset, mirror)
+                yield ("glue", ia, ib, spec, simple), (
+                    lambda a=a, b=b, spec=spec, simple=simple: glue_faces(
+                        a, b, spec, require_simple=simple
+                    )
+                )
+    yield ("glue", "no face"), lambda: glue_faces(pool[0], pool[1], GlueSpec(9, 0))
+    yield ("glue", "foreign"), lambda: glue_faces(
+        pool[0], pool[4], GlueSpec(pool[4].faces[0], 0)
+    )
+
+    for name, m in (("stack12", stacked_triangulation(12)), ("cube", make_cube())):
+        for fa, fb in itertools.product(range(len(m.faces)), repeat=2):
+            for offset, simple in itertools.product(
+                range(m.faces[fa].size), (True, False)
+            ):
+                yield ("self", name, fa, fb, offset, simple), (
+                    lambda m=m, fa=fa, fb=fb, offset=offset, simple=simple: glue_faces_self(
+                        m, fa, fb, offset, require_simple=simple
+                    )
+                )
+
+    for c in (1, 2, 3, 5, 6):
+        yield ("witness", c), lambda c=c: build_one_cut_witness(c)
+    yield ("witness", 1, "ingredients"), lambda: build_one_cut_witness(1, (wheel(3),))
+    yield ("witness", 3, "weak"), lambda: build_one_cut_witness(3, (wheel(5), wheel(3)))
+    yield ("witness", 5, "weak"), lambda: build_one_cut_witness(5, (wheel(5), wheel(5)))
+
+    host = stacked_triangulation(33)
+    separated = find_disjoint_triangles(host, 6, separated=True)
+    yield ("pipeline", 33), lambda: one_cut_witness_from_triangulation(host)
+    yield ("pipeline", 33, "given"), lambda: one_cut_witness_from_triangulation(
+        host, *separated, expect_connectivity=3
+    )
+    yield ("pipeline", 33, "kappa"), lambda: one_cut_witness_from_triangulation(
+        host, expect_connectivity=4
+    )
+    yield ("pipeline", 12), lambda: one_cut_witness_from_triangulation(
+        stacked_triangulation(12)
+    )
+    yield ("pipeline", "cube"), lambda: one_cut_witness_from_triangulation(make_cube())
+    yield ("pipeline", "half"), lambda: one_cut_witness_from_triangulation(
+        host, triangles=separated[0]
+    )
+
+    triangles, pivots = find_disjoint_triangles(host, 6)
+    yield ("insert",), lambda: insert_cycle_in_triangles(host, triangles, pivots)
+    yield ("insert", "separated"), lambda: insert_cycle_in_triangles(host, *separated)
+    yield ("insert", "five"), lambda: insert_cycle_in_triangles(host, triangles[:5], pivots[:5])
+    yield ("insert", "shared"), lambda: insert_cycle_in_triangles(
+        host, (triangles[0],) * 6, pivots
+    )
+    yield ("insert", "off"), lambda: insert_cycle_in_triangles(
+        host, triangles, (pivots[1],) + pivots[1:]
+    )
+    yield ("insert", "cube"), lambda: insert_cycle_in_triangles(make_cube(), range(6), range(6))
+
+    tetra = wheel(3)
+    pinched = subdivide_edges(tetra, list(tetra.faces[0].darts))
+    for name, m, c, l, verify in (
+        ("wheel6", wheel(6), 2, 3, True),
+        ("wheel6", wheel(6), 2, 6, True),
+        ("wheel6", wheel(6), 3, 4, True),
+        ("wheel8", wheel(8), 3, 4, True),
+        ("wheel8", wheel(8), 2, 4, False),
+        ("wheel8", wheel(8), 1, 3, True),
+        ("wheel8", wheel(8), 2, 2, True),
+        ("pinched", pinched, 3, 3, True),
+        ("pinched", pinched, 3, 3, False),
+        ("k4-wedge", k4_wedge(), 2, 3, True),
+        ("diamond", _diamond(), 2, 3, True),
+    ):
+        for face in range(len(m.faces)):
+            yield ("fill", name, face, c, l, verify), (
+                lambda m=m, face=face, c=c, l=l, verify=verify: interior_fill(
+                    m, face, c, l, verify=verify
+                )
+            )
+
+    small = [wheel(3), wheel(5), make_cube(), cycle_square_gadget(5)]
+    for (ia, a), (ib, b) in itertools.product(enumerate(small), repeat=2):
+        for va, vb in ((0, 0), (1, 2), (a.vertex_count - 1, 0), (0, b.vertex_count)):
+            yield ("wedge", ia, ib, va, vb), lambda a=a, b=b, va=va, vb=vb: wedge_at_vertex(
+                a, va, b, vb
+            )
+
+    cube = make_cube()
+    yield ("subdivide", "cube"), lambda: subdivide_edges(cube, list(cube.edge_ids))
+    yield ("subdivide", "three"), lambda: subdivide_edges(tetra, [5, 0, 2])
+    yield ("subdivide", "twice"), lambda: subdivide_edges(tetra, [0, tetra.reverse[0]])
+    yield ("subdivide", "none"), lambda: subdivide_edges(tetra, [99])
+
+
+# SHA-1 over every record of _surgery_operations; a change here means some
+# map, seam, vertex map, report line or refusal text moved.
+SURGERY_GOLDEN = "54732688c62b72172dde33a1cda154527db301c0"
+
+
+def test_surgery_outcomes_match_the_golden_fingerprint():
+    h = hashlib.sha1()
+    for key, thunk in _surgery_operations():
+        try:
+            record = ("ok", _raw_outcome(thunk()))
+        except SurgeryError as exc:
+            record = ("refused", str(exc))
+        h.update(repr((key, record)).encode())
+    assert h.hexdigest() == SURGERY_GOLDEN
