@@ -46,6 +46,16 @@ class RotParseError(ValueError):
         self.column = column
 
 
+def _invariant(ok: bool, what: str) -> None:
+    """Raise ``RuntimeError(what)`` unless ``ok``: a broken library invariant.
+
+    Used instead of ``assert`` so the check survives ``python -O`` and the
+    CLI reports it as an internal error (exit 4).
+    """
+    if not ok:
+        raise RuntimeError(what)
+
+
 @dataclass(frozen=True)
 class Face:
     """One facial walk: ``darts`` in walk order, starting at the minimal dart."""
@@ -56,14 +66,6 @@ class Face:
     @property
     def size(self) -> int:
         return len(self.darts)
-
-
-@dataclass(frozen=True)
-class Angle:
-    """A consecutive (incoming, outgoing) dart pair of some facial walk."""
-
-    incoming: int
-    outgoing: int
 
 
 @dataclass(frozen=True)
@@ -237,11 +239,6 @@ def facial_walks(m: Map) -> tuple[Face, ...]:
             d = sigma[alpha[d]]
         faces.append(Face(len(faces), tuple(walk)))
     return tuple(faces)
-
-
-def angles_of(face: Face) -> tuple[Angle, ...]:
-    k = len(face.darts)
-    return tuple(Angle(face.darts[i], face.darts[(i + 1) % k]) for i in range(k))
 
 
 def walk_vertices(m: Map, darts: Sequence[int]) -> tuple[int, ...]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 
-from .core import Face, Map
+from .core import Face, Map, _invariant
 
 
 @dataclass(frozen=True)
@@ -162,8 +162,8 @@ def is_dual_separating(m: Map, K, side: frozenset | set | None = None):
             visited.add(d)
             walk.append(d)
             d = walk_successor(d)
-            assert d in chosen, "walk left the chosen dart set"
-        assert d == d0, "walk closed on a different dart"
+            _invariant(d in chosen, "walk left the chosen dart set")
+        _invariant(d == d0, "walk closed on a different dart")
         walks.append(tuple(walk))
 
     v_of_k = frozenset(m.vertex_of[d] for d in k_darts)
@@ -187,8 +187,10 @@ def is_dual_separating(m: Map, K, side: frozenset | set | None = None):
                     comp_of[w] = v0
                     stack.append(w)
         side_seen[v0] = sides
-    assert all(len(s) == 1 for s in side_seen.values()), "V(K) fails to separate the sides"
-    assert len(v_of_k) <= len(K)
+    _invariant(
+        all(len(s) == 1 for s in side_seen.values()), "V(K) fails to separate the sides"
+    )
+    _invariant(len(v_of_k) <= len(K), "V(K) has more vertices than K has edges")
 
     return CutDecomposition(K, X_f, tuple(walks), v_of_k)
 
@@ -243,8 +245,14 @@ def cut_to_edge_cut(g: Map, cut_vertices) -> tuple[frozenset[int], tuple[int, ..
                 best = (key, frozenset(X), K)
 
     _, X, K = best
-    assert all(g.vertex_of[e] in C or g.vertex_of[g.reverse[e]] in C for e in K)
-    assert len(K) <= sum(g.degree(v) for v in C) // 2
+    _invariant(
+        all(g.vertex_of[e] in C or g.vertex_of[g.reverse[e]] in C for e in K),
+        "a crossing edge misses the cut",
+    )
+    _invariant(
+        len(K) <= sum(g.degree(v) for v in C) // 2,
+        "the edge cut exceeds half the degree sum of the cut",
+    )
     return X, K
 
 

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from .connectivity import vertex_connectivity
 from .core import (
     Map,
+    _invariant,
     canonical,
     canonical_form,
     from_rotations,
@@ -490,14 +491,18 @@ def _run_walk_engine(frame: _WalkFrame, spec: EmptyCircuitSpec, clock: _Clock, s
     Their links, the corner blocks, are set before the search starts, so
     they are never chained and no link ever targets them.  Every other
     dart lies on one partial orbit: a chain of phi-edges, a single dart at
-    first.  ``start_of`` and ``end_of`` are valid only at chain ends:
-    ``end_of[s]`` at a start s and ``start_of[e]`` at an end e.  A link
-    closes a face exactly when ``start_of[alpha[tail]] == head``.  Any
-    other link joins two chains in O(1) by rewriting those two entries,
-    and its undo writes them back.  An entry is never written while its
-    dart is interior, so undoing links in reverse order restores every end
-    exactly.  Only a closing link walks its face.  ``succ`` is never
-    cleared, because only closed orbits and the finished map read it.
+    first.
+
+    The chain-end invariant: ``start_of`` and ``end_of`` are valid only at
+    chain ends, ``end_of[s]`` at a start s and ``start_of[e]`` at an end e.
+    A link that joins two chains rewrites those two entries in O(1), and
+    its undo writes them back.  An entry is never written while its dart
+    is interior, so undoing links in reverse order restores every end
+    exactly.  Here the chain edge of ``succ[tail] = head`` is
+    ``alpha[tail] -> head``, so the link closes a face exactly when
+    ``start_of[alpha[tail]] == head``, and only a closing link walks its
+    face.  ``succ`` is never cleared, because only closed orbits and the
+    finished map read it.
     """
     k, V = frame.k, frame.V
     k2 = 2 * k
@@ -769,7 +774,7 @@ class Remark24Report:
             verdict = {True: "holds", False: "FAILS", None: "undecided"}[c.holds]
             out.append(
                 f"case {c.case}: {verdict} [{c.status}] {c.claim}"
-                f" | {c.detail} | nodes={c.nodes} time={c.seconds:.2f}s"
+                f" | {c.detail} | nodes={c.nodes}"
             )
         return out
 
@@ -909,6 +914,16 @@ def _run_glue_engine(rules: _GlueRules, clock: _Clock, accept, stop_after=None) 
 
     ``accept`` inspects each structurally valid completion and returns True
     to record it; recording ``stop_after`` maps ends the walk early.
+
+    The rotation is snext(d) = phi(alpha(d)), so matching d0 with d1 adds
+    the two links ``snext[d0] = phi[d1]`` and ``snext[d1] = phi[d0]``.
+    Partial rotations are chains under the chain-end invariant stated in
+    ``_run_walk_engine``, with the link ``snext[tail] = head`` itself as
+    the chain edge.  ``length`` (darts) and ``spans`` (corners of
+    ``spanning_block``) are valid at chain starts.  A link closes a vertex
+    exactly when ``start_of[tail] == head``, and only then is the rotation
+    walked and checked.  Two unmatched darts are always the open ends of
+    two different chains.  Like ``succ`` there, ``snext`` is never cleared.
     """
     sizes = rules.sizes
     n = sum(sizes)
@@ -924,108 +939,84 @@ def _run_glue_engine(rules: _GlueRules, clock: _Clock, accept, stop_after=None) 
         pos += s
     size_peers = [[p for p in range(b) if sizes[p] == s] for b, s in enumerate(sizes)]
     forced = dict(rules.forced_target)
+    spanning = rules.spanning_block
+    min_degree, max_degree = rules.min_degree, rules.max_degree
+    max_vertices = rules.max_vertices
 
     alpha = [-1] * n
     snext = [-1] * n
     matched_in_block = [0] * len(sizes)
     pair_count: dict[tuple[int, int], int] = {}
-    parent = list(range(n))
-    comp_size = [1] * n
-    span_count = [0] * n
-    if rules.spanning_block is not None:
-        start = block_start[rules.spanning_block]
-        for d in range(start, start + sizes[rules.spanning_block]):
-            span_count[d] = 1
+    start_of = list(range(n))
+    end_of = list(range(n))
+    length = [1] * n
+    spans = [int(block_of[d] == spanning) for d in range(n)]
     vertex_id = [-1] * n
-    vertices: list[tuple[int, ...]] = []
-    vedge_count: dict[tuple[int, int], int] = {}
+    vertices: list[list[int]] = []
     exhausted = [True]
     accepted = [0]
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
-    def union(a: int, b: int, trail: list) -> bool:
-        ra, rb = find(a), find(b)
-        if ra == rb:
+    def link(tail: int, head: int) -> bool:
+        """Set ``snext[tail] = head``; False kills the branch, leaving nothing to undo."""
+        snext[tail] = head
+        start = start_of[tail]
+        if start != head:
+            if length[start] + length[head] > max_degree:
+                return False  # the rotation chain only ever grows
+            if spans[start] + spans[head] > 1:
+                return False  # two corners of the spanning block at one vertex
+            end = end_of[head]
+            end_of[start] = end
+            start_of[end] = start
+            length[start] += length[head]
+            spans[start] += spans[head]
             return True
-        if comp_size[ra] + comp_size[rb] > rules.max_degree:
-            return False  # the rotation chain only ever grows
-        if comp_size[ra] < comp_size[rb]:
-            ra, rb = rb, ra
-        trail.append(("union", (rb, ra, comp_size[ra], span_count[ra])))
-        parent[rb] = ra
-        comp_size[ra] += comp_size[rb]
-        span_count[ra] += span_count[rb]
-        if rules.spanning_block is not None and span_count[ra] > 1:
+        # the rotation closes into a new vertex
+        if length[head] < min_degree or len(vertices) >= max_vertices:
             return False
-        return True
-
-    def close_cycle(x: int):
-        path = [x]
-        cur = snext[x]
-        while cur != x:
-            if cur == -1:
-                return None
-            path.append(cur)
-            cur = snext[cur]
-        return path
-
-    def vertex_checks(cycle: list[int], trail: list) -> bool:
-        if len(cycle) < rules.min_degree:
+        if spanning is not None and spans[head] != 1:
             return False
-        if len(vertices) >= rules.max_vertices:
-            return False
-        if rules.spanning_block is not None:
-            corners = sum(1 for d in cycle if block_of[d] == rules.spanning_block)
-            if corners != 1:
-                return False
         vid = len(vertices)
-        on_cycle = set(cycle)
+        cycle = []
+        cur = head
+        while True:
+            vertex_id[cur] = vid
+            cycle.append(cur)
+            cur = snext[cur]
+            if cur == head:
+                break
+        # an edge back onto this vertex is a loop; two edges to one
+        # finished vertex are parallel
+        ends = set()
         for d in cycle:
-            rev = alpha[d]
-            if rev in on_cycle:
-                return False  # the edge would close on a single vertex
-            w = vertex_id[rev]
+            w = vertex_id[alpha[d]]
+            if w == vid or w in ends:
+                break
             if w >= 0:
-                key = (w, vid) if w < vid else (vid, w)
-                hits = vedge_count.get(key, 0) + 1
-                if hits >= 2:
-                    return False  # parallel edge between two finished vertices
-                vedge_count[key] = hits
-                trail.append(("vedge", key))
+                ends.add(w)
+        else:
+            vertices.append(cycle)
+            return True
         for d in cycle:
-            vertex_id[d] = vid
-            trail.append(("vid", d))
-        vertices.append(tuple(cycle))
-        trail.append(("vpop", None))
-        return True
+            vertex_id[d] = -1
+        return False
 
-    def undo(trail: list) -> None:
-        for tag, payload in reversed(trail):
-            if tag == "vid":
-                vertex_id[payload] = -1
-            elif tag == "vpop":
-                vertices.pop()
-            elif tag == "vedge":
-                vedge_count[payload] -= 1
-                if not vedge_count[payload]:
-                    del vedge_count[payload]
-            else:
-                child, root, size, span = payload
-                parent[child] = child
-                comp_size[root] = size
-                span_count[root] = span
+    def unlink(tail: int, head: int) -> None:
+        """Undo a link that ``link`` accepted."""
+        if vertex_id[head] >= 0:
+            for d in vertices.pop():
+                vertex_id[d] = -1
+        else:
+            start = start_of[tail]
+            end_of[start] = tail
+            start_of[end_of[head]] = head
+            length[start] -= length[head]
+            spans[start] -= spans[head]
 
     def completion() -> None:
-        order = sorted(range(len(vertices)), key=lambda i: min(vertices[i]))
-        rank = {old: new for new, old in enumerate(order)}
-        vertex_of = [0] * n
-        for old, cycle in enumerate(vertices):
-            for d in cycle:
-                vertex_of[d] = rank[old]
+        # number vertices by their smallest dart
+        rank: dict[int, int] = {}
+        vertex_of = [rank.setdefault(vertex_id[d], len(rank)) for d in range(n)]
         m = Map(tuple(vertex_of), tuple(snext), tuple(alpha))
         if not validate(m).ok:
             return  # typically disconnected, never structural damage
@@ -1062,39 +1053,22 @@ def _run_glue_engine(rules: _GlueRules, clock: _Clock, accept, stop_after=None) 
                     p != b0 and matched_in_block[p] == 0 for p in size_peers[b1]
                 ):
                     continue  # an earlier fresh block of this size comes first
-            if find(d0) == find(d1):
-                continue  # both ends of this edge would land on one vertex
             clock.tick()
-            trail: list = []
             alpha[d0], alpha[d1] = d1, d0
-            snext[d0], snext[d1] = phi[d1], phi[d0]
             matched_in_block[b0] += 1
             matched_in_block[b1] += 1
             pair_count[key] = cnt + 1
-            ok = union(d0, phi[d1], trail) and union(d1, phi[d0], trail)
-            if ok:
-                seen = set()
-                for x in (d0, d1):
-                    if vertex_id[x] == -1:
-                        cycle = close_cycle(x)
-                        if cycle is not None and vertex_id[cycle[0]] == -1:
-                            root = min(cycle)
-                            if root in seen:
-                                continue
-                            seen.add(root)
-                            if not vertex_checks(cycle, trail):
-                                ok = False
-                                break
-            if ok:
-                step(lo)
-            undo(trail)
+            if link(d0, phi[d1]):
+                if link(d1, phi[d0]):
+                    step(lo)
+                    unlink(d1, phi[d0])
+                unlink(d0, phi[d1])
             pair_count[key] = cnt
             if not cnt:
                 del pair_count[key]
             matched_in_block[b0] -= 1
             matched_in_block[b1] -= 1
             alpha[d0] = alpha[d1] = -1
-            snext[d0] = snext[d1] = -1
             if stop_after is not None and accepted[0] >= stop_after:
                 exhausted[0] = False
                 return
@@ -1316,8 +1290,8 @@ def triangular_complete_map(n: int) -> Map:
     if not candidates:
         raise RuntimeError(f"found no all-triangle embedding for n={n}")
     _, best = min((canonical(m) for m in candidates), key=lambda t: t[0])
-    assert genus(best) == (0 if n == 4 else 1)
-    assert vertex_connectivity(best) == degree
+    _invariant(genus(best) == (0 if n == 4 else 1), f"K{n} landed on the wrong genus")
+    _invariant(vertex_connectivity(best) == degree, f"K{n} lost its connectivity")
     _COMPLETE_CACHE[n] = best
     return best
 

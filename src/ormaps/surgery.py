@@ -19,6 +19,7 @@ from .connectivity import _disconnects, vertex_connectivity
 from .core import (
     Face,
     Map,
+    _invariant,
     assemble,
     face_size_multiset,
     from_rotations,
@@ -132,15 +133,12 @@ def _insert_before(cycle: Sequence, anchor, new: Sequence) -> list:
 
 
 def _require_counts(out: Map, V: int, E: int, F: int, g: int) -> None:
-    """Raise unless out has V vertices, E edges, F faces and genus g.
-
-    A RuntimeError rather than an assert, so the check survives ``python -O``.
-    """
+    """Raise unless out has V vertices, E edges, F faces and genus g."""
     got = (out.vertex_count, out.edge_count, len(out.faces))
-    if got != (V, E, F) or genus(out) != g:
-        raise RuntimeError(
-            f"surgery broke its counts: (V, E, F) = {got}, expected {(V, E, F)} at genus {g}"
-        )
+    _invariant(
+        got == (V, E, F) and genus(out) == g,
+        f"surgery broke its counts: (V, E, F) = {got}, expected {(V, E, F)} at genus {g}",
+    )
 
 
 def _disjoint_union(a: Map, b: Map) -> Map:
@@ -318,11 +316,11 @@ def cycle_square_gadget(c: int) -> Map:
     out = cycle_square_gadget_raw(c)
     if c == 3:
         out = subdivide_edges(out, [4 * i + 3 for i in range(3)])
-    assert face_size_multiset(out) == _GADGET_FACES[c]
+    _invariant(face_size_multiset(out) == _GADGET_FACES[c], "gadget face sizes are off")
     big = max(out.faces, key=lambda f: f.size).index
     for e in out.edge_ids:
         sides = {out.face_index_of[e], out.face_index_of[out.reverse[e]]}
-        assert big in sides, "a satellite face touched something other than the core"
+        _invariant(big in sides, "a satellite face touched something other than the core")
     return out
 
 
@@ -417,7 +415,7 @@ def _sew(m: Map, fa: Face, fb: Face, offset: int, g: int, require_simple: bool) 
 
     out, ids = assemble(rotations, mate)
     _require_counts(out, m.vertex_count - size, m.edge_count - size, len(m.faces) - 2, g)
-    assert validate(out).ok
+    _invariant(validate(out).ok, "sewing produced an invalid map")
     if require_simple:
         if any(u == w for u, w in map(out.endpoints, out.edge_ids)):
             raise SurgeryError("gluing created a loop")
@@ -489,20 +487,20 @@ def interior_fill(host: Map, face: Face | int, c: int, l: int, *, verify: bool =
     inner = out.face_index_of[ids[("cw", 0)]]
     V, E, F = host.vertex_count + l, host.edge_count + cp + 2 * l, len(host.faces) + cp + l
     _require_counts(out, V, E, F, genus(host))
-    assert out.faces[inner].size == l
+    _invariant(out.faces[inner].size == l, "the filled face has the wrong size")
     expected = sorted([*face_size_multiset(host), l] + [3] * (cp + l))
     expected.remove(cp)
-    assert list(face_size_multiset(out)) == expected
+    _invariant(list(face_size_multiset(out)) == expected, "fill face sizes are off")
     # the inner face stays chordless and meets each neighbor face just once
     inner_verts = walk_vertices(out, out.faces[inner].darts)
     for x, y in itertools.combinations(inner_verts, 2):
         if abs(inner_verts.index(x) - inner_verts.index(y)) not in (1, l - 1):
-            assert y not in out.adjacency[x]
+            _invariant(y not in out.adjacency[x], "the filled face has a chord")
     outside = [out.face_index_of[out.reverse[d]] for d in out.faces[inner].darts]
-    assert len(set(outside)) == l
+    _invariant(len(set(outside)) == l, "the filled face meets a neighbor face twice")
     if verify:
-        assert vertex_connectivity(out) >= c, "fill lost the connectivity it promised"
-    assert validate(out).ok
+        _invariant(vertex_connectivity(out) >= c, "fill lost the connectivity it promised")
+    _invariant(validate(out).ok, "interior fill produced an invalid map")
     return FillResult(out, inner)
 
 
@@ -551,12 +549,17 @@ def insert_cycle_in_triangles(
     out, ids = assemble(rotations, mate)
     big = out.face_index_of[ids[("out", 0)]]
     small = out.face_index_of[ids[("back", 0)]]
-    assert out.faces[big].size == 24
-    assert out.faces[small].size == 6
+    _invariant(
+        (out.faces[big].size, out.faces[small].size) == (24, 6),
+        "cycle insertion face sizes are off",
+    )
     _require_counts(out, m.vertex_count, m.edge_count + 6, len(m.faces) - 4, genus(m) + 5)
     for d in out.faces[small].darts:
-        assert out.face_index_of[out.reverse[d]] == big
-    assert validate(out).ok
+        _invariant(
+            out.face_index_of[out.reverse[d]] == big,
+            "the hexagon meets a face other than the 24-gon",
+        )
+    _invariant(validate(out).ok, "cycle insertion produced an invalid map")
     return InsertResult(out, big, small)
 
 
@@ -815,7 +818,7 @@ def build_one_cut_witness(c: int, ingredients: Sequence[Map] = ()) -> PipelineOu
             raise SurgeryError("the c=1 witness takes no ingredients")
         out = k4_wedge()
         problems = one_cut_witness_problems(out, 1)
-        assert not problems, problems
+        _invariant(not problems, "the c=1 witness fails: " + "; ".join(problems))
         return PipelineOutcome(out, _witness_report(out, 1, "two plane K4 copies wedged at a vertex"))
     if c == 3 and not ingredients:
         ingredients = (wheel(6), wheel(3))
@@ -948,7 +951,7 @@ def _torus_hexagon_cap() -> Map:
     k7 = triangular_complete_map(7)
     cap = delete_vertex(k7, 0)
     _require_counts(cap, 6, 15, 9, 1)
-    assert face_size_multiset(cap) == (3,) * 8 + (6,)
+    _invariant(face_size_multiset(cap) == (3,) * 8 + (6,), "torus cap face sizes are off")
     return cap
 
 
@@ -981,7 +984,7 @@ def one_cut_witness_from_triangulation(
         if found is None:
             raise SurgeryError("no six well-separated triangles with a pivot cycle")
         triangles, pivots = found
-    assert pivots is not None
+    _invariant(pivots is not None, "triangles without pivots")
     ins = insert_cycle_in_triangles(host, triangles, pivots)
     cap = _torus_hexagon_cap()
     cap_face = next(f.index for f in cap.faces if f.size == 6)

@@ -1,12 +1,15 @@
 """End-to-end tests for the command-line interface."""
 
+import ast
 import hashlib
 import re
+from pathlib import Path
 
 import pytest
 
+import ormaps
 from ormaps.cli import main
-from ormaps.core import canonical_code, emit, parse
+from ormaps.core import ValidationReport, canonical_code, emit, parse
 from ormaps.search import triangular_complete_map
 from ormaps.surgery import delete_vertex, k4_wedge, stacked_triangulation, wheel
 
@@ -340,6 +343,31 @@ class TestManifest:
         assert "outcome: error" in record
         assert "exit-code: 4" in record
 
+    def test_failed_surgery_check_exits_four(self, capsys, tmp_path, monkeypatch):
+        # a postcondition that fails must reach the CLI as an internal error,
+        # not as a raw AssertionError, and must not vanish under python -O
+        monkeypatch.setattr(
+            "ormaps.surgery.validate", lambda m: ValidationReport(("forced failure",))
+        )
+        host = tmp_path / "W6.rot"
+        host.write_text(emit(wheel(6)))
+        code, out, err = run_cli(
+            capsys, "construct", "interior-fill", str(host), "--c", "2", "--l", "3"
+        )
+        assert code == 4
+        assert out == ""
+        assert err.startswith("error: internal: interior fill produced an invalid map\n")
+
+    def test_library_has_no_assert_statements(self):
+        package = Path(ormaps.__file__).parent
+        found = [
+            f"{path.name}:{node.lineno}"
+            for path in sorted(package.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Assert)
+        ]
+        assert found == []
+
 
 class TestDeterminism:
     def test_identical_runs_produce_identical_stdout(self, capsys):
@@ -521,7 +549,7 @@ GOLDEN_DIGESTS = {
     "search empty": "b222ff27a8ca30d29219a9dc38612e7bad706927",
     "search empty budget": "016a64a8323b2ccd9b7050532e1b25e833d82b0b",
     "search nine-cycle": "628e32b59db9d10656bae1f296dcbfa221c4434f",
-    "search remark24 i": "8eb40924ad075f2bc9d5d80012f6db66197a6f79",
+    "search remark24 i": "f2e6661d7943a33a96417c264854637aebb273c2",
     "search witness": "d2259cf9ea2470e3fa0e3cc5e6539750afce0ae0",
     "validate broken": "f042b38bb05ce9e1e876379d49ec88663a1ac4b3",
     "validate cube": "79f397c96432f7b3052375052c405da2edbe0101",
@@ -562,8 +590,6 @@ def _golden_record(capsys, corpus, argv) -> str:
     record = manifest.read_text() if manifest.exists() else "no manifest\n"
     kept = [line for line in record.splitlines() if not line.startswith("seconds:")]
     text = f"exit: {code}\n{out}" + "\n".join(kept)
-    # remark24 verdict lines carry their wall time
-    text = re.sub(r"time=\d+\.\d+s", "time=<s>", text)
     return text.replace(str(corpus), "<corpus>")
 
 

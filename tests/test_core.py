@@ -11,7 +11,6 @@ from ormaps.core import (
     RotParseError,
     ValidationError,
     _root_code,
-    angles_of,
     canonical,
     canonical_code,
     canonical_form,
@@ -173,12 +172,6 @@ def test_face_walks_are_normalized(tetrahedron, cube):
         assert all(f.darts[0] == min(f.darts) for f in faces)
         assert starts == sorted(starts)
         assert [f.index for f in faces] == list(range(len(faces)))
-
-
-def test_angles_follow_walk(tetrahedron):
-    face = tetrahedron.faces[0]
-    for angle in angles_of(face):
-        assert tetrahedron.face_successor(angle.incoming) == angle.outgoing
 
 
 def test_genus_raises_on_inconsistent_input():

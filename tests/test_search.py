@@ -8,11 +8,16 @@ import ormaps
 from ormaps import canonical_code, dual, genus, vertex_connectivity
 from ormaps.core import maps_isomorphic_bruteforce
 from ormaps.search import (
+    _NINE_SIZES,
     CASE_LABELS,
     EmptyCircuitSpec,
     SearchBudget,
     SearchError,
     WitnessSpec,
+    _Clock,
+    _GlueRules,
+    _OutOfBudget,
+    _run_glue_engine,
     empty_map_problems,
     enumerate_connected_maps,
     enumerate_empty,
@@ -219,6 +224,99 @@ class TestEngineGolden:
         assert len(out.maps) == finds
         codes = b"".join(canonical_code(m) for m in out.maps)
         assert hashlib.sha1(codes).hexdigest() == digest
+
+
+def _complete_graph_rules(n: int) -> _GlueRules:
+    edges = n * (n - 1) // 2
+    return _GlueRules(
+        sizes=(3,) * (2 * edges // 3), min_degree=n - 1, max_degree=n - 1, max_vertices=n
+    )
+
+
+# Fingerprints of the face-gluing engine, captured from the union-find
+# engine: (label, rules, node budget, nodes, return value, completions,
+# sha1 of the repr of every completion as (nodes so far, vertex_of,
+# next_in_rotation, reverse)).  ``accept`` records and rejects, so each
+# run walks its whole space or stops at its budget.
+GLUE_GOLDEN = [
+    ("pair-4-4", _GlueRules(sizes=(4, 4) + (3,) * 6, max_degree=6, max_vertices=7),
+     None, 77019, True, 264, "b27441b5276ed0a1e4d6364ad9e4c37900a9bf71"),
+    ("spanning-7",
+     _GlueRules(sizes=(7,) + (3,) * 9, max_degree=6, max_vertices=7, spanning_block=0),
+     None, 43321, True, 56, "690da9703b23a4b5c07db5ab7ab0d6033cc67f0f"),
+    ("nine-cycle",
+     _GlueRules(sizes=_NINE_SIZES, exempt_block=1, forced_target=((1, 0),),
+                max_degree=8, max_vertices=9, spanning_block=1),
+     100_000, 100_001, _OutOfBudget, 0, "97d170e1550eee4afc0af065b78cda302a97674c"),
+    ("k4", _complete_graph_rules(4), None, 10, True, 1,
+     "9ab3c0180e7cca1c875a15300305cb79f60b199a"),
+    ("k7", _complete_graph_rules(7), None, 3093, True, 2,
+     "0c453bc21b0c0144c016266809da69ca869040b2"),
+    ("loose-4-4",
+     _GlueRules(sizes=(4, 4) + (3,) * 4, dual_simple=False, min_degree=3, max_degree=5,
+                max_vertices=6),
+     None, 5678, True, 16, "649250aa6575d9bc6f28878dc9d580128bced6e0"),
+    ("forced-6-3",
+     _GlueRules(sizes=(6, 3) + (3,) * 5, exempt_block=1, forced_target=((1, 0),),
+                max_degree=6, max_vertices=7),
+     None, 875, True, 9, "e9e784d727eae7a379d4b77d6b82584d94cd0962"),
+]
+
+# search_witness on top of the engine: (spec, node budget, nodes, complete,
+# swept, sha1 of the found map's canonical code or None)
+GLUE_WITNESS_GOLDEN = [
+    ("c=2; pair-sum=7; dual=simple,has-2-cut; pair=shares-two-vertices; "
+     "max-vertices=6; max-edges=15", None, 287, True,
+     ("pair=(3,4) triangles=1: done", "pair=(3,4) triangles=3: done",
+      "pair=(3,4) triangles=5: hit"),
+     "c0f505fd31b2a759233d9a8ee673177d2d39b26f"),
+    ("c=2; pair-sum=6; dual=simple,has-2-cut; pair=shares-two-vertices; "
+     "max-vertices=6; max-edges=15", None, 2279, True,
+     tuple(f"pair=(3,3) triangles={t}: done" for t in (0, 2, 4, 6, 8)), None),
+    ("c=2; pair-sum=9; dual=simple,has-1-cut; pair=none; max-vertices=8; max-edges=18",
+     100_000, 100_001, False,
+     ("pair=(3,6) triangles=1: done", "pair=(4,5) triangles=1: done",
+      "pair=(3,6) triangles=3: done", "pair=(4,5) triangles=3: done",
+      "pair=(3,6) triangles=5: done", "pair=(4,5) triangles=5: done",
+      "budget exhausted"),
+     None),
+]
+
+
+class TestGlueGolden:
+    @pytest.mark.parametrize(
+        "rules, max_nodes, nodes, result, completions, digest",
+        [row[1:] for row in GLUE_GOLDEN],
+        ids=[row[0] for row in GLUE_GOLDEN],
+    )
+    def test_engine_matches_its_fingerprint(
+        self, rules, max_nodes, nodes, result, completions, digest
+    ):
+        clock = _Clock(SearchBudget(max_nodes=max_nodes) if max_nodes else None)
+        seen = []
+
+        def accept(m):
+            seen.append((clock.nodes, m.vertex_of, m.next_in_rotation, m.reverse))
+            return False
+
+        try:
+            got = _run_glue_engine(rules, clock, accept)
+        except _OutOfBudget:
+            got = _OutOfBudget
+        assert (clock.nodes, got, len(seen)) == (nodes, result, completions)
+        assert hashlib.sha1(repr(seen).encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "text, max_nodes, nodes, complete, swept, digest", GLUE_WITNESS_GOLDEN
+    )
+    def test_witness_search_matches_its_fingerprint(
+        self, text, max_nodes, nodes, complete, swept, digest
+    ):
+        budget = SearchBudget(max_nodes=max_nodes) if max_nodes else None
+        out = search_witness(parse_witness_spec(text), budget)
+        assert (out.nodes, out.complete, out.swept) == (nodes, complete, swept)
+        code = hashlib.sha1(canonical_code(out.map)).hexdigest() if out.map else None
+        assert code == digest
 
 
 class TestEngineOutputs:
