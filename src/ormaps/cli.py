@@ -21,7 +21,7 @@ from .bounds import (
     one_cut_size_threshold,
     two_cut_size_threshold,
 )
-from .connectivity import adjacency_of, find_cutsets, vertex_connectivity
+from .connectivity import adjacency_of, min_cut, vertex_connectivity
 from .core import (
     Map,
     canonical_code,
@@ -128,13 +128,6 @@ def _face_labels(m: Map) -> list[str]:
     ]
 
 
-def _min_cutset(adjacency, kappa: int):
-    cuts = find_cutsets(adjacency, kappa)
-    if not cuts:
-        return None
-    return min(tuple(sorted(c)) for c in cuts)
-
-
 def _self_dual(m: Map) -> bool:
     code = canonical_code(m)
     d = dual(m).dual
@@ -200,7 +193,7 @@ def _cmd_connectivity(args, manifest) -> int:
             print(f"dual not simple ({report.verdict})")
         g = adjacency_of(report.dual)
         kappa = vertex_connectivity(g)
-        cut = _min_cutset(g, kappa)
+        cut = min_cut(g, kappa)
         labels = _face_labels(m)
         shown = "none" if cut is None else "{" + ",".join(labels[v] for v in cut) + "}"
         print(f"kappa(dual)={kappa}; cut={shown}")
@@ -208,7 +201,7 @@ def _cmd_connectivity(args, manifest) -> int:
     else:
         g = adjacency_of(m)
         kappa = vertex_connectivity(g)
-        cut = _min_cutset(g, kappa)
+        cut = min_cut(g, kappa)
         shown = "none" if cut is None else "{" + ",".join(str(v) for v in cut) + "}"
         print(f"kappa={kappa}; cut={shown}")
         manifest.add("kappa", kappa)

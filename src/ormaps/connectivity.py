@@ -1,8 +1,11 @@
-"""Vertex connectivity and small cut-set enumeration.
+"""Vertex connectivity, minimum cuts and small cut-set enumeration.
 
 Two independent routes compute kappa: exhaustive subset deletion (the
 oracle, default for at most 10 vertices) and unit-capacity vertex-split
-max-flow (for everything larger).  Inputs may be Map instances or plain
+max-flow (for everything larger).  The lexicographically smallest minimum
+cut also comes from max-flow (``min_cut``).  Listing vertex subsets
+(``find_cutsets``, ``cut_inventory``) is kept only as the oracle the tests
+check the flow routes against.  Inputs may be Map instances or plain
 adjacency sequences; multiplicities and embeddings are irrelevant here, so
 everything is collapsed to neighbor sets first.
 """
@@ -10,7 +13,6 @@ everything is collapsed to neighbor sets first.
 from __future__ import annotations
 
 import itertools
-from collections import defaultdict, deque
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
@@ -80,47 +82,67 @@ def vertex_connectivity_bruteforce(g) -> int:
     return n - 1
 
 
-def _st_flow(adj: Adjacency, s: int, t: int) -> int:
-    """Max internally-disjoint s-t paths via vertex-split Edmonds-Karp."""
-    n = len(adj)
-    cap: dict[tuple[int, int], int] = defaultdict(int)
-    out_arcs: dict[int, list[int]] = defaultdict(list)
+class _SplitNetwork:
+    """Unit-capacity vertex-split flow network of a graph, built once.
 
-    def add(u: int, v: int, c: int) -> None:
-        if cap[(u, v)] == 0 and cap[(v, u)] == 0:
-            out_arcs[u].append(v)
-            out_arcs[v].append(u)
-        cap[(u, v)] += c
+    Vertex v becomes in-node 2v and out-node 2v+1, joined by arc 2v; each
+    edge uw gives the arcs out(u)->in(w) and out(w)->in(u).  Arc a^1 is the
+    reverse of arc a.  Every flow starts from the capacities in ``base``, so
+    zeroing ``base[2v]`` deletes vertex v from all later flows.
+    """
 
-    # node v splits into 2v (in) and 2v+1 (out); interior capacity 1
-    for v in range(n):
-        add(2 * v, 2 * v + 1, n if v in (s, t) else 1)
-    for u in range(n):
-        for w in adj[u]:
-            if u < w:
-                add(2 * u + 1, 2 * w, 1)
-                add(2 * w + 1, 2 * u, 1)
+    __slots__ = ("head", "arcs_from", "base")
 
+    def __init__(self, adj: Adjacency) -> None:
+        n = len(adj)
+        head: list[int] = []
+        arcs_from: list[list[int]] = [[] for _ in range(2 * n)]
+        for v in range(n):
+            arcs_from[2 * v].append(2 * v)
+            arcs_from[2 * v + 1].append(2 * v + 1)
+            head += (2 * v + 1, 2 * v)
+        for u in range(n):
+            for w in adj[u]:
+                a = len(head)
+                arcs_from[2 * u + 1].append(a)
+                arcs_from[2 * w].append(a + 1)
+                head += (2 * w, 2 * u + 1)
+        self.head = head
+        self.arcs_from = arcs_from
+        self.base = [1, 0] * (len(head) // 2)
+
+
+def _st_flow(net: _SplitNetwork, s: int, t: int, limit: int) -> int:
+    """Internally disjoint s-t paths (s, t non-adjacent), counted up to ``limit``.
+
+    Edmonds-Karp on unit capacities: each augmenting path is a BFS, and the
+    search stops as soon as ``limit`` paths are found.
+    """
+    head, arcs_from = net.head, net.arcs_from
+    cap = net.base[:]
     source, sink = 2 * s + 1, 2 * t
     flow = 0
-    while True:
-        parent: dict[int, int | None] = {source: None}
-        queue = deque([source])
-        while queue and sink not in parent:
-            u = queue.popleft()
-            for v in out_arcs[u]:
-                if v not in parent and cap[(u, v)] > 0:
-                    parent[v] = u
-                    queue.append(v)
-        if sink not in parent:
+    while flow < limit:
+        via = [-1] * len(arcs_from)  # arc that first reached each node
+        via[source] = -2
+        queue = [source]
+        for u in queue:
+            for a in arcs_from[u]:
+                if cap[a] and via[head[a]] == -1:
+                    via[head[a]] = a
+                    queue.append(head[a])
+            if via[sink] != -1:
+                break
+        else:
             return flow
-        v = sink
-        while parent[v] is not None:
-            u = parent[v]
-            cap[(u, v)] -= 1
-            cap[(v, u)] += 1
-            v = u
+        node = sink
+        while node != source:
+            a = via[node]
+            cap[a] -= 1
+            cap[a ^ 1] += 1
+            node = head[a ^ 1]
         flow += 1
+    return flow
 
 
 def vertex_connectivity_flow(g) -> int:
@@ -129,21 +151,23 @@ def vertex_connectivity_flow(g) -> int:
     A minimum cut either misses some fixed vertex v0, in which case v0 is
     separated from a non-neighbor, or contains v0, in which case two of
     v0's neighbors in different components are non-adjacent.  Both families
-    of flows are taken; complete graphs short-circuit to n-1.
+    of flows run on one network, each capped at the best kappa so far;
+    complete graphs short-circuit to n-1.
     """
     adj = adjacency_of(g)
     _require_connected(adj)
     n = len(adj)
     if _is_complete(adj):
         return n - 1
+    net = _SplitNetwork(adj)
     v0 = min(range(n), key=lambda v: (len(adj[v]), v))
-    best = n - 1
+    best = len(adj[v0])
     for t in range(n):
         if t != v0 and t not in adj[v0]:
-            best = min(best, _st_flow(adj, v0, t))
+            best = _st_flow(net, v0, t, best)
     for x, y in itertools.combinations(sorted(adj[v0]), 2):
         if y not in adj[x]:
-            best = min(best, _st_flow(adj, x, y))
+            best = _st_flow(net, x, y, best)
     return best
 
 
@@ -152,6 +176,51 @@ def vertex_connectivity(g) -> int:
     if len(adj) <= BRUTEFORCE_LIMIT:
         return vertex_connectivity_bruteforce(adj)
     return vertex_connectivity_flow(adj)
+
+
+def _extends(net: _SplitNetwork, adj: Adjacency, prefix: list[int], v: int, room: int) -> bool:
+    """Whether some minimum cut holds ``prefix`` + v; ``net`` has them deleted.
+
+    That is whether H = G - prefix - v has a cut D of ``room`` vertices.
+    Every vertex of a minimum cut has neighbours in every component it
+    leaves.  So for any neighbour x of v in H: if x is outside D, D
+    separates x from another neighbour of v; if x is in D, D separates two
+    neighbours of x.  Conversely, any two vertices of H that ``room``
+    vertices separate give such a D.
+    """
+    nbrs = [w for w in adj[v] if w not in prefix]
+    if not nbrs:
+        return False
+    x = min(nbrs, key=lambda w: len(adj[w]))
+    around = [w for w in adj[x] if w != v and w not in prefix]
+    pairs = itertools.chain(((x, y) for y in nbrs if y != x), itertools.combinations(around, 2))
+    return any(b not in adj[a] and _st_flow(net, a, b, room + 1) <= room for a, b in pairs)
+
+
+def min_cut(g, kappa: int) -> tuple[int, ...] | None:
+    """The lexicographically smallest minimum vertex cut; None if g is complete.
+
+    ``kappa`` must be the vertex connectivity of g.  Vertices are scanned in
+    ascending order, and v joins the prefix when some minimum cut holds the
+    prefix and v, which a few flows capped at the cut vertices still to
+    find decide.  The result equals the smallest sorted cut that
+    ``find_cutsets(g, kappa)`` lists, without listing any subset.
+    """
+    adj = adjacency_of(g)
+    _require_connected(adj)
+    if _is_complete(adj):
+        return None
+    net = _SplitNetwork(adj)
+    cut: list[int] = []
+    for v in range(len(adj)):
+        net.base[2 * v] = 0
+        if _extends(net, adj, cut, v, kappa - len(cut) - 1):
+            cut.append(v)
+            if len(cut) == kappa:
+                return tuple(cut)
+        else:
+            net.base[2 * v] = 1
+    raise ValueError(f"graph has no cut of {kappa} vertices; kappa is wrong")
 
 
 def _enumerate_cutsets(adj: Adjacency, k: int, cap: int) -> tuple[list[frozenset[int]], bool]:

@@ -1285,8 +1285,7 @@ def triangular_complete_map(n: int) -> Map:
         candidates.append(m)
         return True
 
-    # a handful of completions suffices; the smallest canonical code wins
-    _run_glue_engine(rules, _Clock(None), accept, stop_after=9)
+    _run_glue_engine(rules, _Clock(None), accept)
     if not candidates:
         raise RuntimeError(f"found no all-triangle embedding for n={n}")
     _, best = min((canonical(m) for m in candidates), key=lambda t: t[0])

@@ -24,6 +24,8 @@ from ormaps.bounds import (
 )
 from ormaps.connectivity import (
     BRUTEFORCE_LIMIT,
+    find_cutsets,
+    min_cut,
     vertex_connectivity,
     vertex_connectivity_bruteforce,
     vertex_connectivity_flow,
@@ -359,6 +361,15 @@ def test_criterion_7_oracle_cross_checks(corpus16):
                 failures.append("flow and brute-force connectivity disagree")
                 break
 
+    for m in corpus16:
+        if m.vertex_count >= 2:
+            adj = m.adjacency
+            kappa = vertex_connectivity(adj)
+            oracle = min((tuple(sorted(c)) for c in find_cutsets(adj, kappa)), default=None)
+            if min_cut(adj, kappa) != oracle:
+                failures.append("flow min cut disagrees with the subset-listing oracle")
+                break
+
     small = [m for m in corpus16 if m.dart_count <= 12]
     for a, b in itertools.combinations(small, 2):
         canon = canonical_code(a) == canonical_code(b)
@@ -376,7 +387,8 @@ def test_criterion_7_oracle_cross_checks(corpus16):
     _report(
         7,
         ok,
-        f"{len(corpus16)} duals, {len(small)} maps pairwise iso-checked, {elapsed:.0f}s",
+        f"{len(corpus16)} duals and min cuts, {len(small)} maps pairwise iso-checked, "
+        f"{elapsed:.0f}s",
     )
     assert not failures, failures
 

@@ -10,6 +10,7 @@ import pytest
 import ormaps
 from ormaps.cli import main
 from ormaps.core import ValidationReport, canonical_code, emit, parse
+from ormaps.dual import dual
 from ormaps.search import triangular_complete_map
 from ormaps.surgery import delete_vertex, k4_wedge, stacked_triangulation, wheel
 
@@ -48,6 +49,45 @@ class TestBindingOutputs:
         code, out, _ = run_cli(capsys, "genus", str(rot_dir / "k6torus.rot"))
         assert code == 0
         assert out.strip() == "1"
+
+
+def separates(adj, cut):
+    """Whether deleting ``cut`` leaves at least two components."""
+    rest = [v for v in range(len(adj)) if v not in cut]
+    seen = {rest[0]}
+    stack = [rest[0]]
+    while stack:
+        for w in adj[stack.pop()]:
+            if w not in cut and w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) < len(rest)
+
+
+class TestConnectivityAtScale:
+    # listing the C(796, 3) vertex triples of the dual would take hours
+    @pytest.mark.parametrize("on_dual", [False, True], ids=["primal", "dual"])
+    def test_stacked_triangulation_on_400_vertices(self, capsys, tmp_path, on_dual):
+        m = stacked_triangulation(400)
+        path = tmp_path / "stack400.rot"
+        path.write_text(emit(m))
+        argv = ["connectivity", str(path)] + (["--dual"] if on_dual else [])
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        match = re.fullmatch(r"kappa(?:\(dual\))?=3; cut=\{(.*)\}", out.strip())
+        assert match, out
+        if on_dual:
+            adj = dual(m).dual.adjacency
+            sizes = [f.size for f in m.faces]
+            cut = {
+                int(label.split("#")[1]) if "#" in label else sizes.index(int(label[1:]))
+                for label in match.group(1).split(",")
+            }
+        else:
+            adj = m.adjacency
+            cut = {int(v) for v in match.group(1).split(",")}
+        assert len(cut) == 3
+        assert separates(adj, cut)
 
 
 class TestExitCodes:
@@ -357,6 +397,14 @@ class TestManifest:
         assert code == 4
         assert out == ""
         assert err.startswith("error: internal: interior fill produced an invalid map\n")
+
+    def test_cli_lists_no_vertex_subsets(self):
+        # the subset-listing cut search is the tests' oracle, never a CLI path
+        tree = ast.parse(Path(ormaps.cli.__file__).read_text())
+        names = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                 for alias in node.names}
+        names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        assert not names & {"find_cutsets", "cut_inventory"}
 
     def test_library_has_no_assert_statements(self):
         package = Path(ormaps.__file__).parent

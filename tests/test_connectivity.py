@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,11 +11,14 @@ from ormaps.connectivity import (
     cut_inventory,
     find_cutsets,
     is_separating_cycle,
+    min_cut,
     vertex_connectivity,
     vertex_connectivity_bruteforce,
     vertex_connectivity_flow,
 )
 from ormaps.dual import dual
+from ormaps.search import enumerate_connected_maps
+from ormaps.surgery import stacked_triangulation
 from test_dual import make_bowtie, make_dumbbell, make_octahedron
 
 
@@ -38,6 +44,19 @@ def petersen_graph():
     return adj
 
 
+def two_cliques_through_a_hub():
+    # cliques 1..5 and 6..10 joined by the edge 5-10 and by the hub 0, which
+    # has the least degree and lies in every 2-cut
+    adj = [set() for _ in range(11)]
+    edges = [(0, 1), (0, 2), (0, 6), (0, 7), (5, 10)]
+    edges += itertools.combinations(range(1, 6), 2)
+    edges += itertools.combinations(range(6, 11), 2)
+    for a, b in edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    return adj
+
+
 BOTH_ROUTES = [vertex_connectivity_bruteforce, vertex_connectivity_flow]
 
 
@@ -48,6 +67,7 @@ class TestVertexConnectivity:
         assert kappa_fn(cycle_graph(5)) == 2
         assert kappa_fn(path_graph(4)) == 1
         assert kappa_fn(petersen_graph()) == 3
+        assert kappa_fn(two_cliques_through_a_hub()) == 2
 
     @pytest.mark.parametrize("kappa_fn", BOTH_ROUTES)
     def test_complete_graph_convention(self, kappa_fn):
@@ -111,6 +131,70 @@ class TestFindCutsets:
     def test_cap_truncates(self):
         cuts = find_cutsets(cycle_graph(6), 2, cap=3)
         assert len(cuts) == 3
+
+
+def oracle_min_cut(g, kappa):
+    """The smallest sorted cut among all subsets of kappa vertices."""
+    return min((tuple(sorted(c)) for c in find_cutsets(g, kappa)), default=None)
+
+
+def random_connected_graphs(count, seed=7):
+    rng = random.Random(seed)
+    graphs = []
+    while len(graphs) < count:
+        n = rng.randint(3, 13)
+        density = rng.random()
+        adj = [set() for _ in range(n)]
+        for a, b in itertools.combinations(range(n), 2):
+            if rng.random() < density:
+                adj[a].add(b)
+                adj[b].add(a)
+        try:
+            vertex_connectivity(adj)
+        except ValueError:
+            continue  # disconnected
+        graphs.append(adj)
+    return graphs
+
+
+class TestMinCut:
+    @staticmethod
+    def assert_matches_oracle(graphs):
+        for g in graphs:
+            adj = adjacency_of(g)
+            if len(adj) < 2:
+                continue
+            kappa = vertex_connectivity(adj)
+            assert min_cut(adj, kappa) == oracle_min_cut(adj, kappa), adj
+
+    def test_small_maps_and_their_duals(self):
+        maps = list(enumerate_connected_maps(7))
+        self.assert_matches_oracle(maps + [dual(m).dual for m in maps])
+
+    def test_stacked_triangulations_and_their_duals(self):
+        maps = [stacked_triangulation(n) for n in range(6, 21)]
+        self.assert_matches_oracle(maps + [dual(m).dual for m in maps])
+
+    def test_random_graphs(self):
+        self.assert_matches_oracle(random_connected_graphs(300))
+
+    def test_complete_graphs_have_no_cut(self):
+        for n in range(2, 7):
+            assert min_cut(complete_graph(n), n - 1) is None
+
+    def test_named_graphs(self):
+        assert min_cut(make_bowtie(), 1) == (0,)
+        assert min_cut(cycle_graph(6), 2) == (0, 2)
+        assert min_cut(petersen_graph(), 3) == (0, 2, 6)  # the neighbours of 1
+        assert min_cut(two_cliques_through_a_hub(), 2) == (0, 5)
+
+    def test_disconnected_rejected(self):
+        with pytest.raises(ValueError, match="disconnected"):
+            min_cut([{1}, {0}, {3}, {2}], 1)
+
+    def test_too_small_kappa_rejected(self):
+        with pytest.raises(ValueError, match="no cut of 1 vertices"):
+            min_cut(cycle_graph(5), 1)
 
 
 class TestCutInventory:
