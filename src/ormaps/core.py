@@ -557,26 +557,57 @@ def emit(m: Map, header_comments: Sequence[str] = ()) -> str:
 # -- isomorphism ------------------------------------------------------------------
 
 
-def _root_code(m: Map, root: int) -> tuple[bytes, list[int]]:
-    """Traversal encoding from one root dart, with the dart visit order.
+def _root_code(
+    m: Map, root: int, newid: list[int], best: list[int] | None = None
+) -> tuple[list[int], list[int]] | None:
+    """Traversal words from one root dart, with the dart visit order.
 
-    Dart ids are packed as 16-bit words while the map has at most 65,535
-    darts and as 32-bit words above that, so the code never overflows.
+    The words are the number of darts reached, then, for each dart in
+    breadth-first visit order, the new ids of its rotation successor and its
+    reverse.  Each word is final once emitted, so with a ``best`` word list
+    the traversal compares as it goes: the root is dropped (None) at its
+    first word above ``best``, and at the end if it only ties.  After its
+    first smaller word it finishes without comparing.  The word count is not
+    compared; it is the same for every root of a connected map.
+
+    ``newid`` is scratch space of one entry per dart, all -1; the darts this
+    root touched are reset before returning, so one array serves every root.
     """
     sigma = m.next_in_rotation
     alpha = m.reverse
-    newid = {root: 0}
+    newid[root] = 0
     order = [root]
-    for d in order:  # grows while it is read: a breadth-first visit
-        for e in (sigma[d], alpha[d]):
-            if e not in newid:
-                newid[e] = len(order)
-                order.append(e)
-    words = [len(order)]
-    for d in order:
-        words += (newid[sigma[d]], newid[alpha[d]])
-    width = "H" if m.dart_count <= 0xFFFF else "I"
-    return struct.pack(f">{len(words)}{width}", *words), order
+    words = [0]
+    tied = best is not None
+    try:
+        for d in order:  # grows while it is read: a breadth-first visit
+            for e in (sigma[d], alpha[d]):
+                w = newid[e]
+                if w < 0:
+                    w = newid[e] = len(order)
+                    order.append(e)
+                if tied:
+                    b = best[len(words)]
+                    if w > b:
+                        return None
+                    tied = w == b
+                words.append(w)
+    finally:
+        for d in order:
+            newid[d] = -1
+    if tied:
+        return None
+    words[0] = len(order)
+    return words, order
+
+
+def _pack(words: list[int]) -> bytes:
+    """Big-endian code bytes: 16-bit words up to 65,535 darts, 32-bit above.
+
+    ``words[0]`` is the dart count, so the code never overflows.
+    """
+    width = "H" if words[0] <= 0xFFFF else "I"
+    return struct.pack(f">{len(words)}{width}", *words)
 
 
 def canonical(m: Map) -> tuple[bytes, Map]:
@@ -588,15 +619,34 @@ def canonical(m: Map) -> tuple[bytes, Map]:
     against ``canonical(m.mirror())`` to test equivalence up to orientation
     reversal.  The form is the map relabeled in the visit order of a root
     that attains the code; labels are dropped.
+
+    The map must be connected; ValueError otherwise.  Then every root
+    reaches all D darts, every root's code has 2D + 1 words of one width,
+    and comparing word lists in order is comparing the packed big-endian
+    bytes.  So each root is compared with the best root so far while it is
+    traversed (``_root_code``).  At its first word above the best, its code
+    is larger whatever follows, and it is dropped; at its first word below,
+    its code is smaller and it becomes the best.  What is left is the
+    minimum over every root, and a tie keeps the earlier root, as ``min``
+    does.  Only the winner's words are packed.  Maps on which many roots
+    tie, such as long cycles, still cost O(D^2).
     """
-    code, order = min((_root_code(m, r) for r in range(m.dart_count)), key=lambda t: t[0])
+    D = m.dart_count
+    newid = [-1] * D
+    best, order = _root_code(m, 0, newid)
+    if len(order) < D:
+        raise ValueError(f"canonical needs a connected map ({len(order)} of {D} darts reachable)")
+    for r in range(1, D):
+        found = _root_code(m, r, newid, best)
+        if found is not None:
+            best, order = found
     pos = {d: i for i, d in enumerate(order)}
     vmap: dict[int, int] = {}
     for d in order:
         v = m.vertex_of[d]
         if v not in vmap:
             vmap[v] = len(vmap)
-    return code, Map(
+    return _pack(best), Map(
         tuple(vmap[m.vertex_of[d]] for d in order),
         tuple(pos[m.next_in_rotation[d]] for d in order),
         tuple(pos[m.reverse[d]] for d in order),

@@ -1,4 +1,5 @@
 import itertools
+import random
 import struct
 
 import pytest
@@ -10,6 +11,7 @@ from ormaps.core import (
     Map,
     RotParseError,
     ValidationError,
+    _pack,
     _root_code,
     canonical,
     canonical_code,
@@ -26,6 +28,9 @@ from ormaps.core import (
     require_valid,
     validate,
 )
+from ormaps.dual import dual
+from ormaps.search import enumerate_connected_maps, triangular_complete_map
+from ormaps.surgery import stacked_triangulation, wheel
 
 
 class TestTetrahedron:
@@ -226,10 +231,85 @@ def test_canonical_form_is_canonical(m):
 def test_code_word_width_follows_the_dart_count(n, word):
     # 16-bit words up to 65,535 darts, 32-bit words from 65,536 on
     cycle = from_rotations([[(i - 1) % n, (i + 1) % n] for i in range(n)])
-    code, order = _root_code(cycle, 0)
+    words, order = _root_code(cycle, 0, [-1] * cycle.dart_count)
+    code = _pack(words)
     assert len(order) == cycle.dart_count == 2 * n
     assert len(code) == struct.calcsize(word) * (2 * cycle.dart_count + 1)
     assert struct.unpack_from(word, code)[0] == cycle.dart_count
+
+
+def full_scan_canonical(m: Map) -> tuple[bytes, Map]:
+    """Reference: pack the whole traversal code from every root, take the min."""
+    sigma, alpha = m.next_in_rotation, m.reverse
+    width = "H" if m.dart_count <= 0xFFFF else "I"
+    scans = []
+    for root in range(m.dart_count):
+        newid = {root: 0}
+        order = [root]
+        for d in order:
+            for e in (sigma[d], alpha[d]):
+                if e not in newid:
+                    newid[e] = len(order)
+                    order.append(e)
+        words = [len(order)]
+        for d in order:
+            words += (newid[sigma[d]], newid[alpha[d]])
+        scans.append((struct.pack(f">{len(words)}{width}", *words), order))
+    code, order = min(scans, key=lambda t: t[0])
+    pos = {d: i for i, d in enumerate(order)}
+    vmap: dict[int, int] = {}
+    for d in order:
+        vmap.setdefault(m.vertex_of[d], len(vmap))
+    return code, Map(
+        tuple(vmap[m.vertex_of[d]] for d in order),
+        tuple(pos[sigma[d]] for d in order),
+        tuple(pos[alpha[d]] for d in order),
+    )
+
+
+def cycle_map(n: int) -> Map:
+    return from_rotations([[(i - 1) % n, (i + 1) % n] for i in range(n)])
+
+
+class TestCanonicalMatchesFullScan:
+    """The pruned root scan gives the code and form of the full scan."""
+
+    def test_small_map_corpus_and_mirrors(self):
+        for m in enumerate_connected_maps(7):
+            for x in (m, m.mirror()):
+                assert canonical(x) == full_scan_canonical(x)
+
+    @pytest.mark.parametrize("n", range(6, 101))
+    def test_stacked_triangulations_and_duals(self, n):
+        m = stacked_triangulation(n)
+        for x in (m, dual(m).dual):
+            assert canonical(x) == full_scan_canonical(x)
+
+    @pytest.mark.parametrize(
+        "build, n",
+        [(triangular_complete_map, 7), (wheel, 6), (wheel, 8), (cycle_map, 50)],
+        ids=["K7-torus", "W6", "W8", "cycle50"],
+    )
+    def test_named_maps(self, build, n):
+        # on the 50-cycle every root ties: each later root runs to its end
+        # and the first one stays the best
+        m = build(n)
+        assert canonical(m) == full_scan_canonical(m)
+
+
+def test_canonical_rejects_a_disconnected_map():
+    # an edge and a disjoint triangle: the old scan coded the edge alone
+    m = from_rotations([[1], [0], [3, 4], [2, 4], [2, 3]])
+    with pytest.raises(ValueError, match="connected"):
+        canonical(m)
+
+
+def test_canonical_at_scale_ignores_dart_labels():
+    m = stacked_triangulation(400)
+    perm = list(range(m.dart_count))
+    random.Random(400).shuffle(perm)
+    assert m.dart_count == 2388
+    assert canonical(relabel_darts(m, perm)) == canonical(m)
 
 
 @given(connected_simple_maps())
