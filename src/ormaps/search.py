@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .connectivity import vertex_connectivity
 from .core import (
@@ -337,21 +338,41 @@ def empty_map_problems(m: Map, spec: EmptyCircuitSpec) -> tuple[str, ...]:
 # -- boundary-walk shapes -----------------------------------------------------------
 
 
-def _renumber(seq: tuple[int, ...]) -> tuple[int, ...]:
+def _renumber(seq: list[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """``seq`` relabelled by first occurrence, and the relabelling itself:
+    vertex v becomes ``perm[v]``.  ``seq`` uses the labels 0..V-1."""
     table: dict[int, int] = {}
-    out = []
     for v in seq:
         if v not in table:
             table[v] = len(table)
-        out.append(table[v])
-    return tuple(out)
+    perm = [0] * len(table)
+    for v, new in table.items():
+        perm[v] = new
+    return tuple([table[v] for v in seq]), tuple(perm)
 
 
-def _circuit_transforms(s: tuple[int, ...]):
-    k = len(s)
-    for base in (s, tuple(reversed(s))):
-        for i in range(k):
-            yield _renumber(base[i:] + base[:i])
+def _shape_transforms(walks: tuple[tuple[int, ...], ...]):
+    """Every relabelling of a walk shape that keeps its geometry.
+
+    Each walk is rotated to any start, all walks are read backwards or
+    not, and two walks of one size may swap; the result is renumbered by
+    first occurrence.  Yields ``(walks, perm, reverses)``: the relabelled
+    walks, the vertex permutation that produced them, and whether the
+    walks were read backwards, which mirrors the map.
+    """
+    for reverses in (False, True):
+        bases = [w[::-1] for w in walks] if reverses else list(walks)
+        orders = [bases]
+        if len(bases) == 2 and len(bases[0]) == len(bases[1]):
+            orders.append(bases[::-1])
+        for order in orders:
+            for shifts in itertools.product(*(range(len(w)) for w in order)):
+                flat: list[int] = []
+                for w, i in zip(order, shifts):
+                    flat.extend(w[i:] + w[:i])
+                seq, perm = _renumber(flat)
+                a = len(order[0])
+                yield ((seq[:a], seq[a:]) if len(order) == 2 else (seq,)), perm, reverses
 
 
 def _closed_walks(length: int, used: set, start: int, seen: int):
@@ -391,20 +412,9 @@ def _circuit_shapes(k: int, min_v: int | None, max_v: int | None) -> list[tuple[
         v = top + 1
         if v < 3 or v < (min_v or 0) or (max_v is not None and v > max_v):
             continue
-        if walk == min(_circuit_transforms(walk)):
+        if (walk,) == min(t[0] for t in _shape_transforms((walk,))):
             shapes.append(walk)
     return sorted(shapes)
-
-
-def _pair_transforms(sa: tuple[int, ...], sb: tuple[int, ...]):
-    variants = [(sa, sb), (tuple(reversed(sa)), tuple(reversed(sb)))]
-    if len(sa) == len(sb):
-        variants += [(sb, sa), (tuple(reversed(sb)), tuple(reversed(sa)))]
-    for first, second in variants:
-        for i in range(len(first)):
-            for j in range(len(second)):
-                merged = _renumber(first[i:] + first[:i] + second[j:] + second[:j])
-                yield merged[: len(first)], merged[len(first) :]
 
 
 def _pair_shapes(
@@ -425,7 +435,7 @@ def _pair_shapes(
                     if v > k or v < (min_v or 0) or (max_v is not None and v > max_v):
                         continue
                     pair = (first, second)
-                    if pair == min(_pair_transforms(first, second)):
+                    if pair == min(t[0] for t in _shape_transforms(pair)):
                         shapes.add(pair)
     return sorted(shapes)
 
@@ -442,10 +452,14 @@ class _WalkFrame:
     graph stays simple, so it has at most V(V-1)/2 edges; ``capacity``
     darts therefore always suffice, and each engine array is allocated
     once per shape.
+
+    ``group`` is the stabiliser of the shape: the ``(perm, reverses)``
+    relabellings from ``_shape_transforms`` that give the walks back.
     """
 
     def __init__(self, walks: tuple[tuple[int, ...], ...]):
         self.walks = walks
+        self.group = [(perm, rev) for w, perm, rev in _shape_transforms(walks) if w == walks]
         flat: list[int] = []
         self.next_pos: list[int] = []
         for walk in walks:
@@ -503,6 +517,15 @@ def _run_walk_engine(frame: _WalkFrame, spec: EmptyCircuitSpec, clock: _Clock, s
     ``start_of[alpha[tail]] == head``, and only a closing link walks its
     face.  ``succ`` is never cleared, because only closed orbits and the
     finished map read it.
+
+    The shape's stabiliser (``frame.group``) maps completions onto
+    completions; an element that reverses orientation maps the mirror
+    image.  Every check above is invariant under it, so only the least
+    completion of each orbit is kept, by lex-leader pruning (McKay,
+    J. Algorithms 1998): each time a vertex closes, ``least_so_far``
+    compares the code positions now decided on both sides and cuts the
+    branch as soon as an image is smaller.  Chiral twins fold together, so
+    the caller restores mirror images after a complete run.
     """
     k, V = frame.k, frame.V
     k2 = 2 * k
@@ -532,6 +555,15 @@ def _run_walk_engine(frame: _WalkFrame, spec: EmptyCircuitSpec, clock: _Clock, s
     degree = [2 * len(blocks[v]) for v in range(V)]
     edge_total = k
     top = k2
+    # lex-leader state, see least_so_far
+    rotation: list[list[int]] = [[] for _ in range(V)]
+    code: list[tuple[int, ...] | None] = [None] * V
+    waiting: list[list[tuple]] = [[] for _ in range(V)]
+    identity = tuple(range(V))
+    for perm, rev in frame.group:
+        if perm != identity:
+            inverse = tuple(sorted(range(V), key=perm.__getitem__))
+            waiting[inverse[0]].append((perm, inverse, rev, 0))
 
     def link_check(tail: int, head: int) -> bool:
         """Set ``succ[tail] = head`` and account for the phi-edge it adds.
@@ -612,6 +644,66 @@ def _run_walk_engine(frame: _WalkFrame, spec: EmptyCircuitSpec, clock: _Clock, s
             raise RuntimeError("search produced a broken map: " + "; ".join(problems))
         sink(m)
 
+    def least_so_far(v: int) -> list[int] | None:
+        """Record the rotation of v, which just closed, and compare codes.
+
+        The code of a completion lists each vertex's neighbour rotation,
+        read from its least neighbour, in vertex order.  Under a stabiliser
+        element the image rotation at perm[x] is perm applied to x's
+        rotation, reversed when the element reverses orientation.  An
+        element still tied, (perm, inverse, reverses, p), agrees with the
+        completion before position p and waits in ``waiting[w]`` for
+        w = max(p, inverse[p]), the vertex whose close decides position p
+        on both sides, so the lists from v on hold exactly the elements
+        still tied.  None prunes the branch: an image is already smaller.
+        Otherwise the elements at v are advanced, an element whose image
+        turns out larger is dropped for the rest of the branch, and the
+        waiting lists appended to are returned, for the caller to pop once
+        the branch is done.
+        """
+        if not any(waiting[v:]):
+            return []  # nothing is tied, so nothing is recorded or compared
+        d = first = blocks[v][0][1]
+        nbrs = []
+        while True:
+            nbrs.append(vertex_of[alpha[d]])
+            d = succ[d]
+            if d == first:
+                break
+        rotation[v] = nbrs
+        code[v] = None
+        moved: list[int] = []
+        for perm, inverse, rev, p in waiting[v]:
+            while True:
+                mine = code[p]
+                if mine is None:  # read from its least neighbour on first use
+                    r = rotation[p]
+                    i = r.index(min(r))
+                    mine = code[p] = tuple(r[i:] + r[:i])
+                # a vertex meets at least two walk edges, so the getter
+                # always returns a tuple
+                image = itemgetter(*rotation[inverse[p]])(perm)
+                if rev:
+                    image = image[::-1]
+                i = image.index(min(image))
+                if i:
+                    image = image[i:] + image[:i]
+                if image != mine:
+                    if image < mine:
+                        for w in moved:
+                            waiting[w].pop()
+                        return None
+                    break
+                p += 1
+                if p == V:
+                    break  # the element is an automorphism of the completion
+                w = max(p, inverse[p])
+                if w > v:
+                    waiting[w].append((perm, inverse, rev, p))
+                    moved.append(w)
+                    break
+        return moved
+
     def place(v: int) -> None:
         rest: list[tuple[int, ...]] = blocks[v][1:]
         rest.extend(pending[v])
@@ -624,10 +716,14 @@ def _run_walk_engine(frame: _WalkFrame, spec: EmptyCircuitSpec, clock: _Clock, s
             # wrap the rotation shut and move to the next vertex
             head = blocks[v][0][0]
             if link_check(tail, head):
-                if v == last:
-                    finish()
-                else:
-                    place(v + 1)
+                moved = least_so_far(v)
+                if moved is not None:
+                    if v == last:
+                        finish()
+                    else:
+                        place(v + 1)
+                    for w in moved:
+                        waiting[w].pop()
                 unlink(tail, head)
         for i in range(len(todo)):
             item = todo.pop(i)
@@ -693,10 +789,13 @@ def enumerate_empty(
 ) -> EnumerationOutcome:
     """All members of the family ``spec`` describes, up to isomorphism.
 
-    Enumerates boundary-walk shapes up to dihedral symmetry, completes each
-    into full rotation systems with pruning on every closed face,
-    deduplicates by canonical code, and re-adds mirror images afterwards.
-    Every output is re-verified by ``empty_map_problems``.
+    Enumerates boundary-walk shapes up to dihedral symmetry and completes
+    each into full rotation systems, with pruning on every closed face and
+    one completion kept per orbit of the shape's stabiliser.  Finds are
+    deduplicated by canonical code.  The stabiliser's reflections fold
+    chiral twins together, so a complete run re-adds mirror images
+    afterwards; a budget-stopped run returns only what it reached.  Every
+    output is re-verified by ``empty_map_problems``.
     """
     if spec.k > 9:
         raise SearchError("spanning size above 9 is not supported")

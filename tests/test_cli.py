@@ -594,10 +594,10 @@ GOLDEN_DIGESTS = {
     "genus stack12": "2c042070c03c5c695d66071093db1e3478e16881",
     "genus tetrahedron": "2547c78a2ed9f6e5487b499522935a397eabb8fa",
     "genus wheel6": "bb86b04c77c7384e9e54f56a538ce1b422731933",
-    "search empty": "b222ff27a8ca30d29219a9dc38612e7bad706927",
-    "search empty budget": "016a64a8323b2ccd9b7050532e1b25e833d82b0b",
+    "search empty": "f51457b1df602f955c05934988ac3ae4d237f623",
+    "search empty budget": "97311fe2ff79e4738916446652c8d32a6a6a8fca",
     "search nine-cycle": "628e32b59db9d10656bae1f296dcbfa221c4434f",
-    "search remark24 i": "f2e6661d7943a33a96417c264854637aebb273c2",
+    "search remark24 i": "fcb94cd5fae5ad70b54022ca94c5865a7d461925",
     "search witness": "d2259cf9ea2470e3fa0e3cc5e6539750afce0ae0",
     "validate broken": "f042b38bb05ce9e1e876379d49ec88663a1ac4b3",
     "validate cube": "79f397c96432f7b3052375052c405da2edbe0101",

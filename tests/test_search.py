@@ -17,6 +17,7 @@ from ormaps.search import (
     _Clock,
     _GlueRules,
     _OutOfBudget,
+    _WalkFrame,
     _run_glue_engine,
     empty_map_problems,
     enumerate_connected_maps,
@@ -174,56 +175,124 @@ class TestSmallOracle:
         assert mine == brute
         assert len(mine) == finds
 
+    @pytest.mark.parametrize(
+        "constraints, finds",
+        [("", 3), ("distinct-neighbors", 0), ("single-neighbor", 1), ("detached-face", 0),
+         ("min-faces:3", 2)],
+    )
+    def test_five_circuits_match_brute_force(self, constraints, finds, pair_corpus):
+        # the corpus holds every map up to 7 edges, so the edges stop there
+        spec = parse_empty_spec(f"k=5; max-edges=7; constraints={constraints}")
+        out = enumerate_empty(spec)
+        assert out.complete
+        mine = {canonical_code(m) for m in out.maps}
+        brute = {canonical_code(m) for m in pair_corpus if not empty_map_problems(m, spec)}
+        assert mine == brute
+        assert len(mine) == finds
+
     @pytest.mark.parametrize("text", ["k=6; max-edges=5", "k=7; mode=pair:3+4; max-edges=6"])
     def test_edge_cap_below_the_spanning_size_is_empty(self, text):
         out = enumerate_empty(parse_empty_spec(text))
         assert out.complete and not out.maps and out.nodes == 0
 
 
-# Fingerprints of the spanning-walk engine, captured from the original
-# dict-based engine: (spec, node budget, nodes, finds, sha1 of the
-# concatenated canonical codes in output order).  Any engine rewrite must
-# keep the DFS order, and with it every node count, exactly.
+# Fingerprints of the spanning-walk engine: (spec, node budget, nodes
+# before the engine broke the shape's symmetry, nodes, finds, sha1 of the
+# concatenated canonical codes in output order).  ``finds`` and ``digest``
+# of the complete rows go back to the original dict-based engine; every
+# engine must keep them byte-identical.  Node counts may change only with
+# the pruning, never upwards.  The truncated rows pin the DFS order, and
+# with it which finds precede the cut, so they are pinned exactly.
 _EMPTY_SHA1 = "da39a3ee5e6b4b0d3255bfef95601890afd80709"
 ENGINE_GOLDEN = [
-    ("k=3; mode=circuit; constraints=distinct-neighbors", None, 3, 0, _EMPTY_SHA1),
-    ("k=4; mode=circuit; constraints=distinct-neighbors", None, 16, 0, _EMPTY_SHA1),
-    ("k=5; mode=circuit; constraints=distinct-neighbors", None, 512, 0, _EMPTY_SHA1),
-    ("k=3; mode=circuit; constraints=detached-face", None, 3, 0, _EMPTY_SHA1),
-    ("k=4; mode=circuit; constraints=detached-face", None, 18, 0, _EMPTY_SHA1),
-    ("k=5; mode=circuit; constraints=detached-face", None, 565, 0, _EMPTY_SHA1),
-    ("k=6; mode=circuit; constraints=distinct-neighbors", None, 349731, 11,
+    ("k=3; mode=circuit; constraints=distinct-neighbors", None, 3, 3, 0, _EMPTY_SHA1),
+    ("k=4; mode=circuit; constraints=distinct-neighbors", None, 16, 14, 0, _EMPTY_SHA1),
+    ("k=5; mode=circuit; constraints=distinct-neighbors", None, 512, 215, 0, _EMPTY_SHA1),
+    ("k=3; mode=circuit; constraints=detached-face", None, 3, 3, 0, _EMPTY_SHA1),
+    ("k=4; mode=circuit; constraints=detached-face", None, 18, 15, 0, _EMPTY_SHA1),
+    ("k=5; mode=circuit; constraints=detached-face", None, 565, 233, 0, _EMPTY_SHA1),
+    ("k=6; mode=circuit; constraints=distinct-neighbors", None, 349731, 65968, 11,
      "0289d45be761fcabd119adf03b4406ad9b2a043e"),
-    ("k=6; mode=circuit; constraints=single-neighbor,min-faces:3", None, 231770, 0, _EMPTY_SHA1),
-    ("k=6; mode=pair; constraints=distinct-neighbors", None, 354870, 4,
+    ("k=6; mode=circuit; constraints=single-neighbor,min-faces:3", None, 231770, 43947, 0,
+     _EMPTY_SHA1),
+    ("k=6; mode=pair; constraints=distinct-neighbors", None, 354870, 22541, 4,
      "8ed49ec1503bac585eb9039c32b7e195e7619582"),
-    ("k=6; mode=pair; constraints=single-neighbor,min-faces:4", None, 227133, 0, _EMPTY_SHA1),
-    ("k=7; mode=pair; constraints=distinct-neighbors; max-vertices=6", None, 95007, 0,
+    ("k=6; mode=pair; constraints=single-neighbor,min-faces:4", None, 227133, 15472, 0,
      _EMPTY_SHA1),
-    ("k=6; mode=circuit", None, 402871, 184, "9f64542700b238acc0afc9597e8ee4dfb9534a79"),
-    ("k=5; mode=circuit; constraints=single-neighbor", None, 420, 1,
+    ("k=7; mode=pair; constraints=distinct-neighbors; max-vertices=6", None, 95007, 47743, 0,
+     _EMPTY_SHA1),
+    ("k=6; mode=circuit", None, 402871, 73930, 184, "9f64542700b238acc0afc9597e8ee4dfb9534a79"),
+    ("k=5; mode=circuit; constraints=single-neighbor", None, 420, 185, 1,
      "8096d5df9654b02e584f6e0937a926ac0d4054b0"),
-    ("k=7; mode=circuit; constraints=distinct-neighbors; max-vertices=6", None, 96650, 0,
+    ("k=7; mode=circuit; constraints=distinct-neighbors; max-vertices=6", None, 96650, 55590, 0,
      _EMPTY_SHA1),
-    # truncated runs on hard shapes: which finds precede the cut depends on
-    # the DFS order
-    ("k=7; mode=circuit; constraints=single-neighbor,min-faces:3", 200_000, 200_001, 0,
-     _EMPTY_SHA1),
-    ("k=9; mode=circuit; constraints=single-neighbor", 150_000, 150_001, 1,
+    # truncated runs on hard shapes
+    ("k=7; mode=circuit; constraints=single-neighbor,min-faces:3", 200_000, 200_001, 200_001,
+     0, _EMPTY_SHA1),
+    ("k=9; mode=circuit; constraints=single-neighbor", 150_000, 150_001, 150_001, 1,
      "98a004c0506535ad850865615297025a85296584"),
 ]
 
 
 class TestEngineGolden:
-    @pytest.mark.parametrize("text, max_nodes, nodes, finds, digest", ENGINE_GOLDEN)
-    def test_engine_matches_its_fingerprint(self, text, max_nodes, nodes, finds, digest):
+    @pytest.mark.parametrize("text, max_nodes, unpruned, nodes, finds, digest", ENGINE_GOLDEN)
+    def test_engine_matches_its_fingerprint(
+        self, text, max_nodes, unpruned, nodes, finds, digest
+    ):
         budget = SearchBudget(max_nodes=max_nodes) if max_nodes is not None else None
         out = enumerate_empty(parse_empty_spec(text), budget)
         assert out.complete == (max_nodes is None)
-        assert out.nodes == nodes
+        assert out.nodes == nodes <= unpruned
         assert len(out.maps) == finds
         codes = b"".join(canonical_code(m) for m in out.maps)
         assert hashlib.sha1(codes).hexdigest() == digest
+
+
+def _is_rotation_of(seq: tuple[int, ...], walk: tuple[int, ...]) -> bool:
+    return len(seq) == len(walk) and any(
+        seq[i:] + seq[:i] == walk for i in range(len(seq))
+    )
+
+
+class TestShapeStabiliser:
+    """The walk engine prunes by the stabiliser of each shape, so that group
+    must be exactly the relabellings that map the walks onto themselves."""
+
+    @pytest.mark.parametrize(
+        "walks, order",
+        [
+            (((0, 1, 2, 3, 4, 5),), 12),
+            (((0, 1, 2, 3, 4, 5, 6),), 14),
+            (((0, 1, 2, 0, 3, 4),), 4),
+            (((0, 1, 2), (3, 4, 5)), 36),
+            (((0, 1, 2), (3, 4, 5, 6)), 24),
+            (((0, 1, 2), (0, 3, 4, 5)), 2),
+        ],
+    )
+    def test_group_order_and_action(self, walks, order):
+        group = _WalkFrame(walks).group
+        assert len(group) == order
+        assert len({perm for perm, _ in group}) == order
+        for perm, reverses in group:
+            assert sorted(perm) == list(range(len(perm)))
+            images = []
+            for walk in walks:
+                image = tuple(perm[u] for u in walk)
+                images.append(image[::-1] if reverses else image)
+            # each walk lands on a walk, read backwards exactly when flagged,
+            # and no two walks land on the same one
+            targets = [
+                next(j for j, w in enumerate(walks) if _is_rotation_of(image, w))
+                for image in images
+            ]
+            assert sorted(targets) == list(range(len(walks)))
+
+    @pytest.mark.parametrize("text", ["k=6; mode=circuit", "k=6; mode=pair; max-edges=9"])
+    def test_complete_runs_are_closed_under_mirrors(self, text):
+        out = enumerate_empty(parse_empty_spec(text))
+        assert out.complete and out.maps
+        codes = {canonical_code(m) for m in out.maps}
+        assert {canonical_code(m.mirror()) for m in out.maps} <= codes
 
 
 def _complete_graph_rules(n: int) -> _GlueRules:
