@@ -59,15 +59,6 @@ def genus_lower_bound(c: int, v_x: int, f_x: int) -> int:
     return -(numerator // -12)
 
 
-def genus_lower_bound_floor(c: int, v_x: int, f_x: int) -> int:
-    """The weaker floor form of the same bound; never exceeds the ceiling form."""
-    if c < 6:
-        raise ValueError(f"the excess bound needs c >= 6, got {c}")
-    if v_x < 0 or f_x < 0:
-        raise ValueError("excesses must be non-negative")
-    return min_genus(c) + ((c - 6) * v_x + 2 * f_x) // 12
-
-
 @dataclass(frozen=True)
 class ExcessProfile:
     c: int

@@ -33,6 +33,7 @@ from .core import (
 )
 from .dual import dual
 from .search import (
+    CASE_LABELS,
     SearchBudget,
     enumerate_empty,
     parse_empty_spec,
@@ -539,7 +540,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--case",
         action="append",
-        choices=["i", "ii", "iii", "iv", "v", "vi", "vii", "viii", "ix", "x"],
+        choices=CASE_LABELS,
         help="restrict remark24 to these cases (repeatable)",
     )
     p.add_argument("--max-nodes", type=int, help="stop after this many search nodes")

@@ -4,17 +4,17 @@ Two independent routes compute kappa: exhaustive subset deletion (the
 oracle, default for at most 10 vertices) and unit-capacity vertex-split
 max-flow (for everything larger).  The lexicographically smallest minimum
 cut also comes from max-flow (``min_cut``).  Listing vertex subsets
-(``find_cutsets``, ``cut_inventory``) is kept only as the oracle the tests
-check the flow routes against.  Inputs may be Map instances or plain
-adjacency sequences; multiplicities and embeddings are irrelevant here, so
-everything is collapsed to neighbor sets first.
+(``find_cutsets``) is kept only as the oracle the tests check the flow
+routes against.  Inputs may be Map instances or plain adjacency
+sequences; multiplicities and embeddings are irrelevant here, so
+everything is collapsed to neighbor sets first.  ``_components`` is the
+one component search of the package; the dual's cut checks use it too.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 
 from .core import Face, Map
 
@@ -30,7 +30,10 @@ def adjacency_of(g: Map | Sequence[Iterable[int]]) -> Adjacency:
     return tuple(frozenset(w for w in nbrs if w != v) for v, nbrs in enumerate(g))
 
 
-def _components(adj: Adjacency, removed: frozenset[int] = frozenset()) -> list[set[int]]:
+def _components(
+    adj: Sequence[Iterable[int]], removed: frozenset[int] = frozenset()
+) -> list[set[int]]:
+    """The components of ``adj`` without ``removed``, in order of least vertex."""
     comps = []
     seen = set(removed)
     for v in range(len(adj)):
@@ -223,7 +226,15 @@ def min_cut(g, kappa: int) -> tuple[int, ...] | None:
     raise ValueError(f"graph has no cut of {kappa} vertices; kappa is wrong")
 
 
-def _enumerate_cutsets(adj: Adjacency, k: int, cap: int) -> tuple[list[frozenset[int]], bool]:
+def find_cutsets(g, k: int, cap: int = 10_000) -> list[frozenset[int]]:
+    """All inclusion-minimal cut-sets of size at most k, at most ``cap`` of them.
+
+    Deterministic: sizes ascending, lexicographic vertex order within a
+    size.  Every vertex subset up to size k is tried, so this is the
+    oracle for the flow routes, not a route of its own.
+    """
+    adj = adjacency_of(g)
+    _require_connected(adj)
     cuts: list[frozenset[int]] = []
     n = len(adj)
     for size in range(1, min(k, n - 2) + 1):
@@ -233,40 +244,9 @@ def _enumerate_cutsets(adj: Adjacency, k: int, cap: int) -> tuple[list[frozenset
                 continue  # smaller cut inside; not inclusion-minimal
             if _disconnects(adj, cut):
                 if len(cuts) >= cap:
-                    return cuts, True
+                    return cuts
                 cuts.append(cut)
-    return cuts, False
-
-
-def find_cutsets(g, k: int, cap: int = 10_000) -> list[frozenset[int]]:
-    """All inclusion-minimal cut-sets of size at most k.
-
-    Deterministic: sizes ascending, lexicographic vertex order within a
-    size.  Truncated at ``cap`` entries; use cut_inventory to see whether
-    truncation happened.
-    """
-    adj = adjacency_of(g)
-    _require_connected(adj)
-    cuts, _ = _enumerate_cutsets(adj, k, cap)
     return cuts
-
-
-@dataclass(frozen=True)
-class CutInventory:
-    connectivity: int
-    min_cuts: tuple[frozenset[int], ...]
-    cap: int
-    capped: bool
-
-
-def cut_inventory(g, cap: int = 10_000) -> CutInventory:
-    """kappa together with the minimum cut-sets realizing it."""
-    adj = adjacency_of(g)
-    kappa = vertex_connectivity(adj)
-    if _is_complete(adj):
-        return CutInventory(kappa, (), cap, False)
-    cuts, capped = _enumerate_cutsets(adj, kappa, cap)
-    return CutInventory(kappa, tuple(cuts), cap, capped)
 
 
 def is_separating_cycle(m: Map, cycle) -> bool:
@@ -288,8 +268,4 @@ def is_separating_cycle(m: Map, cycle) -> bool:
     for a, b in zip(verts, verts[1:] + verts[:1]):
         if b not in adj[a]:
             raise ValueError(f"consecutive cycle vertices {a},{b} are not adjacent")
-    removed = frozenset(verts)
-    remaining = len(adj) - len(removed)
-    if remaining == 0:
-        return False
-    return len(_components(adj, removed)) >= 2
+    return _disconnects(adj, frozenset(verts))

@@ -189,9 +189,6 @@ class Map:
 
     # -- faces ---------------------------------------------------------------
 
-    def face_successor(self, d: int) -> int:
-        return self.next_in_rotation[self.reverse[d]]
-
     @cached_property
     def faces(self) -> tuple[Face, ...]:
         return facial_walks(self)
@@ -215,11 +212,6 @@ class Map:
         for d, nd in enumerate(self.next_in_rotation):
             prev[nd] = d
         return Map(self.vertex_of, tuple(prev), self.reverse, self.labels)
-
-    def label_of(self, v: int) -> str:
-        if self.labels is not None:
-            return self.labels[v]
-        return str(v + 1)
 
 
 def facial_walks(m: Map) -> tuple[Face, ...]:
@@ -525,7 +517,7 @@ def parse(text: str) -> Map:
     return from_rotations([rows[v] for v in range(1, declared + 1)])
 
 
-def emit(m: Map, header_comments: Sequence[str] = ()) -> str:
+def emit(m: Map) -> str:
     """Write the ``.rot`` format, normalized for byte-exact round-trips.
 
     Vertices ascending, each rotation starting at its minimal dart, single
@@ -533,8 +525,7 @@ def emit(m: Map, header_comments: Sequence[str] = ()) -> str:
     returning; a multigraph whose pairing the occurrence rule cannot express
     raises ValueError instead of being silently corrupted.
     """
-    lines = [f"# {c}" for c in header_comments]
-    lines.append(f"vertices: {m.vertex_count}")
+    lines = [f"vertices: {m.vertex_count}"]
     order: list[int] = []
     for v in range(m.vertex_count):
         rot = m.rotations[v]

@@ -8,9 +8,10 @@ which makes the edge bijection the identity.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
 
+from .connectivity import _components
 from .core import Face, Map, _invariant
 
 
@@ -76,60 +77,35 @@ def is_dual_separating(m: Map, K, side: frozenset | set | None = None):
 
     Returns a CutDecomposition or None.  The chosen side defaults to the
     bipartition class containing face 0; pass ``side`` (a face index set
-    equal to either class) to pick the other one.
+    equal to either class) to pick the other one.  Both the bipartition and
+    the check that V(K) separates its sides come from
+    ``connectivity._components``.
     """
-    K = tuple(sorted(set(K)))
-    edge_set = set(m.edge_ids)
-    if not set(K) <= edge_set:
+    kset = set(K)
+    if not kset <= set(m.edge_ids):
         raise ValueError("K contains ids that are not edges of the map")
-    if not K:
+    if not kset:
         return None
+    K = tuple(sorted(kset))
 
+    # K* is an edge cut exactly when the faces 2-colour so that the colour
+    # changes across the edges of K and nowhere else.  Face f gets a copy
+    # 2f + c for each colour c; an edge joins equal colours off K and
+    # opposite ones on K.  The colouring exists unless some component holds
+    # both copies of a face, and the dual is connected, so then face 0's.
     fidx = m.face_index_of
     face_count = len(m.faces)
-    for e in K:
-        if fidx[e] == fidx[m.reverse[e]]:
-            return None  # a loop of the dual never crosses a partition
-
-    # components of the dual graph with K* removed
-    parent = list(range(face_count))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    kset = set(K)
+    copies: list[list[int]] = [[] for _ in range(2 * face_count)]
     for e in m.edge_ids:
-        if e not in kset:
-            a, b = find(fidx[e]), find(fidx[m.reverse[e]])
-            if a != b:
-                parent[max(a, b)] = min(a, b)
-
-    # every K edge must cross between components, and the component graph
-    # must 2-color properly; otherwise K* is not exactly E[X, complement]
-    adj: dict[int, list[int]] = defaultdict(list)
-    for e in K:
-        a, b = find(fidx[e]), find(fidx[m.reverse[e]])
-        if a == b:
-            return None
-        adj[a].append(b)
-        adj[b].append(a)
-    color = {find(0): 0}
-    stack = [find(0)]
-    while stack:
-        a = stack.pop()
-        for b in adj[a]:
-            if b not in color:
-                color[b] = 1 - color[a]
-                stack.append(b)
-            elif color[b] == color[a]:
-                return None
-    # the dual graph is connected, so the component graph is too; any
-    # component missing from color has no K edge and no other edge, which
-    # cannot happen on a valid map, but color.get keeps this total anyway
-    X_f = frozenset(f for f in range(face_count) if color.get(find(f), 0) == 0)
+        flip = e in kset
+        for c in (0, 1):
+            a, b = 2 * fidx[e] + c, 2 * fidx[m.reverse[e]] + (c ^ flip)
+            copies[a].append(b)
+            copies[b].append(a)
+    colour_of_0 = _components(copies)[0]
+    if 1 in colour_of_0:
+        return None
+    X_f = frozenset(f for f in range(face_count) if 2 * f in colour_of_0)
 
     if side is not None:
         side = frozenset(side)
@@ -170,26 +146,9 @@ def is_dual_separating(m: Map, K, side: frozenset | set | None = None):
 
     # separation property: with V(K) removed, no component of the primal
     # graph may touch faces on both sides of the bipartition
-    side_seen: dict[int, set[int]] = {}
-    comp_of: dict[int, int] = {}
-    for v0 in range(m.vertex_count):
-        if v0 in v_of_k or v0 in comp_of:
-            continue
-        comp_of[v0] = v0
-        sides = set()
-        stack = [v0]
-        while stack:
-            u = stack.pop()
-            for d in m.darts_at(u):
-                sides.add(0 if fidx[d] in X_f else 1)
-                w = m.vertex_of[m.reverse[d]]
-                if w not in v_of_k and w not in comp_of:
-                    comp_of[w] = v0
-                    stack.append(w)
-        side_seen[v0] = sides
-    _invariant(
-        all(len(s) == 1 for s in side_seen.values()), "V(K) fails to separate the sides"
-    )
+    for comp in _components(m.adjacency, v_of_k):
+        sides = {fidx[d] in X_f for u in comp for d in m.darts_at(u)}
+        _invariant(len(sides) == 1, "V(K) fails to separate the sides")
     _invariant(len(v_of_k) <= len(K), "V(K) has more vertices than K has edges")
 
     return CutDecomposition(K, X_f, tuple(walks), v_of_k)
@@ -198,8 +157,9 @@ def is_dual_separating(m: Map, K, side: frozenset | set | None = None):
 def cut_to_edge_cut(g: Map, cut_vertices) -> tuple[frozenset[int], tuple[int, ...]]:
     """Turn a vertex cut of (usually) a dual map into a small edge cut.
 
-    Among all component splits of g minus the cut, returns the side X with
-    the fewest crossing edges (ties: smaller X, then smallest sorted vertex
+    Among all component splits of g minus the cut (the components come from
+    ``connectivity._components``), returns the side X with the fewest
+    crossing edges (ties: smaller X, then smallest sorted vertex
     ids).  Every crossing edge touches the cut, and the cut size never
     exceeds half the degree sum of the cut vertices; works on multigraphs,
     where the degree of a dual vertex is its face size.
@@ -211,27 +171,12 @@ def cut_to_edge_cut(g: Map, cut_vertices) -> tuple[frozenset[int], tuple[int, ..
     if C == vertices:
         raise ValueError("cut covers every vertex")
 
-    comp_of: dict[int, int] = {}
-    for v in vertices - C:
-        if v in comp_of:
-            continue
-        comp_of[v] = v
-        stack = [v]
-        while stack:
-            u = stack.pop()
-            for w in g.adjacency[u]:
-                if w not in C and w not in comp_of:
-                    comp_of[w] = v
-                    stack.append(w)
-    components: dict[int, set[int]] = defaultdict(set)
-    for v, root in comp_of.items():
-        components[root].add(v)
+    components = _components(g.adjacency, C)
     if len(components) < 2:
         raise ValueError("vertex set is not a cut-set")
 
     best = None
-    for root in sorted(components):
-        part = components[root]
+    for part in components:
         for X in (C | part, vertices - part):
             K = tuple(
                 sorted(

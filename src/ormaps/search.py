@@ -406,37 +406,39 @@ def _closed_walks(length: int, used: set, start: int, seen: int):
     yield from extend(1, seen)
 
 
-def _circuit_shapes(k: int, min_v: int | None, max_v: int | None) -> list[tuple[int, ...]]:
+def _walk_shapes(spec: EmptyCircuitSpec) -> list[tuple[tuple[int, ...], ...]]:
+    """The boundary-walk shapes of ``spec``, one per class, sorted.
+
+    The walks are grown one after another by ``_closed_walks``, each on
+    edges the earlier ones left free.  A walk starts at an existing vertex
+    or the next fresh one, so the first starts at 0.  A shape is kept when
+    it is the least image under ``_shape_transforms``.
+    """
+    if spec.mode == "circuit":
+        splits = [(spec.k,)]
+    elif spec.pair_sizes:
+        splits = [spec.pair_sizes]
+    else:
+        splits = [(a, spec.k - a) for a in range(3, spec.k // 2 + 1)]
+    min_v = spec.min_vertices or 0
+    max_v = spec.max_vertices
     shapes = []
-    for walk, top in _closed_walks(k, set(), 0, 0):
-        v = top + 1
-        if v < 3 or v < (min_v or 0) or (max_v is not None and v > max_v):
-            continue
-        if (walk,) == min(t[0] for t in _shape_transforms((walk,))):
-            shapes.append(walk)
-    return sorted(shapes)
-
-
-def _pair_shapes(
-    k: int,
-    sizes: tuple[int, int] | None,
-    min_v: int | None,
-    max_v: int | None,
-) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    splits = [sizes] if sizes else [(a, k - a) for a in range(3, k // 2 + 1)]
-    shapes = set()
-    for a, b in splits:
-        for first, top_a in _closed_walks(a, set(), 0, 0):
-            used = {frozenset((first[i], first[(i + 1) % a])) for i in range(a)}
-            # the second walk may start at any existing vertex or a fresh one
-            for start in range(top_a + 2):
-                for second, top in _closed_walks(b, used, start, max(top_a, start)):
-                    v = top + 1
-                    if v > k or v < (min_v or 0) or (max_v is not None and v > max_v):
-                        continue
-                    pair = (first, second)
-                    if pair == min(t[0] for t in _shape_transforms(pair)):
-                        shapes.add(pair)
+    for sizes in splits:
+        # partial shapes (walks, top vertex), one walk longer each round
+        grown: list[tuple[tuple[tuple[int, ...], ...], int]] = [((), -1)]
+        for size in sizes:
+            longer = []
+            for walks, seen in grown:
+                used = {frozenset(e) for w in walks for e in zip(w, w[1:] + w[:1])}
+                for start in range(seen + 2):
+                    for walk, top in _closed_walks(size, used, start, max(seen, start)):
+                        longer.append((walks + (walk,), top))
+            grown = longer
+        for walks, top in grown:
+            if top + 1 < min_v or (max_v is not None and top + 1 > max_v):
+                continue
+            if walks == min(t[0] for t in _shape_transforms(walks)):
+                shapes.append(walks)
     return sorted(shapes)
 
 
@@ -522,10 +524,13 @@ def _run_walk_engine(frame: _WalkFrame, spec: EmptyCircuitSpec, clock: _Clock, s
     completions; an element that reverses orientation maps the mirror
     image.  Every check above is invariant under it, so only the least
     completion of each orbit is kept, by lex-leader pruning (McKay,
-    J. Algorithms 1998): each time a vertex closes, ``least_so_far``
+    J. Algorithms 1998): each time vertex v closes, ``least_so_far``
     compares the code positions now decided on both sides and cuts the
-    branch as soon as an image is smaller.  Chiral twins fold together, so
-    the caller restores mirror images after a complete run.
+    branch as soon as an image is smaller.  The elements still tied are
+    kept per depth: v's close reads ``tied[v]`` and writes ``tied[v + 1]``,
+    so this state, like ``succ``, is overwritten and never undone.  Chiral
+    twins fold together, so the caller restores mirror images after a
+    complete run.
     """
     k, V = frame.k, frame.V
     k2 = 2 * k
@@ -558,12 +563,12 @@ def _run_walk_engine(frame: _WalkFrame, spec: EmptyCircuitSpec, clock: _Clock, s
     # lex-leader state, see least_so_far
     rotation: list[list[int]] = [[] for _ in range(V)]
     code: list[tuple[int, ...] | None] = [None] * V
-    waiting: list[list[tuple]] = [[] for _ in range(V)]
+    tied: list[list[tuple]] = [[] for _ in range(V + 1)]
     identity = tuple(range(V))
     for perm, rev in frame.group:
         if perm != identity:
             inverse = tuple(sorted(range(V), key=perm.__getitem__))
-            waiting[inverse[0]].append((perm, inverse, rev, 0))
+            tied[0].append((inverse[0], perm, inverse, rev, 0))
 
     def link_check(tail: int, head: int) -> bool:
         """Set ``succ[tail] = head`` and account for the phi-edge it adds.
@@ -644,25 +649,26 @@ def _run_walk_engine(frame: _WalkFrame, spec: EmptyCircuitSpec, clock: _Clock, s
             raise RuntimeError("search produced a broken map: " + "; ".join(problems))
         sink(m)
 
-    def least_so_far(v: int) -> list[int] | None:
+    def least_so_far(v: int) -> bool:
         """Record the rotation of v, which just closed, and compare codes.
 
         The code of a completion lists each vertex's neighbour rotation,
         read from its least neighbour, in vertex order.  Under a stabiliser
         element the image rotation at perm[x] is perm applied to x's
-        rotation, reversed when the element reverses orientation.  An
-        element still tied, (perm, inverse, reverses, p), agrees with the
-        completion before position p and waits in ``waiting[w]`` for
-        w = max(p, inverse[p]), the vertex whose close decides position p
-        on both sides, so the lists from v on hold exactly the elements
-        still tied.  None prunes the branch: an image is already smaller.
-        Otherwise the elements at v are advanced, an element whose image
-        turns out larger is dropped for the rest of the branch, and the
-        waiting lists appended to are returned, for the caller to pop once
-        the branch is done.
+        rotation, reversed when the element reverses orientation.
+        ``tied[v]`` holds the elements that agree with the completion so
+        far, each as (w, perm, inverse, reverses, p): the element agrees
+        before position p, and w = max(p, inverse[p]) is the vertex whose
+        close decides position p on both sides.  Elements with w = v are
+        advanced, and the survivors are written to ``tied[v + 1]``; an
+        element whose image turns out larger is left out.  The lists are
+        written again whenever their vertex closes, so nothing is undone.
+        False prunes the branch: an image is already smaller.
         """
-        if not any(waiting[v:]):
-            return []  # nothing is tied, so nothing is recorded or compared
+        elements = tied[v]
+        if not elements:
+            tied[v + 1] = elements  # nothing is tied, so nothing is recorded or compared
+            return True
         d = first = blocks[v][0][1]
         nbrs = []
         while True:
@@ -672,8 +678,12 @@ def _run_walk_engine(frame: _WalkFrame, spec: EmptyCircuitSpec, clock: _Clock, s
                 break
         rotation[v] = nbrs
         code[v] = None
-        moved: list[int] = []
-        for perm, inverse, rev, p in waiting[v]:
+        survivors = []
+        for element in elements:
+            w, perm, inverse, rev, p = element
+            if w > v:
+                survivors.append(element)
+                continue
             while True:
                 mine = code[p]
                 if mine is None:  # read from its least neighbour on first use
@@ -690,19 +700,17 @@ def _run_walk_engine(frame: _WalkFrame, spec: EmptyCircuitSpec, clock: _Clock, s
                     image = image[i:] + image[:i]
                 if image != mine:
                     if image < mine:
-                        for w in moved:
-                            waiting[w].pop()
-                        return None
+                        return False
                     break
                 p += 1
                 if p == V:
                     break  # the element is an automorphism of the completion
                 w = max(p, inverse[p])
                 if w > v:
-                    waiting[w].append((perm, inverse, rev, p))
-                    moved.append(w)
+                    survivors.append((w, perm, inverse, rev, p))
                     break
-        return moved
+        tied[v + 1] = survivors
+        return True
 
     def place(v: int) -> None:
         rest: list[tuple[int, ...]] = blocks[v][1:]
@@ -716,14 +724,11 @@ def _run_walk_engine(frame: _WalkFrame, spec: EmptyCircuitSpec, clock: _Clock, s
             # wrap the rotation shut and move to the next vertex
             head = blocks[v][0][0]
             if link_check(tail, head):
-                moved = least_so_far(v)
-                if moved is not None:
+                if least_so_far(v):
                     if v == last:
                         finish()
                     else:
                         place(v + 1)
-                    for w in moved:
-                        waiting[w].pop()
                 unlink(tail, head)
         for i in range(len(todo)):
             item = todo.pop(i)
@@ -770,7 +775,8 @@ def _run_walk_engine(frame: _WalkFrame, spec: EmptyCircuitSpec, clock: _Clock, s
 
 @dataclass(frozen=True)
 class EnumerationOutcome:
-    """Everything one enumeration run produced.
+    """Everything one enumeration run produced: ``enumerate_empty`` and
+    ``search_empty_9_cycle`` both return it.
 
     ``maps`` holds canonical forms sorted by canonical code.  ``complete``
     is False exactly when a budget stopped the run early; partial results
@@ -781,7 +787,6 @@ class EnumerationOutcome:
     complete: bool
     nodes: int
     seconds: float
-    shapes: int
 
 
 def enumerate_empty(
@@ -800,16 +805,7 @@ def enumerate_empty(
     if spec.k > 9:
         raise SearchError("spanning size above 9 is not supported")
     clock = _Clock(budget)
-    if spec.mode == "circuit":
-        frames = [
-            _WalkFrame((s,))
-            for s in _circuit_shapes(spec.k, spec.min_vertices, spec.max_vertices)
-        ]
-    else:
-        frames = [
-            _WalkFrame(s)
-            for s in _pair_shapes(spec.k, spec.pair_sizes, spec.min_vertices, spec.max_vertices)
-        ]
+    frames = [_WalkFrame(walks) for walks in _walk_shapes(spec)]
 
     found: dict[bytes, Map] = {}
 
@@ -839,7 +835,7 @@ def enumerate_empty(
                 found[code] = mirrored
 
     ordered = tuple(found[code] for code in sorted(found))
-    return EnumerationOutcome(ordered, complete, clock.nodes, clock.seconds, len(frames))
+    return EnumerationOutcome(ordered, complete, clock.nodes, clock.seconds)
 
 
 # -- the ten-case certification report -------------------------------------------------
@@ -1291,20 +1287,12 @@ def search_witness(spec: WitnessSpec, budget: SearchBudget | None = None) -> Wit
 # -- the spanning 9-gon neighboring a single 15-gon --------------------------------------
 
 
-@dataclass(frozen=True)
-class NineCycleOutcome:
-    maps: tuple[Map, ...]
-    complete: bool
-    nodes: int
-    seconds: float
-
-
 _NINE_SIZES = (15, 9, 3, 3, 3, 3, 3, 3)  # 2E = 42 forces E=21, F=8, genus 3
 
 
 def search_empty_9_cycle(
     budget: SearchBudget | None = None, *, stop_at_first: bool = False
-) -> NineCycleOutcome:
+) -> EnumerationOutcome:
     """Find 9-vertex maps spanned by a 9-gon whose edges all border one 15-gon.
 
     The face multiset is fully determined: one 15-gon, the spanning 9-gon,
@@ -1347,7 +1335,7 @@ def search_empty_9_cycle(
     except _OutOfBudget:
         complete = False
     ordered = tuple(found[code] for code in sorted(found))
-    return NineCycleOutcome(ordered, complete, clock.nodes, clock.seconds)
+    return EnumerationOutcome(ordered, complete, clock.nodes, clock.seconds)
 
 
 # -- complete graph embeddings -------------------------------------------------------------

@@ -9,7 +9,6 @@ from ormaps.bounds import (
     check_two_cut_guarantee,
     excess_profile,
     genus_lower_bound,
-    genus_lower_bound_floor,
     min_genus,
     one_cut_genus_bounds,
     one_cut_size_threshold,
@@ -78,7 +77,6 @@ class TestGenusLowerBound:
 
     @given(st.integers(6, 20), st.integers(0, 30), st.integers(0, 30))
     def test_ceiling_form_dominates_floor_form(self, c, v_x, f_x):
-        assert genus_lower_bound(c, v_x, f_x) >= genus_lower_bound_floor(c, v_x, f_x)
         assert genus_lower_bound(c, 0, 0) == min_genus(c)
 
     @given(st.integers(6, 20), st.integers(0, 20), st.integers(0, 20))

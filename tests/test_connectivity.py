@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from conftest import connected_simple_maps
 from ormaps.connectivity import (
     adjacency_of,
-    cut_inventory,
     find_cutsets,
     is_separating_cycle,
     min_cut,
@@ -195,50 +194,6 @@ class TestMinCut:
     def test_too_small_kappa_rejected(self):
         with pytest.raises(ValueError, match="no cut of 1 vertices"):
             min_cut(cycle_graph(5), 1)
-
-
-class TestCutInventory:
-    def test_cycle(self):
-        inv = cut_inventory(cycle_graph(5))
-        assert inv.connectivity == 2
-        assert len(inv.min_cuts) == 5
-        assert not inv.capped
-
-    def test_complete_graph_has_no_cuts(self):
-        inv = cut_inventory(complete_graph(4))
-        assert inv.connectivity == 3
-        assert inv.min_cuts == ()
-
-    def test_capped_flag(self):
-        inv = cut_inventory(cycle_graph(6), cap=2)
-        assert inv.capped
-        assert len(inv.min_cuts) == 2
-
-    @given(connected_simple_maps(max_vertices=6, max_extra_edges=5))
-    @settings(max_examples=50, deadline=None)
-    def test_every_listed_cut_disconnects(self, m):
-        inv = cut_inventory(m)
-        adj = m.adjacency
-        for cut in inv.min_cuts:
-            assert len(cut) == inv.connectivity
-            remaining = [v for v in range(len(adj)) if v not in cut]
-            seen = {remaining[0]}
-            stack = [remaining[0]]
-            while stack:
-                u = stack.pop()
-                for w in adj[u]:
-                    if w not in cut and w not in seen:
-                        seen.add(w)
-                        stack.append(w)
-            assert len(seen) < len(remaining)
-
-    @given(connected_simple_maps(max_vertices=6, max_extra_edges=5))
-    @settings(max_examples=50, deadline=None)
-    def test_noncomplete_graphs_list_at_least_one_cut(self, m):
-        inv = cut_inventory(m)
-        n = m.vertex_count
-        if any(len(m.adjacency[v]) < n - 1 for v in range(n)):
-            assert inv.min_cuts
 
 
 class TestIsSeparatingCycle:

@@ -19,6 +19,7 @@ from ormaps.search import (
     _OutOfBudget,
     _WalkFrame,
     _run_glue_engine,
+    _walk_shapes,
     empty_map_problems,
     enumerate_connected_maps,
     enumerate_empty,
@@ -252,6 +253,44 @@ def _is_rotation_of(seq: tuple[int, ...], walk: tuple[int, ...]) -> bool:
     return len(seq) == len(walk) and any(
         seq[i:] + seq[:i] == walk for i in range(len(seq))
     )
+
+
+# (mode, k, pair sizes, min vertices, max vertices, shape count, sha1 of the
+# repr of the sorted shape list, each shape a tuple of walks).  The walk
+# engine's node counts and find order depend on this exact list.
+SHAPE_GOLDEN = [
+    ("circuit", 3, None, None, None, 1, "ee70197dbf093b012db23c4cbef136336250bbc5"),
+    ("circuit", 4, None, None, None, 1, "f96bc89598378ed1d0b8c37cfede8a206c0a827d"),
+    ("circuit", 5, None, None, None, 1, "b3ae75fc7d06f93898c47376d2bf2965f9f32c19"),
+    ("circuit", 6, None, None, None, 2, "199dd3651359f02caed9e97544cd9c89d8d9bea1"),
+    ("circuit", 7, None, None, None, 3, "2d8a29388f227f567c30d20d93d54e3dbcb9b318"),
+    ("circuit", 8, None, None, None, 6, "4ad8b67dd4d8f2d77542447b6ca08b3b8769a418"),
+    ("circuit", 9, None, None, None, 15, "40b109d2302a08572da0587cb5a2d9862a9d0494"),
+    ("pair", 6, None, None, None, 2, "556cc3c631f8b275839d5f97ae4ca909147c339a"),
+    ("pair", 7, None, None, None, 3, "53f80f7c5faa6db4c2e58a3c5f3387cc75263aeb"),
+    ("pair", 8, None, None, None, 8, "6efa4459814ebfe0901e5bd9bf9f99926948adbc"),
+    ("pair", 9, None, None, None, 21, "5986ba9609a1c080e588268f30343fb02f25dee9"),
+    ("pair", 6, (3, 3), None, None, 2, "556cc3c631f8b275839d5f97ae4ca909147c339a"),
+    ("pair", 7, (3, 4), None, None, 3, "53f80f7c5faa6db4c2e58a3c5f3387cc75263aeb"),
+    ("pair", 8, (4, 4), None, None, 4, "2d7651e51f26c491f62bd6f65388dbac630688ed"),
+    ("pair", 8, (3, 5), None, None, 4, "3efb3c8c6a209e1c25f324972e3fab26bb88facb"),
+    ("pair", 9, (4, 5), None, None, 8, "723fe074269da5a33c48b734b998fc9704f4dc2d"),
+    ("pair", 9, (3, 6), None, None, 13, "3248541eb76edabc87a24d1e0f1ffea10a2a16a1"),
+    # the vertex-bounded sweeps of remark24 cases vii and ix
+    ("circuit", 7, None, None, 6, 2, "2e1b1107d7ba9017dab4cb275854e102fdfdc29e"),
+    ("circuit", 7, None, 7, None, 1, "5203a589f73b768ca0943029e05412df587276aa"),
+    ("pair", 7, None, None, 6, 2, "0a288d1269a4577c63928ad913dbe2b811e9a686"),
+    ("pair", 7, None, 7, None, 1, "32174fdb2e2dca20a880c1f2a76bee98fd63f81c"),
+]
+
+
+class TestShapeGolden:
+    @pytest.mark.parametrize("mode, k, sizes, min_v, max_v, count, digest", SHAPE_GOLDEN)
+    def test_shapes_match_their_fingerprint(self, mode, k, sizes, min_v, max_v, count, digest):
+        spec = EmptyCircuitSpec(k, mode, sizes, min_vertices=min_v, max_vertices=max_v)
+        shapes = _walk_shapes(spec)
+        assert len(shapes) == count
+        assert hashlib.sha1(repr(shapes).encode()).hexdigest() == digest
 
 
 class TestShapeStabiliser:
