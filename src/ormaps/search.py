@@ -125,6 +125,12 @@ class EmptyCircuitSpec:
             a, b = self.pair_sizes
             if a + b != self.k or min(a, b) < 3 or a > b:
                 raise SearchError("pair sizes must be >= 3, ordered, and sum to k")
+        _check_not_negative(
+            min_faces=self.min_faces,
+            min_vertices=self.min_vertices,
+            max_vertices=self.max_vertices,
+            max_edges=self.max_edges,
+        )
 
 
 @dataclass(frozen=True)
@@ -154,6 +160,14 @@ class WitnessSpec:
                 raise SearchError(f"unknown dual demand {demand!r}")
         if self.pair_demand not in self._PAIR:
             raise SearchError(f"unknown pair demand {self.pair_demand!r}")
+        _check_not_negative(max_vertices=self.max_vertices, max_edges=self.max_edges)
+
+
+def _check_not_negative(**bounds: int | None) -> None:
+    """Reject a negative size bound, naming it by its spec key; 0 is allowed."""
+    for name, value in bounds.items():
+        if value is not None and value < 0:
+            raise SearchError(f"{name.replace('_', '-')} must not be negative, got {value}")
 
 
 def _parse_kv(text: str) -> dict[str, str]:
@@ -1004,11 +1018,34 @@ class _GlueRules:
     spanning_block: int | None = None
 
 
+class _Stopped(Exception):
+    """The glue engine recorded ``stop_after`` completions."""
+
+
 def _run_glue_engine(rules: _GlueRules, clock: _Clock, accept, stop_after=None) -> bool:
     """Match polygon sides into maps; True means the space was exhausted.
 
     ``accept`` inspects each structurally valid completion and returns True
     to record it; recording ``stop_after`` maps ends the walk early.
+
+    Each node matches the least unmatched dart d0 with a later unmatched
+    dart d1.  The unmatched darts form a doubly linked list in ascending
+    order through ``nxt`` and ``prv``, closed by the sentinel n.  A node
+    unhooks d0 and d1 and hooks them back on return, so a loop visits only
+    unmatched darts.  A fresh block (no dart matched) is entered only at
+    its start, and d0 starts its block when that block is fresh, so a
+    block is fresh exactly while its start is unmatched; its darts are
+    then adjacent in the list, and the loop passes them as one.  Blocks of
+    one size are entered in block order, so the fresh ones are the last
+    blocks of that size, and a fresh block may be entered only when the
+    previous block of its size (starting at ``peer``) is matched or is d0's.
+    ``alpha`` is -1 exactly on the unmatched darts.
+
+    ``room[b0 * nb + b1]`` is how many more edges blocks b0 and b1 may
+    share.  It starts at their cap: 0 when b0 == b1 (one face on both sides
+    of an edge is a dual loop) or when the pair breaks ``forced_target``;
+    1 under ``dual_simple`` unless one of them is ``exempt_block``; n,
+    which never binds, otherwise.  Each match between the two takes one.
 
     The rotation is snext(d) = phi(alpha(d)), so matching d0 with d1 adds
     the two links ``snext[d0] = phi[d1]`` and ``snext[d1] = phi[d0]``.
@@ -1019,37 +1056,52 @@ def _run_glue_engine(rules: _GlueRules, clock: _Clock, accept, stop_after=None) 
     exactly when ``start_of[tail] == head``, and only then is the rotation
     walked and checked.  Two unmatched darts are always the open ends of
     two different chains.  Like ``succ`` there, ``snext`` is never cleared.
+    ``room`` and the list change only once both links hold, so a branch
+    that dies at a link, mostly at the degree cap, undoes only the links.
     """
     sizes = rules.sizes
     n = sum(sizes)
+    nb = len(sizes)
     phi = [0] * n
     block_of = [0] * n
     block_start = []
+    block_last = []
+    peer = []
+    last_start_of_size: dict[int, int] = {}
     pos = 0
     for b, s in enumerate(sizes):
         block_start.append(pos)
+        block_last.append(pos + s - 1)
+        peer.append(last_start_of_size.get(s, -1))
+        last_start_of_size[s] = pos
         for i in range(s):
             phi[pos + i] = pos + (i + 1) % s
             block_of[pos + i] = b
         pos += s
-    size_peers = [[p for p in range(b) if sizes[p] == s] for b, s in enumerate(sizes)]
     forced = dict(rules.forced_target)
+    room = [0] * (nb * nb)
+    for b0 in range(nb):
+        for b1 in range(nb):
+            if b0 == b1 or forced.get(b0, b1) != b1 or forced.get(b1, b0) != b0:
+                continue
+            bounded = rules.dual_simple and rules.exempt_block not in (b0, b1)
+            room[b0 * nb + b1] = 1 if bounded else n
     spanning = rules.spanning_block
     min_degree, max_degree = rules.min_degree, rules.max_degree
     max_vertices = rules.max_vertices
+    tick = clock.tick
 
     alpha = [-1] * n
     snext = [-1] * n
-    matched_in_block = [0] * len(sizes)
-    pair_count: dict[tuple[int, int], int] = {}
+    nxt = [*range(1, n + 1), 0]
+    prv = [n, *range(n)]
     start_of = list(range(n))
     end_of = list(range(n))
     length = [1] * n
     spans = [int(block_of[d] == spanning) for d in range(n)]
     vertex_id = [-1] * n
     vertices: list[list[int]] = []
-    exhausted = [True]
-    accepted = [0]
+    accepted = 0
 
     def link(tail: int, head: int) -> bool:
         """Set ``snext[tail] = head``; False kills the branch, leaving nothing to undo."""
@@ -1109,6 +1161,7 @@ def _run_glue_engine(rules: _GlueRules, clock: _Clock, accept, stop_after=None) 
             spans[start] -= spans[head]
 
     def completion() -> None:
+        nonlocal accepted
         # number vertices by their smallest dart
         rank: dict[int, int] = {}
         vertex_of = [rank.setdefault(vertex_id[d], len(rank)) for d in range(n)]
@@ -1116,60 +1169,64 @@ def _run_glue_engine(rules: _GlueRules, clock: _Clock, accept, stop_after=None) 
         if not validate(m).ok:
             return  # typically disconnected, never structural damage
         if accept(m):
-            accepted[0] += 1
+            accepted += 1
+            if accepted == stop_after:
+                raise _Stopped
 
-    def step(lo: int) -> None:
-        while lo < n and alpha[lo] != -1:
-            lo += 1
-        if lo == n:
+    def step() -> None:
+        d0 = nxt[n]
+        if d0 == n:
             completion()
             return
-        d0 = lo
         b0 = block_of[d0]
-        want0 = forced.get(b0)
-        for d1 in range(d0 + 1, n):
-            if alpha[d1] != -1:
-                continue
+        row = b0 * nb
+        h0 = phi[d0]
+        after = nxt[d0]
+        nxt[n] = after
+        prv[after] = n
+        d1 = after
+        while d1 != n:
             b1 = block_of[d1]
-            if b1 == b0:
-                continue  # one face on both sides of an edge: dual loop
-            if want0 is not None and b1 != want0:
-                continue
-            if forced.get(b1, b0) != b0:
-                continue
-            key = (b0, b1) if b0 < b1 else (b1, b0)
-            cnt = pair_count.get(key, 0)
-            if cnt and rules.dual_simple and rules.exempt_block not in key:
-                continue
-            if matched_in_block[b1] == 0:
-                if d1 != block_start[b1]:
-                    continue  # a fresh block may only be entered at its start
-                if any(
-                    p != b0 and matched_in_block[p] == 0 for p in size_peers[b1]
-                ):
+            if d1 == block_start[b1]:
+                skip = nxt[block_last[b1]]  # past the fresh block
+                p = peer[b1]
+                if p >= 0 and alpha[p] < 0 and p != d0:
+                    d1 = skip
                     continue  # an earlier fresh block of this size comes first
-            clock.tick()
-            alpha[d0], alpha[d1] = d1, d0
-            matched_in_block[b0] += 1
-            matched_in_block[b1] += 1
-            pair_count[key] = cnt + 1
-            if link(d0, phi[d1]):
-                if link(d1, phi[d0]):
-                    step(lo)
-                    unlink(d1, phi[d0])
-                unlink(d0, phi[d1])
-            pair_count[key] = cnt
-            if not cnt:
-                del pair_count[key]
-            matched_in_block[b0] -= 1
-            matched_in_block[b1] -= 1
-            alpha[d0] = alpha[d1] = -1
-            if stop_after is not None and accepted[0] >= stop_after:
-                exhausted[0] = False
-                return
+            else:
+                skip = nxt[d1]
+            pair = row + b1
+            if room[pair]:
+                tick()
+                alpha[d0] = d1
+                alpha[d1] = d0
+                h1 = phi[d1]
+                if link(d0, h1):
+                    if link(d1, h0):
+                        mirror = b1 * nb + b0
+                        room[pair] -= 1
+                        room[mirror] -= 1
+                        before, beyond = prv[d1], nxt[d1]
+                        nxt[before] = beyond
+                        prv[beyond] = before
+                        step()
+                        nxt[before] = d1
+                        prv[beyond] = d1
+                        room[pair] += 1
+                        room[mirror] += 1
+                        unlink(d1, h0)
+                    unlink(d0, h1)
+                alpha[d1] = -1
+            d1 = skip
+        nxt[n] = d0
+        prv[after] = d0
+        alpha[d0] = -1
 
-    step(0)
-    return exhausted[0]
+    try:
+        step()
+    except _Stopped:
+        return False
+    return True
 
 
 # -- witness search ---------------------------------------------------------------------

@@ -107,6 +107,19 @@ class TestExitCodes:
         assert code == 2
         assert "zz" in err
 
+    @pytest.mark.parametrize(
+        "kind, text, key",
+        [
+            ("witness", "c=2; pair-sum=7; max-vertices=-3", "max-vertices"),
+            ("empty", "k=6; max-vertices=-1", "max-vertices"),
+        ],
+    )
+    def test_negative_spec_bound_is_invalid(self, capsys, kind, text, key):
+        code, out, err = run_cli(capsys, "search", kind, "--spec", text)
+        assert code == 2
+        assert key in err and "negative" in err
+        assert "certified" not in out and "complete" not in out
+
     def test_budget_exhaustion_is_exit_three(self, capsys):
         code, out, _ = run_cli(
             capsys, "search", "remark24", "--case", "viii", "--max-nodes", "2000"
@@ -641,6 +654,7 @@ def _golden_record(capsys, corpus, argv) -> str:
     return text.replace(str(corpus), "<corpus>")
 
 
+@pytest.mark.golden
 @pytest.mark.parametrize("name", sorted(GOLDEN_COMMANDS))
 def test_golden_run(capsys, golden_corpus, name):
     text = _golden_record(capsys, golden_corpus, GOLDEN_COMMANDS[name])

@@ -114,6 +114,34 @@ class TestSpecGrammar:
         with pytest.raises(SearchError):
             parse_witness_spec("c=2; pair-sum=7; dual=glorious")
 
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ("k=6; max-vertices=-1", "max-vertices"),
+            ("k=6; min-vertices=-2", "min-vertices"),
+            ("k=6; max-edges=-1", "max-edges"),
+            ("k=6; constraints=min-faces:-1", "min-faces"),
+        ],
+    )
+    def test_negative_empty_bound_rejected(self, text, key):
+        with pytest.raises(SearchError, match=key):
+            parse_empty_spec(text)
+
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ("c=2; pair-sum=7; max-vertices=-3", "max-vertices"),
+            ("c=2; pair-sum=7; max-edges=-1", "max-edges"),
+        ],
+    )
+    def test_negative_witness_bound_rejected(self, text, key):
+        with pytest.raises(SearchError, match=key):
+            parse_witness_spec(text)
+
+    def test_zero_bounds_stay_allowed(self):
+        assert parse_empty_spec("k=6; max-edges=0; min-vertices=0").max_edges == 0
+        assert parse_witness_spec("c=2; pair-sum=7; max-vertices=0").max_vertices == 0
+
 
 class TestSmallOracle:
     """The engine agrees with brute force filtered by the independent checker."""
@@ -235,6 +263,7 @@ ENGINE_GOLDEN = [
 ]
 
 
+@pytest.mark.golden
 class TestEngineGolden:
     @pytest.mark.parametrize("text, max_nodes, unpruned, nodes, finds, digest", ENGINE_GOLDEN)
     def test_engine_matches_its_fingerprint(
@@ -284,6 +313,7 @@ SHAPE_GOLDEN = [
 ]
 
 
+@pytest.mark.golden
 class TestShapeGolden:
     @pytest.mark.parametrize("mode, k, sizes, min_v, max_v, count, digest", SHAPE_GOLDEN)
     def test_shapes_match_their_fingerprint(self, mode, k, sizes, min_v, max_v, count, digest):
@@ -388,9 +418,32 @@ GLUE_WITNESS_GOLDEN = [
       "pair=(3,6) triangles=5: done", "pair=(4,5) triangles=5: done",
       "budget exhausted"),
      None),
+    ("c=3; pair-sum=8; dual=simple,has-2-cut; pair=shares-two-vertices; "
+     "max-vertices=7; max-edges=18", None, 857176, True,
+     tuple(f"pair={pair} triangles={t}: {'infeasible' if t < 4 else 'done'}"
+           for t in (0, 2, 4, 6, 8) for pair in ("(3,5)", "(4,4)")),
+     None),
+]
+
+# The engine's early stop: ``accept`` records every completion and the run
+# ends once ``stop_after`` are recorded.  (label, rules, stop_after, nodes,
+# return value, completions, sha1 as in GLUE_GOLDEN).  k7 has two
+# completions in all, so stop_after=3 walks the whole space.
+GLUE_STOP_GOLDEN = [
+    ("pair-4-4-stop-1", GLUE_GOLDEN[0][1], 1, 2641, False, 1,
+     "4cc9b4d70425732d74664d46fc8e020fbc3f2b1f"),
+    ("pair-4-4-stop-3", GLUE_GOLDEN[0][1], 3, 2793, False, 3,
+     "e250f3ec159799a32324205352063152900fbc81"),
+    ("k7-stop-1", _complete_graph_rules(7), 1, 3011, False, 1,
+     "4cf4bb160e14557e348edf621d0d086110f0732d"),
+    ("k7-stop-2", _complete_graph_rules(7), 2, 3049, False, 2,
+     "0c453bc21b0c0144c016266809da69ca869040b2"),
+    ("k7-stop-3", _complete_graph_rules(7), 3, 3093, True, 2,
+     "0c453bc21b0c0144c016266809da69ca869040b2"),
 ]
 
 
+@pytest.mark.golden
 class TestGlueGolden:
     @pytest.mark.parametrize(
         "rules, max_nodes, nodes, result, completions, digest",
@@ -411,6 +464,25 @@ class TestGlueGolden:
             got = _run_glue_engine(rules, clock, accept)
         except _OutOfBudget:
             got = _OutOfBudget
+        assert (clock.nodes, got, len(seen)) == (nodes, result, completions)
+        assert hashlib.sha1(repr(seen).encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "rules, stop_after, nodes, result, completions, digest",
+        [row[1:] for row in GLUE_STOP_GOLDEN],
+        ids=[row[0] for row in GLUE_STOP_GOLDEN],
+    )
+    def test_early_stop_matches_its_fingerprint(
+        self, rules, stop_after, nodes, result, completions, digest
+    ):
+        clock = _Clock(None)
+        seen = []
+
+        def accept(m):
+            seen.append((clock.nodes, m.vertex_of, m.next_in_rotation, m.reverse))
+            return True
+
+        got = _run_glue_engine(rules, clock, accept, stop_after=stop_after)
         assert (clock.nodes, got, len(seen)) == (nodes, result, completions)
         assert hashlib.sha1(repr(seen).encode()).hexdigest() == digest
 
@@ -677,6 +749,7 @@ class TestConnectedMapCorpus:
     def test_corpus_is_cached(self):
         assert enumerate_connected_maps(6) is enumerate_connected_maps(6)
 
+    @pytest.mark.golden
     def test_codes_and_order_match_their_fingerprint(self, pair_corpus):
         # sha1 of the concatenated canonical codes in output order, captured
         # from the original canonicalisation: codes and order must not drift
