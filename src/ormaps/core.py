@@ -549,14 +549,19 @@ def emit(m: Map) -> str:
 
 
 def _root_code(
-    m: Map, root: int, newid: list[int], best: list[int] | None = None
+    sigma: Sequence[int],
+    alpha: Sequence[int],
+    root: int,
+    newid: list[int],
+    best: list[int] | None = None,
 ) -> tuple[list[int], list[int]] | None:
     """Traversal words from one root dart, with the dart visit order.
 
-    The words are the number of darts reached, then, for each dart in
-    breadth-first visit order, the new ids of its rotation successor and its
-    reverse.  Each word is final once emitted, so with a ``best`` word list
-    the traversal compares as it goes: the root is dropped (None) at its
+    ``sigma`` and ``alpha`` are a map's rotation successor and reverse
+    arrays.  The words are the number of darts reached, then, for each dart
+    in breadth-first visit order, the new ids of its rotation successor and
+    its reverse.  Each word is final once emitted, so with a ``best`` word
+    list the traversal compares as it goes: the root is dropped (None) at its
     first word above ``best``, and at the end if it only ties.  After its
     first smaller word it finishes without comparing.  The word count is not
     compared; it is the same for every root of a connected map.
@@ -564,8 +569,6 @@ def _root_code(
     ``newid`` is scratch space of one entry per dart, all -1; the darts this
     root touched are reset before returning, so one array serves every root.
     """
-    sigma = m.next_in_rotation
-    alpha = m.reverse
     newid[root] = 0
     order = [root]
     words = [0]
@@ -592,6 +595,40 @@ def _root_code(
     return words, order
 
 
+def _least_root(sigma: Sequence[int], alpha: Sequence[int]) -> tuple[list[int], list[int]]:
+    """The smallest root's traversal words and visit order; see ``canonical``.
+
+    Raises ValueError unless every dart is reachable from dart 0.
+    """
+    D = len(sigma)
+    newid = [-1] * D
+    best, order = _root_code(sigma, alpha, 0, newid)
+    if len(order) < D:
+        raise ValueError(f"canonical needs a connected map ({len(order)} of {D} darts reachable)")
+    for r in range(1, D):
+        found = _root_code(sigma, alpha, r, newid, best)
+        if found is not None:
+            best, order = found
+    return best, order
+
+
+def _relabel(
+    vertex_of: Sequence[int], sigma: Sequence[int], alpha: Sequence[int], order: list[int]
+) -> Map:
+    """The map with dart ``order[i]`` renamed i and vertices numbered by first visit."""
+    pos = {d: i for i, d in enumerate(order)}
+    vmap: dict[int, int] = {}
+    for d in order:
+        v = vertex_of[d]
+        if v not in vmap:
+            vmap[v] = len(vmap)
+    return Map(
+        tuple(vmap[vertex_of[d]] for d in order),
+        tuple(pos[sigma[d]] for d in order),
+        tuple(pos[alpha[d]] for d in order),
+    )
+
+
 def _pack(words: list[int]) -> bytes:
     """Big-endian code bytes: 16-bit words up to 65,535 darts, 32-bit above.
 
@@ -609,7 +646,9 @@ def canonical(m: Map) -> tuple[bytes, Map]:
     rotations.  A map and its mirror may get different codes; compare
     against ``canonical(m.mirror())`` to test equivalence up to orientation
     reversal.  The form is the map relabeled in the visit order of a root
-    that attains the code; labels are dropped.
+    that attains the code; labels are dropped.  The code fixes the form:
+    the form's rotation and reverse arrays are the code's words, and its
+    vertices are numbered by first visit.
 
     The map must be connected; ValueError otherwise.  Then every root
     reaches all D darts, every root's code has 2D + 1 words of one width,
@@ -618,30 +657,13 @@ def canonical(m: Map) -> tuple[bytes, Map]:
     traversed (``_root_code``).  At its first word above the best, its code
     is larger whatever follows, and it is dropped; at its first word below,
     its code is smaller and it becomes the best.  What is left is the
-    minimum over every root, and a tie keeps the earlier root, as ``min``
-    does.  Only the winner's words are packed.  Maps on which many roots
-    tie, such as long cycles, still cost O(D^2).
+    minimum over every root (``_least_root``), and a tie keeps the earlier
+    root, as ``min`` does.  Only the winner's words are packed.  Maps on
+    which many roots tie, such as long cycles, still cost O(D^2).
     """
-    D = m.dart_count
-    newid = [-1] * D
-    best, order = _root_code(m, 0, newid)
-    if len(order) < D:
-        raise ValueError(f"canonical needs a connected map ({len(order)} of {D} darts reachable)")
-    for r in range(1, D):
-        found = _root_code(m, r, newid, best)
-        if found is not None:
-            best, order = found
-    pos = {d: i for i, d in enumerate(order)}
-    vmap: dict[int, int] = {}
-    for d in order:
-        v = m.vertex_of[d]
-        if v not in vmap:
-            vmap[v] = len(vmap)
-    return _pack(best), Map(
-        tuple(vmap[m.vertex_of[d]] for d in order),
-        tuple(pos[m.next_in_rotation[d]] for d in order),
-        tuple(pos[m.reverse[d]] for d in order),
-    )
+    sigma, alpha = m.next_in_rotation, m.reverse
+    best, order = _least_root(sigma, alpha)
+    return _pack(best), _relabel(m.vertex_of, sigma, alpha, order)
 
 
 def canonical_code(m: Map) -> bytes:

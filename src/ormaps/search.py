@@ -23,6 +23,9 @@ from .connectivity import vertex_connectivity
 from .core import (
     Map,
     _invariant,
+    _least_root,
+    _pack,
+    _relabel,
     canonical,
     canonical_form,
     from_rotations,
@@ -1453,7 +1456,16 @@ def enumerate_connected_maps(max_edges: int) -> tuple[Map, ...]:
     joining two non-adjacent vertices, because deleting a leaf edge or a
     non-bridge edge of any connected map keeps it connected.  Chiral pairs
     appear as two classes.
+
+    Children are grown on the parent's dart arrays: the new edge is darts D
+    and D + 1, with D inserted after a dart d of u in u's rotation and D + 1
+    after a dart e of w, or alone at a new vertex for a leaf.  Each child
+    gets only its least-root words; a child's relabelled form is built only
+    when its code is new.  The code fixes the form, so which child of a
+    class comes first does not matter.  Output is by edge count, then code.
     """
+    if isinstance(max_edges, bool) or not isinstance(max_edges, int):
+        raise SearchError(f"max_edges must be an integer, got {max_edges!r}")
     if max_edges < 1:
         raise SearchError("need at least one edge")
     if max_edges in _CORPUS_CACHE:
@@ -1463,27 +1475,30 @@ def enumerate_connected_maps(max_edges: int) -> tuple[Map, ...]:
     while len(levels) < max_edges:
         grown: dict[bytes, Map] = {}
         for m in levels[-1].values():
-            nl = [[m.vertex_of[m.reverse[d]] for d in cycle] for cycle in m.rotations]
-            V = len(nl)
-            children = []
+            vertex_of, sigma = m.vertex_of, m.next_in_rotation
+            D, V = m.dart_count, m.vertex_count
+            alpha = (*m.reverse, D + 1, D)
+            children = []  # (child sigma, vertex of D, vertex of D + 1)
+            for d in range(D):
+                child = [*sigma, sigma[d], D + 1]
+                child[d] = D
+                children.append((child, vertex_of[d], V))
+            rotations, adjacency = m.rotations, m.adjacency
             for u in range(V):
-                for slot in range(len(nl[u])):
-                    rot = nl[u][:slot] + [V] + nl[u][slot:]
-                    children.append([*nl[:u], rot, *nl[u + 1 :], [u]])
-            for u in range(V):
-                adjacent = set(nl[u])
                 for w in range(u + 1, V):
-                    if w in adjacent:
+                    if w in adjacency[u]:
                         continue
-                    for su in range(len(nl[u])):
-                        for sw in range(len(nl[w])):
-                            rows = [list(r) for r in nl]
-                            rows[u].insert(su, w)
-                            rows[w].insert(sw, u)
-                            children.append(rows)
-            for rows in children:
-                code, child = canonical(from_rotations(rows))
-                grown.setdefault(code, child)
+                    for d in rotations[u]:
+                        for e in rotations[w]:
+                            child = [*sigma, sigma[d], sigma[e]]
+                            child[d] = D
+                            child[e] = D + 1
+                            children.append((child, u, w))
+            for child, u, w in children:
+                words, order = _least_root(child, alpha)
+                code = _pack(words)
+                if code not in grown:
+                    grown[code] = _relabel((*vertex_of, u, w), child, alpha, order)
         levels.append(grown)
     merged: list[Map] = []
     for level in levels:

@@ -2,7 +2,10 @@
 
 import ast
 import hashlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -49,6 +52,16 @@ class TestBindingOutputs:
         code, out, _ = run_cli(capsys, "genus", str(rot_dir / "k6torus.rot"))
         assert code == 0
         assert out.strip() == "1"
+
+    def test_python_dash_m_runs_the_tool(self, rot_dir):
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        done = subprocess.run(
+            [sys.executable, "-m", "ormaps", "genus", str(rot_dir / "k6torus.rot")],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "1"
 
 
 def separates(adj, cut):

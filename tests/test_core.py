@@ -231,7 +231,9 @@ def test_canonical_form_is_canonical(m):
 def test_code_word_width_follows_the_dart_count(n, word):
     # 16-bit words up to 65,535 darts, 32-bit words from 65,536 on
     cycle = from_rotations([[(i - 1) % n, (i + 1) % n] for i in range(n)])
-    words, order = _root_code(cycle, 0, [-1] * cycle.dart_count)
+    words, order = _root_code(
+        cycle.next_in_rotation, cycle.reverse, 0, [-1] * cycle.dart_count
+    )
     code = _pack(words)
     assert len(order) == cycle.dart_count == 2 * n
     assert len(code) == struct.calcsize(word) * (2 * cycle.dart_count + 1)

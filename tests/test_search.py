@@ -5,7 +5,7 @@ import hashlib
 import pytest
 
 import ormaps
-from ormaps import canonical_code, dual, genus, vertex_connectivity
+from ormaps import canonical, canonical_code, dual, genus, vertex_connectivity
 from ormaps.core import maps_isomorphic_bruteforce
 from ormaps.search import (
     _NINE_SIZES,
@@ -756,6 +756,43 @@ class TestConnectedMapCorpus:
         codes = b"".join(canonical_code(m) for m in pair_corpus)
         assert len(pair_corpus) == 385
         assert hashlib.sha1(codes).hexdigest() == "3da9d42ccfaf91e92285823fd189514e4f0a2e03"
+
+    @pytest.mark.golden
+    def test_eight_edge_codes_and_order_match_their_fingerprint(self):
+        corpus = enumerate_connected_maps(8)
+        codes = b"".join(canonical_code(m) for m in corpus)
+        assert len(corpus) == 2158
+        assert hashlib.sha1(codes).hexdigest() == "39ef29fbdf8a1f4c2d1d7e61ea136c2f243bb400"
+
+    @pytest.mark.golden
+    @pytest.mark.parametrize(
+        "edges, digest",
+        [
+            (7, "6d9b572dc847d227d7da61208dfbd288e6463d64"),
+            (8, "f42eae9bf5fc07a3070869c3eb6f0dc0eb687008"),
+        ],
+    )
+    def test_forms_match_their_fingerprint(self, edges, digest):
+        # sha1 of the emitted forms' dart arrays in output order, captured from
+        # the build that relabelled every child: forms must not drift either
+        corpus = enumerate_connected_maps(edges)
+        arrays = repr([(m.vertex_of, m.next_in_rotation, m.reverse) for m in corpus])
+        assert hashlib.sha1(arrays.encode()).hexdigest() == digest
+
+    def test_every_member_is_its_own_canonical_form(self, pair_corpus):
+        # forms are built on first sight of a code; they must be what the
+        # public root scan gives
+        for m in pair_corpus:
+            assert canonical(m) == (canonical_code(m), m)
+
+    @pytest.mark.parametrize("bound", [2.5, 3.0, "3", True, False])
+    def test_rejects_a_bound_that_is_not_an_int(self, bound):
+        with pytest.raises(SearchError, match="integer"):
+            enumerate_connected_maps(bound)
+
+    def test_rejects_a_bound_below_one(self):
+        with pytest.raises(SearchError):
+            enumerate_connected_maps(0)
 
 
 class TestIndependentChecker:
