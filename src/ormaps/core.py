@@ -562,8 +562,10 @@ def _root_code(
     in breadth-first visit order, the new ids of its rotation successor and
     its reverse.  Each word is final once emitted, so with a ``best`` word
     list the traversal compares as it goes: the root is dropped (None) at its
-    first word above ``best``, and at the end if it only ties.  After its
-    first smaller word it finishes without comparing.  The word count is not
+    first word above ``best``.  After its first smaller word it finishes
+    without comparing.  A root that ties ``best`` to the end returns
+    ``best`` itself, the same list object, with its own visit order; the
+    caller tells a tie from a win by that identity.  The word count is not
     compared; it is the same for every root of a connected map.
 
     ``newid`` is scratch space of one entry per dart, all -1; the darts this
@@ -590,7 +592,7 @@ def _root_code(
         for d in order:
             newid[d] = -1
     if tied:
-        return None
+        return best, order
     words[0] = len(order)
     return words, order
 
@@ -598,17 +600,69 @@ def _root_code(
 def _least_root(sigma: Sequence[int], alpha: Sequence[int]) -> tuple[list[int], list[int]]:
     """The smallest root's traversal words and visit order; see ``canonical``.
 
-    Raises ValueError unless every dart is reachable from dart 0.
+    Only roots that can still change the result are traversed.
+
+    Candidates.  Word 1 of root r is the new id of ``sigma[r]``: 0 when r's
+    vertex has degree 1, else 1.  So if some dart is a fixed point of
+    ``sigma``, only such darts can be least.  Otherwise word 1 is 1 for
+    every root and word 2, the new id of ``alpha[r]``, is 1 when
+    ``alpha[r] == sigma[r]`` (a loop whose darts are adjacent in the
+    rotation) and 2 otherwise.  If no dart has ``alpha[d] == sigma[d]``,
+    every root starts (1, 2), and word 3 is the new id of
+    ``sigma[sigma[r]]``: 0 at degree 2, else 2 (it is ``alpha[r]``) or 3.
+    So if some dart has ``sigma[sigma[d]] == d``, only such darts can be
+    least.  In every other case every dart is a candidate.  The rule stops
+    at degree 2.  Carried on to degree 3 it fails on maps with loops or
+    parallel edges, and carried on to degree 4 and above it fails on simple
+    maps too.
+
+    Orbit pruning.  A root that ties the best to the end gives an
+    orientation-preserving automorphism, ``order[i] -> tied_order[i]``.
+    Its cycles are merged into a union-find over darts whose class root is
+    the least dart of the class; it is allocated at the first tie, so maps
+    without ties pay nothing.  A candidate that is not the root of its
+    class is skipped.  That changes nothing: an automorphism preserves
+    degree, so the class lies inside the candidates; they are scanned in
+    ascending order, so a smaller member was scanned or skipped for a
+    still smaller one; and every root of a class has the same code, so the
+    skipped root could at most tie, and a tie keeps the earlier root.
+
+    The first candidate's traversal checks connectivity: ValueError unless
+    it reaches every dart.
     """
     D = len(sigma)
+    roots: Sequence[int] = [d for d, s in enumerate(sigma) if s == d]
+    if not roots and all(a != s for a, s in zip(alpha, sigma)):
+        roots = [d for d, s in enumerate(sigma) if sigma[s] == d]
+    if not roots:
+        roots = range(D)
     newid = [-1] * D
-    best, order = _root_code(sigma, alpha, 0, newid)
+    best, order = _root_code(sigma, alpha, roots[0], newid)
     if len(order) < D:
         raise ValueError(f"canonical needs a connected map ({len(order)} of {D} darts reachable)")
-    for r in range(1, D):
+    rep: list[int] | None = None
+    for r in roots[1:]:
+        if rep is not None and rep[r] != r:
+            continue  # an automorphism maps a smaller root onto r
         found = _root_code(sigma, alpha, r, newid, best)
-        if found is not None:
+        if found is None:
+            continue
+        if found[0] is not best:
             best, order = found
+            continue
+        if rep is None:
+            rep = list(range(D))
+        for a, b in zip(order, found[1]):
+            while rep[a] != a:  # path halving
+                rep[a] = rep[rep[a]]
+                a = rep[a]
+            while rep[b] != b:
+                rep[b] = rep[rep[b]]
+                b = rep[b]
+            if a < b:
+                rep[b] = a
+            elif b < a:
+                rep[a] = b
     return best, order
 
 
@@ -657,9 +711,15 @@ def canonical(m: Map) -> tuple[bytes, Map]:
     traversed (``_root_code``).  At its first word above the best, its code
     is larger whatever follows, and it is dropped; at its first word below,
     its code is smaller and it becomes the best.  What is left is the
-    minimum over every root (``_least_root``), and a tie keeps the earlier
-    root, as ``min`` does.  Only the winner's words are packed.  Maps on
-    which many roots tie, such as long cycles, still cost O(D^2).
+    minimum over every root, and a tie keeps the earlier root, as ``min``
+    does.  ``_least_root`` traverses only the roots whose first words can
+    be least and skips roots that an automorphism found on an earlier tie
+    maps onto a smaller one, so maps on which every root ties, such as long
+    cycles and square torus grids, cost a few traversals.  Only the
+    winner's words are packed.  What stays quadratic is a map with long
+    near-ties but few automorphisms, such as a long cycle with one chord:
+    each root runs far before its first differing word, and the few ties
+    prune little.
     """
     sigma, alpha = m.next_in_rotation, m.reverse
     best, order = _least_root(sigma, alpha)

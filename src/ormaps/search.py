@@ -1061,6 +1061,9 @@ def _run_glue_engine(rules: _GlueRules, clock: _Clock, accept, stop_after=None) 
     two different chains.  Like ``succ`` there, ``snext`` is never cleared.
     ``room`` and the list change only once both links hold, so a branch
     that dies at a link, mostly at the degree cap, undoes only the links.
+    Most die at the first link's open-chain test, which reads only
+    ``start_of[d0]``, fixed over d0's loop, and ``h1``; ``step`` repeats
+    that test before calling ``link``, and such a node still ticks.
     """
     sizes = rules.sizes
     n = sum(sizes)
@@ -1184,6 +1187,7 @@ def _run_glue_engine(rules: _GlueRules, clock: _Clock, accept, stop_after=None) 
         b0 = block_of[d0]
         row = b0 * nb
         h0 = phi[d0]
+        start0 = start_of[d0]
         after = nxt[d0]
         nxt[n] = after
         prv[after] = n
@@ -1201,9 +1205,15 @@ def _run_glue_engine(rules: _GlueRules, clock: _Clock, accept, stop_after=None) 
             pair = row + b1
             if room[pair]:
                 tick()
+                h1 = phi[d1]
+                # link(d0, h1)'s open-chain test, repeated to spare the call
+                if h1 != start0 and (
+                    length[start0] + length[h1] > max_degree or spans[start0] + spans[h1] > 1
+                ):
+                    d1 = skip
+                    continue
                 alpha[d0] = d1
                 alpha[d1] = d0
-                h1 = phi[d1]
                 if link(d0, h1):
                     if link(d1, h0):
                         mirror = b1 * nb + b0

@@ -1,6 +1,7 @@
 """Shared fixtures and hypothesis strategies for the test suite."""
 
 import pytest
+from hypothesis import assume
 from hypothesis import strategies as st
 
 from ormaps.core import Map, from_rotations, parse
@@ -88,6 +89,47 @@ def connected_simple_maps(draw, min_vertices=2, max_vertices=6, max_extra_edges=
         nbrs[v].append(u)
     rot_lists = [list(draw(st.permutations(nbrs[v]))) for v in range(n)]
     return from_rotations(rot_lists)
+
+
+def rotation_system(pairing, sigma) -> Map | None:
+    """The map with rotation successor ``sigma`` whose reverse pairs
+    ``pairing[0]`` with ``pairing[1]``, ``pairing[2]`` with ``pairing[3]``
+    and so on; None when it is disconnected.  Vertices are the cycles of
+    ``sigma``, so loops and parallel edges occur."""
+    D = len(sigma)
+    alpha = [0] * D
+    for a, b in zip(pairing[::2], pairing[1::2]):
+        alpha[a], alpha[b] = b, a
+    vertex_of = [-1] * D
+    count = 0
+    for d in range(D):
+        if vertex_of[d] < 0:
+            e = d
+            while vertex_of[e] < 0:
+                vertex_of[e] = count
+                e = sigma[e]
+            count += 1
+    seen = {0}
+    stack = [0]
+    while stack:
+        d = stack.pop()
+        for e in (sigma[d], alpha[d]):
+            if e not in seen:
+                seen.add(e)
+                stack.append(e)
+    if len(seen) < D:
+        return None
+    return Map(tuple(vertex_of), tuple(sigma), tuple(alpha))
+
+
+@st.composite
+def connected_maps(draw, max_edges=9):
+    """Random connected rotation systems: a random fixed-point-free reverse
+    and a rotation with random cycles; disconnected draws are rejected."""
+    darts = range(2 * draw(st.integers(1, max_edges)))
+    m = rotation_system(draw(st.permutations(darts)), draw(st.permutations(darts)))
+    assume(m is not None)
+    return m
 
 
 @st.composite

@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import TETRA_TEXT, connected_simple_maps, relabel_darts
+from conftest import (
+    TETRA_TEXT,
+    connected_maps,
+    connected_simple_maps,
+    relabel_darts,
+    rotation_system,
+)
 from ormaps.core import (
     Map,
     RotParseError,
@@ -238,6 +244,7 @@ def test_code_word_width_follows_the_dart_count(n, word):
     assert len(order) == cycle.dart_count == 2 * n
     assert len(code) == struct.calcsize(word) * (2 * cycle.dart_count + 1)
     assert struct.unpack_from(word, code)[0] == cycle.dart_count
+    assert canonical_code(cycle) == code  # every root ties with root 0
 
 
 def full_scan_canonical(m: Map) -> tuple[bytes, Map]:
@@ -273,6 +280,31 @@ def cycle_map(n: int) -> Map:
     return from_rotations([[(i - 1) % n, (i + 1) % n] for i in range(n)])
 
 
+def torus_grid(p: int, q: int) -> Map:
+    """The 6-regular triangulation T(p, q) of the torus on a p x q grid."""
+    steps = [(1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1)]
+    return from_rotations(
+        [
+            [(i + di) % p * q + (j + dj) % q for di, dj in steps]
+            for i in range(p)
+            for j in range(q)
+        ]
+    )
+
+
+def root_rule(m: Map) -> str:
+    """Which rule of ``core._least_root`` picks the candidate roots of m."""
+    sigma, alpha = m.next_in_rotation, m.reverse
+    darts = range(m.dart_count)
+    if any(sigma[d] == d for d in darts):
+        return "leaves"
+    if any(alpha[d] == sigma[d] for d in darts):
+        return "adjacent loop"
+    if any(sigma[sigma[d]] == d for d in darts):
+        return "degree 2"
+    return "all darts"
+
+
 class TestCanonicalMatchesFullScan:
     """The pruned root scan gives the code and form of the full scan."""
 
@@ -288,15 +320,54 @@ class TestCanonicalMatchesFullScan:
             assert canonical(x) == full_scan_canonical(x)
 
     @pytest.mark.parametrize(
-        "build, n",
-        [(triangular_complete_map, 7), (wheel, 6), (wheel, 8), (cycle_map, 50)],
-        ids=["K7-torus", "W6", "W8", "cycle50"],
+        "build, args",
+        [(triangular_complete_map, (7,)), (wheel, (6,)), (wheel, (8,))]
+        + [(cycle_map, (n,)) for n in range(3, 61)]
+        + [(torus_grid, (p, q)) for p in range(3, 7) for q in range(3, 7)],
+        ids=["K7-torus", "W6", "W8"]
+        + [f"cycle{n}" for n in range(3, 61)]
+        + [f"T{p}x{q}" for p in range(3, 7) for q in range(3, 7)],
     )
-    def test_named_maps(self, build, n):
-        # on the 50-cycle every root ties: each later root runs to its end
-        # and the first one stays the best
-        m = build(n)
+    def test_named_maps(self, build, args):
+        # on the cycles, K7 and the square torus grids every root ties: the
+        # first tie's automorphism covers the other roots, and the first
+        # one stays the best
+        m = build(*args)
+        for x in (m, m.mirror()):
+            assert canonical(x) == full_scan_canonical(x)
+
+    def test_seeded_maps_with_loops_and_parallel_edges(self):
+        rng = random.Random(2024)
+        rules = []
+        for _ in range(2000):
+            darts = range(2 * rng.randint(1, 9))
+            m = rotation_system(rng.sample(darts, len(darts)), rng.sample(darts, len(darts)))
+            if m is None:
+                continue
+            rules.append(root_rule(m))
+            for x in (m, m.mirror()):
+                assert canonical(x) == full_scan_canonical(x)
+        # every candidate rule is exercised, and the fallback to all darts
+        # when a loop's darts are adjacent in a rotation
+        assert set(rules) == {"leaves", "adjacent loop", "degree 2", "all darts"}
+        assert min(rules.count(rule) for rule in set(rules)) >= 50
+
+    @given(connected_maps())
+    @settings(max_examples=200)
+    def test_random_rotation_systems(self, m):
         assert canonical(m) == full_scan_canonical(m)
+
+    def test_adjacent_loop_beats_degree_two(self):
+        # a loop at the ends of the path 0 - 1 - 2: vertices 0 and 2 have
+        # degree 3, vertex 1 degree 2; a loop dart d with reverse[d] ==
+        # next_in_rotation[d] starts its code (1, 1), below the (1, 2) of
+        # every degree-2 root
+        m = from_rotations([[0, 0, 1], [0, 2], [1, 2, 2]])
+        assert root_rule(m) == "adjacent loop"
+        assert sorted(m.degree(v) for v in range(3)) == [2, 3, 3]
+        code, form = canonical(m)
+        assert (code, form) == full_scan_canonical(m)
+        assert struct.unpack_from(">3H", code)[1:] == (1, 1)
 
 
 def test_canonical_rejects_a_disconnected_map():
@@ -304,6 +375,19 @@ def test_canonical_rejects_a_disconnected_map():
     m = from_rotations([[1], [0], [3, 4], [2, 4], [2, 3]])
     with pytest.raises(ValueError, match="connected"):
         canonical(m)
+
+
+@pytest.mark.parametrize(
+    "build, args",
+    [(cycle_map, (50_000,)), (torus_grid, (100, 100))],
+    ids=["cycle-100k-darts", "T100x100"],
+)
+def test_canonical_of_symmetric_maps_at_scale_ignores_dart_labels(build, args):
+    # every root ties; the orbit pruning keeps these to a few traversals
+    m = build(*args)
+    perm = list(range(m.dart_count))
+    random.Random(m.dart_count).shuffle(perm)
+    assert canonical(relabel_darts(m, perm)) == canonical(m)
 
 
 def test_canonical_at_scale_ignores_dart_labels():
