@@ -74,13 +74,10 @@ class _Manifest:
     def add(self, key: str, value) -> None:
         self.entries.append((key, str(value)))
 
-    def add_input(self, path: str) -> None:
+    def add_file(self, key: str, path: str) -> None:
+        """Record a file read ("input") or written ("output") with its sha256."""
         digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()
-        self.add("input", f"{path} sha256={digest}")
-
-    def add_output(self, path: str) -> None:
-        digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()
-        self.add("output", f"{path} sha256={digest}")
+        self.add(key, f"{path} sha256={digest}")
 
     def write(self, destination: str | None) -> None:
         text = "".join(f"{k}: {v}\n" for k, v in self.entries)
@@ -95,7 +92,7 @@ def _load(path: str, manifest: _Manifest, *, require_valid: bool = True) -> Map:
         text = Path(path).read_text()
     except OSError as exc:
         raise _Failure(EXIT_IO, f"cannot read {path}: {exc.strerror or exc}") from exc
-    manifest.add_input(path)
+    manifest.add_file("input", path)
     m = parse(text)  # RotParseError propagates; mapped to exit 2
     if require_valid:
         report = validate(m)
@@ -115,7 +112,7 @@ def _write_map(m: Map, path: str, manifest: _Manifest) -> None:
         Path(path).write_text(emit(m))
     except OSError as exc:
         raise _Failure(EXIT_IO, f"cannot write {path}: {exc.strerror or exc}") from exc
-    manifest.add_output(path)
+    manifest.add_file("output", path)
 
 
 def _face_labels(m: Map) -> list[str]:
@@ -192,20 +189,15 @@ def _cmd_connectivity(args, manifest) -> int:
         report = dual(m)
         if not report.simple:
             print(f"dual not simple ({report.verdict})")
-        g = adjacency_of(report.dual)
-        kappa = vertex_connectivity(g)
-        cut = min_cut(g, kappa)
-        labels = _face_labels(m)
-        shown = "none" if cut is None else "{" + ",".join(labels[v] for v in cut) + "}"
-        print(f"kappa(dual)={kappa}; cut={shown}")
-        manifest.add("kappa.dual", kappa)
+        g, labels, name, key = report.dual, _face_labels(m), "kappa(dual)", "kappa.dual"
     else:
-        g = adjacency_of(m)
-        kappa = vertex_connectivity(g)
-        cut = min_cut(g, kappa)
-        shown = "none" if cut is None else "{" + ",".join(str(v) for v in cut) + "}"
-        print(f"kappa={kappa}; cut={shown}")
-        manifest.add("kappa", kappa)
+        g, labels, name, key = m, [str(v) for v in range(m.vertex_count)], "kappa", "kappa"
+    adj = adjacency_of(g)
+    kappa = vertex_connectivity(adj)
+    cut = min_cut(adj, kappa)
+    shown = "none" if cut is None else "{" + ",".join(labels[v] for v in cut) + "}"
+    print(f"{name}={kappa}; cut={shown}")
+    manifest.add(key, kappa)
     return EXIT_OK
 
 
@@ -485,28 +477,32 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, helptext in [
-        ("validate", "structural checks on a .rot file"),
-        ("faces", "facial walk inventory"),
-        ("genus", "orientable genus from the Euler characteristic"),
-        ("dual", "dual simplicity and self-duality"),
+    for name, helptext, run in [
+        ("validate", "structural checks on a .rot file", _cmd_validate),
+        ("faces", "facial walk inventory", _cmd_faces),
+        ("genus", "orientable genus from the Euler characteristic", _cmd_genus),
+        ("dual", "dual simplicity and self-duality", _cmd_dual),
     ]:
         p = sub.add_parser(name, help=helptext, parents=[common])
+        p.set_defaults(run=run)
         p.add_argument("file")
 
     p = sub.add_parser(
         "connectivity", help="vertex connectivity and a minimum cut", parents=[common]
     )
+    p.set_defaults(run=_cmd_connectivity)
     p.add_argument("file")
     p.add_argument("--dual", action="store_true", help="analyze the dual instead")
 
     p = sub.add_parser(
         "check-thresholds", help="face-size guarantees for dual cuts", parents=[common]
     )
+    p.set_defaults(run=_cmd_check_thresholds)
     p.add_argument("file")
     p.add_argument("--c", type=int, required=True, help="claimed connectivity")
 
     p = sub.add_parser("construct", help="run a named construction", parents=[common])
+    p.set_defaults(run=_cmd_construct)
     p.add_argument(
         "what",
         choices=["k4-wedge", "zc", "interior-fill", "glue", "insert-cycle", "delta1-witness"],
@@ -535,6 +531,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--out", help="write the result to this .rot file")
 
     p = sub.add_parser("search", help="exhaustive searches with budgets", parents=[common])
+    p.set_defaults(run=_cmd_search)
     p.add_argument("kind", choices=["empty", "witness", "remark24", "nine-cycle"])
     p.add_argument("--spec", help="declarative search spec (see README)")
     p.add_argument(
@@ -551,23 +548,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "export", help="emit a generic labeled-graph description", parents=[common]
     )
+    p.set_defaults(run=_cmd_export)
     p.add_argument("file")
     p.add_argument("--format", choices=["graph-description"], required=True)
 
     return parser
-
-
-_DISPATCH = {
-    "validate": _cmd_validate,
-    "faces": _cmd_faces,
-    "genus": _cmd_genus,
-    "dual": _cmd_dual,
-    "connectivity": _cmd_connectivity,
-    "check-thresholds": _cmd_check_thresholds,
-    "construct": _cmd_construct,
-    "search": _cmd_search,
-    "export": _cmd_export,
-}
 
 
 def _fail(manifest: _Manifest, message: str, code: int) -> int:
@@ -591,7 +576,7 @@ def main(argv: list[str] | None = None) -> int:
     manifest.add("argv", " ".join(argv))
     started = time.perf_counter()
     try:
-        code = _DISPATCH[args.command](args, manifest)
+        code = args.run(args, manifest)
     except _Failure as exc:
         code = _fail(manifest, str(exc), exc.code)
     except ValueError as exc:  # RotParseError, ValidationError, SurgeryError, SearchError

@@ -1,9 +1,9 @@
 """Vertex connectivity, minimum cuts and small cut-set enumeration.
 
-Two independent routes compute kappa: exhaustive subset deletion (the
-oracle, default for at most 10 vertices) and unit-capacity vertex-split
-max-flow (for everything larger).  The lexicographically smallest minimum
-cut also comes from max-flow (``min_cut``).  Listing vertex subsets
+Two independent routes compute kappa: unit-capacity vertex-split max-flow,
+which ``vertex_connectivity`` uses at every size, and exhaustive subset
+deletion, kept as the oracle.  The lexicographically smallest minimum cut
+also comes from max-flow (``min_cut``).  Listing vertex subsets
 (``find_cutsets``) is kept only as the oracle the tests check the flow
 routes against.  Inputs may be Map instances or plain adjacency
 sequences; multiplicities and embeddings are irrelevant here, so
@@ -17,8 +17,6 @@ import itertools
 from collections.abc import Iterable, Sequence
 
 from .core import Face, Map
-
-BRUTEFORCE_LIMIT = 10
 
 Adjacency = tuple[frozenset[int], ...]
 
@@ -175,10 +173,8 @@ def vertex_connectivity_flow(g) -> int:
 
 
 def vertex_connectivity(g) -> int:
-    adj = adjacency_of(g)
-    if len(adj) <= BRUTEFORCE_LIMIT:
-        return vertex_connectivity_bruteforce(adj)
-    return vertex_connectivity_flow(adj)
+    """kappa of a Map or adjacency sequence, by max-flow."""
+    return vertex_connectivity_flow(g)
 
 
 def _extends(net: _SplitNetwork, adj: Adjacency, prefix: list[int], v: int, room: int) -> bool:

@@ -6,10 +6,13 @@ system vertex by vertex; it powers ``enumerate_empty`` and the ten-case
 certification report.  The face-gluing engine matches polygon sides when
 the complete face multiset is known in advance; it powers the witness
 searches, the spanning-9-gon search, and the torus embedding of the
-complete graph.  Every find is re-checked by predicates built only from
-the core and dual primitives, so generation and verification share no
-code path.  Budgets count DFS nodes and wall-clock time, and exhaustion
-is always reported, never silently turned into a verdict.
+complete graph.  Both engines pass each completion through one check
+(``_finished_map``) and stop on one signal (``_Stop``), which the budget
+raises, or a caller that has what it wanted.  Every find is re-checked by
+predicates built only from the core and dual primitives, so generation
+and verification share no code path.  Budgets count DFS nodes and
+wall-clock time, and exhaustion is always reported, never silently
+turned into a verdict.
 """
 
 from __future__ import annotations
@@ -50,9 +53,12 @@ class SearchBudget:
     max_nodes: int | None = None
     max_seconds: float | None = None
 
+    def __post_init__(self) -> None:
+        _check_not_negative(max_nodes=self.max_nodes, max_seconds=self.max_seconds)
 
-class _OutOfBudget(Exception):
-    pass
+
+class _Stop(Exception):
+    """The budget ran out, or the caller has what it wanted."""
 
 
 class _Clock:
@@ -73,11 +79,11 @@ class _Clock:
     def tick(self) -> None:
         self.nodes += 1
         if self.max_nodes is not None and self.nodes > self.max_nodes:
-            raise _OutOfBudget
+            raise _Stop
         # time syscalls are comparatively slow; sample them
         if self.deadline is not None and self.nodes & 1023 == 0:
             if time.monotonic() > self.deadline:
-                raise _OutOfBudget
+                raise _Stop
 
     @property
     def seconds(self) -> float:
@@ -166,7 +172,7 @@ class WitnessSpec:
         _check_not_negative(max_vertices=self.max_vertices, max_edges=self.max_edges)
 
 
-def _check_not_negative(**bounds: int | None) -> None:
+def _check_not_negative(**bounds: float | None) -> None:
     """Reject a negative size bound, naming it by its spec key; 0 is allowed."""
     for name, value in bounds.items():
         if value is not None and value < 0:
@@ -392,44 +398,17 @@ def _shape_transforms(walks: tuple[tuple[int, ...], ...]):
                 yield ((seq[:a], seq[a:]) if len(order) == 2 else (seq,)), perm, reverses
 
 
-def _closed_walks(length: int, used: set, start: int, seen: int):
-    """Closed walks of the given length whose edges are fresh and distinct.
-
-    ``used`` holds edges claimed by an earlier walk and is left unchanged.
-    New vertices appear in increasing order above ``seen``, so every walk
-    comes out in joint first-occurrence form.  Yields (walk, top vertex).
-    """
-    walk = [start]
-    local: list[frozenset[int]] = []
-
-    def extend(pos: int, top: int):
-        if pos == length:
-            closing = frozenset((walk[-1], walk[0]))
-            if walk[-1] != walk[0] and closing not in used and closing not in local:
-                yield tuple(walk), top
-            return
-        for u in range(top + 2):
-            if u == walk[-1]:
-                continue
-            e = frozenset((walk[-1], u))
-            if e in used or e in local:
-                continue
-            walk.append(u)
-            local.append(e)
-            yield from extend(pos + 1, max(top, u))
-            local.pop()
-            walk.pop()
-
-    yield from extend(1, seen)
-
-
 def _walk_shapes(spec: EmptyCircuitSpec) -> list[tuple[tuple[int, ...], ...]]:
     """The boundary-walk shapes of ``spec``, one per class, sorted.
 
-    The walks are grown one after another by ``_closed_walks``, each on
-    edges the earlier ones left free.  A walk starts at an existing vertex
-    or the next fresh one, so the first starts at 0.  A shape is kept when
-    it is the least image under ``_shape_transforms``.
+    A shape's walks, read one after another, form a vertex sequence in
+    first-occurrence form: it starts at 0, and each new vertex is one above
+    the largest so far.  Every such sequence of length k is cut into walks
+    of the split's sizes; it is a shape when no edge is a loop and no two
+    edges are the same, counting each walk's closing edge.  A vertex equal
+    to its predecessor inside a walk, or above the vertex bound, is skipped
+    while the sequences grow.  Of each class only the least image under
+    ``_shape_transforms`` is kept.
     """
     if spec.mode == "circuit":
         splits = [(spec.k,)]
@@ -438,21 +417,26 @@ def _walk_shapes(spec: EmptyCircuitSpec) -> list[tuple[tuple[int, ...], ...]]:
     else:
         splits = [(a, spec.k - a) for a in range(3, spec.k // 2 + 1)]
     min_v = spec.min_vertices or 0
-    max_v = spec.max_vertices
+    max_v = spec.k if spec.max_vertices is None else spec.max_vertices
     shapes = []
     for sizes in splits:
-        # partial shapes (walks, top vertex), one walk longer each round
-        grown: list[tuple[tuple[tuple[int, ...], ...], int]] = [((), -1)]
-        for size in sizes:
-            longer = []
-            for walks, seen in grown:
-                used = {frozenset(e) for w in walks for e in zip(w, w[1:] + w[:1])}
-                for start in range(seen + 2):
-                    for walk, top in _closed_walks(size, used, start, max(seen, start)):
-                        longer.append((walks + (walk,), top))
-            grown = longer
-        for walks, top in grown:
-            if top + 1 < min_v or (max_v is not None and top + 1 > max_v):
+        starts = set(itertools.accumulate(sizes[:-1], initial=0))
+        grown: list[tuple[tuple[int, ...], int]] = [((), -1)]  # (sequence, top vertex)
+        for p in range(spec.k):
+            grown = [
+                (seq + (u,), max(top, u))
+                for seq, top in grown
+                for u in range(min(top + 2, max_v))
+                if p in starts or u != seq[-1]
+            ]
+        for seq, top in grown:
+            if top + 1 < min_v:
+                continue
+            walks = (seq,) if len(sizes) == 1 else (seq[: sizes[0]], seq[sizes[0] :])
+            if any(w[0] == w[-1] for w in walks):
+                continue
+            edges = {(a, b) if a < b else (b, a) for w in walks for a, b in zip(w[-1:] + w, w)}
+            if len(edges) < spec.k:
                 continue
             if walks == min(t[0] for t in _shape_transforms(walks)):
                 shapes.append(walks)
@@ -460,6 +444,24 @@ def _walk_shapes(spec: EmptyCircuitSpec) -> list[tuple[tuple[int, ...], ...]]:
 
 
 # -- the spanning-walk engine --------------------------------------------------------
+
+
+def _finished_map(vertex_of, rotation, reverse) -> Map | None:
+    """The map an engine completed, validated once; None when it is disconnected.
+
+    Pair walks and glued polygons may fail to join up; a disconnected
+    completion is no map of any searched family, and its genus count is
+    meaningless.  Any other problem means the engine broke an invariant.
+    """
+    m = Map(tuple(vertex_of), tuple(rotation), tuple(reverse))
+    problems = validate(m).problems
+    if not problems:
+        return m
+    if any(p.startswith("map is disconnected") for p in problems) and all(
+        p.startswith(("map is disconnected", "negative genus")) for p in problems
+    ):
+        return None
+    raise RuntimeError("search produced a broken map: " + "; ".join(problems))
 
 
 class _WalkFrame:
@@ -653,18 +655,9 @@ def _run_walk_engine(frame: _WalkFrame, spec: EmptyCircuitSpec, clock: _Clock, s
             return
         if spec.detached_face and 0 not in closed_backs:
             return
-        m = Map(tuple(vertex_of[:top]), tuple(succ[:top]), tuple(alpha[:top]))
-        report = validate(m)
-        if not report.ok:
-            problems = report.problems
-            if any(p.startswith("map is disconnected") for p in problems) and all(
-                p.startswith(("map is disconnected", "negative genus")) for p in problems
-            ):
-                # pair walks may fail to join up; a disconnected completion
-                # is no map of the family, and its genus count is meaningless
-                return
-            raise RuntimeError("search produced a broken map: " + "; ".join(problems))
-        sink(m)
+        m = _finished_map(vertex_of[:top], succ[:top], alpha[:top])
+        if m is not None:
+            sink(m)
 
     def least_so_far(v: int) -> bool:
         """Record the rotation of v, which just closed, and compare codes.
@@ -839,7 +832,7 @@ def enumerate_empty(
     try:
         for frame in frames:
             _run_walk_engine(frame, spec, clock, sink)
-    except _OutOfBudget:
+    except _Stop:
         complete = False
 
     if complete:
@@ -891,7 +884,33 @@ class Remark24Report:
         return out
 
 
-CASE_LABELS = ("i", "ii", "iii", "iv", "v", "vi", "vii", "viii", "ix", "x")
+# label -> ("empty", claim, sweeps) or ("bounds", claim, spec, exact vertices, least edges)
+_REMARK_CASES: dict[str, tuple] = {
+    "i": ("empty", "no circuits with pairwise different neighbor faces, k=3,4,5",
+          [EmptyCircuitSpec(x, distinct_neighbors=True) for x in (3, 4, 5)]),
+    "ii": ("empty", "no circuits with a face detached from the spanning face, k=3,4,5",
+           [EmptyCircuitSpec(x, detached_face=True) for x in (3, 4, 5)]),
+    "iii": ("bounds", "6-circuits with distinct neighbors: 6 vertices, >= 13 edges",
+            EmptyCircuitSpec(6, distinct_neighbors=True), 6, 13),
+    "iv": ("empty", "no 6-circuits with >= 3 faces and a single neighbor face",
+           [EmptyCircuitSpec(6, single_neighbor=True, min_faces=3)]),
+    "v": ("bounds", "6-pairs with distinct neighbors: 6 vertices, >= 12 edges",
+          EmptyCircuitSpec(6, "pair", distinct_neighbors=True), 6, 12),
+    "vi": ("empty", "no 6-pairs with >= 4 faces sharing edges with one face only",
+           [EmptyCircuitSpec(6, "pair", single_neighbor=True, min_faces=4)]),
+    "vii": ("empty", "7-circuits with distinct neighbors need 7 vertices and >= 15 edges",
+            [EmptyCircuitSpec(7, distinct_neighbors=True, max_vertices=6),
+             EmptyCircuitSpec(7, distinct_neighbors=True, min_vertices=7, max_edges=14)]),
+    "viii": ("empty", "no 7-circuits with >= 3 faces and a single neighbor face",
+             [EmptyCircuitSpec(7, single_neighbor=True, min_faces=3)]),
+    "ix": ("empty", "7-pairs with distinct neighbors need 7 vertices and >= 14 edges",
+           [EmptyCircuitSpec(7, "pair", distinct_neighbors=True, max_vertices=6),
+            EmptyCircuitSpec(7, "pair", distinct_neighbors=True, min_vertices=7, max_edges=13)]),
+    "x": ("empty", "no 7-pairs with >= 4 faces sharing edges with one face only",
+          [EmptyCircuitSpec(7, "pair", single_neighbor=True, min_faces=4)]),
+}
+
+CASE_LABELS = tuple(_REMARK_CASES)
 
 
 def _case_empty(label: str, claim: str, specs, budget) -> CaseOutcome:
@@ -938,39 +957,6 @@ def _case_bounds(label, claim, spec, v_exact, e_min, budget) -> CaseOutcome:
     )
 
 
-def _remark_case_table() -> dict[str, tuple]:
-    def circuit(k: int, **kw) -> EmptyCircuitSpec:
-        return EmptyCircuitSpec(k=k, mode="circuit", **kw)
-
-    def pair(k: int, **kw) -> EmptyCircuitSpec:
-        return EmptyCircuitSpec(k=k, mode="pair", **kw)
-
-    return {
-        "i": ("empty", "no circuits with pairwise different neighbor faces, k=3,4,5",
-              [circuit(x, distinct_neighbors=True) for x in (3, 4, 5)]),
-        "ii": ("empty", "no circuits with a face detached from the spanning face, k=3,4,5",
-               [circuit(x, detached_face=True) for x in (3, 4, 5)]),
-        "iii": ("bounds", "6-circuits with distinct neighbors: 6 vertices, >= 13 edges",
-                circuit(6, distinct_neighbors=True), 6, 13),
-        "iv": ("empty", "no 6-circuits with >= 3 faces and a single neighbor face",
-               [circuit(6, single_neighbor=True, min_faces=3)]),
-        "v": ("bounds", "6-pairs with distinct neighbors: 6 vertices, >= 12 edges",
-              pair(6, distinct_neighbors=True), 6, 12),
-        "vi": ("empty", "no 6-pairs with >= 4 faces sharing edges with one face only",
-               [pair(6, single_neighbor=True, min_faces=4)]),
-        "vii": ("empty", "7-circuits with distinct neighbors need 7 vertices and >= 15 edges",
-                [circuit(7, distinct_neighbors=True, max_vertices=6),
-                 circuit(7, distinct_neighbors=True, min_vertices=7, max_edges=14)]),
-        "viii": ("empty", "no 7-circuits with >= 3 faces and a single neighbor face",
-                 [circuit(7, single_neighbor=True, min_faces=3)]),
-        "ix": ("empty", "7-pairs with distinct neighbors need 7 vertices and >= 14 edges",
-               [pair(7, distinct_neighbors=True, max_vertices=6),
-                pair(7, distinct_neighbors=True, min_vertices=7, max_edges=13)]),
-        "x": ("empty", "no 7-pairs with >= 4 faces sharing edges with one face only",
-              [pair(7, single_neighbor=True, min_faces=4)]),
-    }
-
-
 def verify_remark24(cases=None, budget: SearchBudget | None = None) -> Remark24Report:
     """Certify the ten small-map claims by exhaustive enumeration.
 
@@ -982,13 +968,12 @@ def verify_remark24(cases=None, budget: SearchBudget | None = None) -> Remark24R
     downgrades a case to "exhausted" with its node count, never to a
     verdict.
     """
-    table = _remark_case_table()
     wanted = list(cases) if cases is not None else list(CASE_LABELS)
     results = []
     for label in wanted:
-        if label not in table:
+        if label not in _REMARK_CASES:
             raise SearchError(f"unknown case {label!r}; pick from {', '.join(CASE_LABELS)}")
-        row = table[label]
+        row = _REMARK_CASES[label]
         if row[0] == "empty":
             results.append(_case_empty(label, row[1], row[2], budget))
         else:
@@ -1021,15 +1006,15 @@ class _GlueRules:
     spanning_block: int | None = None
 
 
-class _Stopped(Exception):
-    """The glue engine recorded ``stop_after`` completions."""
+def _run_glue_engine(rules: _GlueRules, clock: _Clock, accept) -> None:
+    """Match polygon sides into maps, passing each completion to ``accept``.
 
-
-def _run_glue_engine(rules: _GlueRules, clock: _Clock, accept, stop_after=None) -> bool:
-    """Match polygon sides into maps; True means the space was exhausted.
-
-    ``accept`` inspects each structurally valid completion and returns True
-    to record it; recording ``stop_after`` maps ends the walk early.
+    A return means the space was exhausted.  ``accept`` gets every
+    connected completion and returns nothing; it may raise ``_Stop`` once
+    it has what it wanted, and ``clock`` raises ``_Stop`` when the budget
+    runs out, so a caller that needs to tell the two apart records its
+    hits.  A completion that fails ``validate`` other than by being
+    disconnected raises ``RuntimeError`` (``_finished_map``).
 
     Each node matches the least unmatched dart d0 with a later unmatched
     dart d1.  The unmatched darts form a doubly linked list in ascending
@@ -1107,7 +1092,6 @@ def _run_glue_engine(rules: _GlueRules, clock: _Clock, accept, stop_after=None) 
     spans = [int(block_of[d] == spanning) for d in range(n)]
     vertex_id = [-1] * n
     vertices: list[list[int]] = []
-    accepted = 0
 
     def link(tail: int, head: int) -> bool:
         """Set ``snext[tail] = head``; False kills the branch, leaving nothing to undo."""
@@ -1167,17 +1151,12 @@ def _run_glue_engine(rules: _GlueRules, clock: _Clock, accept, stop_after=None) 
             spans[start] -= spans[head]
 
     def completion() -> None:
-        nonlocal accepted
         # number vertices by their smallest dart
         rank: dict[int, int] = {}
         vertex_of = [rank.setdefault(vertex_id[d], len(rank)) for d in range(n)]
-        m = Map(tuple(vertex_of), tuple(snext), tuple(alpha))
-        if not validate(m).ok:
-            return  # typically disconnected, never structural damage
-        if accept(m):
-            accepted += 1
-            if accepted == stop_after:
-                raise _Stopped
+        m = _finished_map(vertex_of, snext, alpha)
+        if m is not None:
+            accept(m)
 
     def step() -> None:
         d0 = nxt[n]
@@ -1235,11 +1214,7 @@ def _run_glue_engine(rules: _GlueRules, clock: _Clock, accept, stop_after=None) 
         prv[after] = d0
         alpha[d0] = -1
 
-    try:
-        step()
-    except _Stopped:
-        return False
-    return True
+    step()
 
 
 # -- witness search ---------------------------------------------------------------------
@@ -1304,8 +1279,7 @@ def search_witness(spec: WitnessSpec, budget: SearchBudget | None = None) -> Wit
     """
     clock = _Clock(budget)
     swept: list[str] = []
-    hit: list[Map | None] = [None]
-    complete = True
+    hit: Map | None = None
 
     combos = []
     for a in range(3, spec.pair_sum // 2 + 1):
@@ -1319,39 +1293,40 @@ def search_witness(spec: WitnessSpec, budget: SearchBudget | None = None) -> Wit
             t += 2
     combos.sort()
 
-    try:
-        for edges, a, b, t in combos:
-            # a simple graph needs E <= V(V-1)/2, and demanding kappa = c
-            # forces minimum degree c, hence V <= 2E/c and V >= c+1
-            max_v = min(spec.max_vertices, 2 * edges // spec.connectivity)
-            if max_v * (max_v - 1) // 2 < edges or max_v < spec.connectivity + 1:
-                swept.append(f"pair=({a},{b}) triangles={t}: infeasible")
-                continue
-            sizes = tuple(sorted((a, b) + (3,) * t, reverse=True))
-            rules = _GlueRules(
-                sizes=sizes,
-                dual_simple="simple" in spec.dual_demands,
-                min_degree=spec.connectivity,
-                max_degree=max_v - 1,
-                max_vertices=max_v,
+    for edges, a, b, t in combos:
+        # a simple graph needs E <= V(V-1)/2, and demanding kappa = c
+        # forces minimum degree c, hence V <= 2E/c and V >= c+1
+        max_v = min(spec.max_vertices, 2 * edges // spec.connectivity)
+        if max_v * (max_v - 1) // 2 < edges or max_v < spec.connectivity + 1:
+            swept.append(f"pair=({a},{b}) triangles={t}: infeasible")
+            continue
+        sizes = tuple(sorted((a, b) + (3,) * t, reverse=True))
+        rules = _GlueRules(
+            sizes=sizes,
+            dual_simple="simple" in spec.dual_demands,
+            min_degree=spec.connectivity,
+            max_degree=max_v - 1,
+            max_vertices=max_v,
+        )
+
+        def accept(m: Map) -> None:
+            nonlocal hit
+            if _witness_demands(m, spec, (a, b)):
+                hit = m
+                raise _Stop
+
+        try:
+            _run_glue_engine(rules, clock, accept)
+        except _Stop:
+            if hit is None:
+                swept.append("budget exhausted")
+                return WitnessOutcome(None, False, clock.nodes, clock.seconds, tuple(swept))
+            swept.append(f"pair=({a},{b}) triangles={t}: hit")
+            return WitnessOutcome(
+                canonical_form(hit), True, clock.nodes, clock.seconds, tuple(swept)
             )
-
-            def accept(m: Map) -> bool:
-                if _witness_demands(m, spec, (a, b)):
-                    hit[0] = m
-                    return True
-                return False
-
-            finished = _run_glue_engine(rules, clock, accept, stop_after=1)
-            swept.append(f"pair=({a},{b}) triangles={t}: " + ("done" if finished else "hit"))
-            if hit[0] is not None:
-                return WitnessOutcome(
-                    canonical_form(hit[0]), True, clock.nodes, clock.seconds, tuple(swept)
-                )
-    except _OutOfBudget:
-        complete = False
-        swept.append("budget exhausted")
-    return WitnessOutcome(None, complete, clock.nodes, clock.seconds, tuple(swept))
+        swept.append(f"pair=({a},{b}) triangles={t}: done")
+    return WitnessOutcome(None, True, clock.nodes, clock.seconds, tuple(swept))
 
 
 # -- the spanning 9-gon neighboring a single 15-gon --------------------------------------
@@ -1386,23 +1361,19 @@ def search_empty_9_cycle(
     member_spec = EmptyCircuitSpec(k=9, mode="circuit", single_neighbor=True)
     found: dict[bytes, Map] = {}
 
-    def accept(m: Map) -> bool:
-        if m.vertex_count != 9 or genus(m) != 3:
-            return False
-        if empty_map_problems(m, member_spec):
-            return False
+    def accept(m: Map) -> None:
+        if m.vertex_count != 9 or genus(m) != 3 or empty_map_problems(m, member_spec):
+            return
         code, cm = canonical(m)
-        if code in found:
-            return False
-        found[code] = cm
-        return True
+        if code not in found:
+            found[code] = cm
+            if stop_at_first:
+                raise _Stop
 
-    complete = True
     try:
-        complete = _run_glue_engine(
-            rules, clock, accept, stop_after=1 if stop_at_first else None
-        )
-    except _OutOfBudget:
+        _run_glue_engine(rules, clock, accept)
+        complete = True
+    except _Stop:
         complete = False
     ordered = tuple(found[code] for code in sorted(found))
     return EnumerationOutcome(ordered, complete, clock.nodes, clock.seconds)
@@ -1436,11 +1407,9 @@ def triangular_complete_map(n: int) -> Map:
     )
     candidates: list[Map] = []
 
-    def accept(m: Map) -> bool:
-        if m.vertex_count != n or not m.is_simple_graph():
-            return False
-        candidates.append(m)
-        return True
+    def accept(m: Map) -> None:
+        if m.vertex_count == n and m.is_simple_graph():
+            candidates.append(m)
 
     _run_glue_engine(rules, _Clock(None), accept)
     if not candidates:

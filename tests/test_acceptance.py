@@ -23,7 +23,6 @@ from ormaps.bounds import (
     two_cut_size_threshold,
 )
 from ormaps.connectivity import (
-    BRUTEFORCE_LIMIT,
     find_cutsets,
     min_cut,
     vertex_connectivity,
@@ -355,7 +354,7 @@ def test_criterion_7_oracle_cross_checks(corpus16):
             break
 
     for m in corpus16:
-        if m.vertex_count <= BRUTEFORCE_LIMIT:
+        if m.vertex_count <= 10:  # subset deletion stays quick up to here
             adj = m.adjacency
             if vertex_connectivity_flow(adj) != vertex_connectivity_bruteforce(adj):
                 failures.append("flow and brute-force connectivity disagree")

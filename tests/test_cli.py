@@ -133,6 +133,18 @@ class TestExitCodes:
         assert key in err and "negative" in err
         assert "certified" not in out and "complete" not in out
 
+    @pytest.mark.parametrize(
+        "flag, value, key",
+        [("--max-nodes", "-5", "max-nodes"), ("--max-seconds", "-1", "max-seconds")],
+    )
+    def test_negative_budget_is_invalid(self, capsys, flag, value, key):
+        code, out, err = run_cli(
+            capsys, "search", "empty", "--spec", "k=3; mode=circuit", flag, value
+        )
+        assert code == 2
+        assert key in err and "negative" in err
+        assert "complete" not in out
+
     def test_budget_exhaustion_is_exit_three(self, capsys):
         code, out, _ = run_cli(
             capsys, "search", "remark24", "--case", "viii", "--max-nodes", "2000"

@@ -16,8 +16,9 @@ from ormaps.search import (
     WitnessSpec,
     _Clock,
     _GlueRules,
-    _OutOfBudget,
+    _Stop,
     _WalkFrame,
+    _finished_map,
     _run_glue_engine,
     _walk_shapes,
     empty_map_problems,
@@ -141,6 +142,14 @@ class TestSpecGrammar:
     def test_zero_bounds_stay_allowed(self):
         assert parse_empty_spec("k=6; max-edges=0; min-vertices=0").max_edges == 0
         assert parse_witness_spec("c=2; pair-sum=7; max-vertices=0").max_vertices == 0
+        assert SearchBudget(max_nodes=0, max_seconds=0.0).max_nodes == 0
+
+    @pytest.mark.parametrize(
+        "kwargs, key", [({"max_nodes": -5}, "max-nodes"), ({"max_seconds": -1.0}, "max-seconds")]
+    )
+    def test_negative_budget_rejected(self, kwargs, key):
+        with pytest.raises(SearchError, match=key):
+            SearchBudget(**kwargs)
 
 
 class TestSmallOracle:
@@ -372,10 +381,11 @@ def _complete_graph_rules(n: int) -> _GlueRules:
 
 
 # Fingerprints of the face-gluing engine, captured from the union-find
-# engine: (label, rules, node budget, nodes, return value, completions,
-# sha1 of the repr of every completion as (nodes so far, vertex_of,
-# next_in_rotation, reverse)).  ``accept`` records and rejects, so each
-# run walks its whole space or stops at its budget.
+# engine: (label, rules, node budget, nodes, result, completions, sha1 of
+# the repr of every completion as (nodes so far, vertex_of,
+# next_in_rotation, reverse)).  The result is True when the engine returns
+# (its space is exhausted) and ``_Stop`` when the budget stops it;
+# ``accept`` only records, so each run does one or the other.
 GLUE_GOLDEN = [
     ("pair-4-4", _GlueRules(sizes=(4, 4) + (3,) * 6, max_degree=6, max_vertices=7),
      None, 77019, True, 264, "b27441b5276ed0a1e4d6364ad9e4c37900a9bf71"),
@@ -385,7 +395,7 @@ GLUE_GOLDEN = [
     ("nine-cycle",
      _GlueRules(sizes=_NINE_SIZES, exempt_block=1, forced_target=((1, 0),),
                 max_degree=8, max_vertices=9, spanning_block=1),
-     100_000, 100_001, _OutOfBudget, 0, "97d170e1550eee4afc0af065b78cda302a97674c"),
+     100_000, 100_001, _Stop, 0, "97d170e1550eee4afc0af065b78cda302a97674c"),
     ("k4", _complete_graph_rules(4), None, 10, True, 1,
      "9ab3c0180e7cca1c875a15300305cb79f60b199a"),
     ("k7", _complete_graph_rules(7), None, 3093, True, 2,
@@ -425,9 +435,10 @@ GLUE_WITNESS_GOLDEN = [
      None),
 ]
 
-# The engine's early stop: ``accept`` records every completion and the run
-# ends once ``stop_after`` are recorded.  (label, rules, stop_after, nodes,
-# return value, completions, sha1 as in GLUE_GOLDEN).  k7 has two
+# The caller's early stop: ``accept`` records every completion and raises
+# ``_Stop`` once ``stop_after`` are recorded.  (label, rules, stop_after,
+# nodes, result, completions, sha1 as in GLUE_GOLDEN); the result is True
+# when the engine returns and False when ``accept`` stopped it.  k7 has two
 # completions in all, so stop_after=3 walks the whole space.
 GLUE_STOP_GOLDEN = [
     ("pair-4-4-stop-1", GLUE_GOLDEN[0][1], 1, 2641, False, 1,
@@ -458,12 +469,12 @@ class TestGlueGolden:
 
         def accept(m):
             seen.append((clock.nodes, m.vertex_of, m.next_in_rotation, m.reverse))
-            return False
 
         try:
-            got = _run_glue_engine(rules, clock, accept)
-        except _OutOfBudget:
-            got = _OutOfBudget
+            _run_glue_engine(rules, clock, accept)
+            got = True
+        except _Stop:
+            got = _Stop
         assert (clock.nodes, got, len(seen)) == (nodes, result, completions)
         assert hashlib.sha1(repr(seen).encode()).hexdigest() == digest
 
@@ -480,9 +491,14 @@ class TestGlueGolden:
 
         def accept(m):
             seen.append((clock.nodes, m.vertex_of, m.next_in_rotation, m.reverse))
-            return True
+            if len(seen) == stop_after:
+                raise _Stop
 
-        got = _run_glue_engine(rules, clock, accept, stop_after=stop_after)
+        try:
+            _run_glue_engine(rules, clock, accept)
+            got = True
+        except _Stop:
+            got = False
         assert (clock.nodes, got, len(seen)) == (nodes, result, completions)
         assert hashlib.sha1(repr(seen).encode()).hexdigest() == digest
 
@@ -497,6 +513,32 @@ class TestGlueGolden:
         assert (out.nodes, out.complete, out.swept) == (nodes, complete, swept)
         code = hashlib.sha1(canonical_code(out.map)).hexdigest() if out.map else None
         assert code == digest
+
+
+class TestFinishedMap:
+    """The completion check both engines call on every finished array."""
+
+    def test_disconnected_completion_is_dropped(self):
+        # two disjoint triangles, as a 3+3 pair walk completes when its walks
+        # never meet; validate also reports their negative genus
+        vertex_of = (0, 1, 1, 2, 2, 0)
+        rotation = (5, 2, 1, 4, 3, 0)
+        reverse = (1, 0, 3, 2, 5, 4)
+        got = _finished_map(
+            vertex_of + tuple(v + 3 for v in vertex_of),
+            rotation + tuple(d + 6 for d in rotation),
+            reverse + tuple(d + 6 for d in reverse),
+        )
+        assert got is None
+
+    def test_broken_completion_raises(self):
+        # dart 0's rotation successor is dart 1, which sits at the other vertex
+        with pytest.raises(RuntimeError, match="broken map"):
+            _finished_map((0, 1), (1, 0), (1, 0))
+
+    def test_valid_completion_is_returned(self):
+        m = triangular_complete_map(4)
+        assert _finished_map(m.vertex_of, m.next_in_rotation, m.reverse) == m
 
 
 class TestEngineOutputs:
