@@ -19,7 +19,7 @@ import re
 import struct
 from collections import Counter
 from collections.abc import Hashable, Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 
@@ -102,14 +102,12 @@ class Map:
     """An embedded (multi)graph as a rotation system over darts.
 
     Instances are immutable; derived structure (rotations, faces, adjacency)
-    is computed lazily and cached.  ``labels`` is presentation-only and does
-    not take part in equality.
+    is computed lazily and cached.
     """
 
     vertex_of: tuple[int, ...]
     next_in_rotation: tuple[int, ...]
     reverse: tuple[int, ...]
-    labels: tuple[str, ...] | None = field(default=None, compare=False)
 
     # -- basic counts ------------------------------------------------------
 
@@ -211,7 +209,7 @@ class Map:
         prev = [0] * self.dart_count
         for d, nd in enumerate(self.next_in_rotation):
             prev[nd] = d
-        return Map(self.vertex_of, tuple(prev), self.reverse, self.labels)
+        return Map(self.vertex_of, tuple(prev), self.reverse)
 
 
 def facial_walks(m: Map) -> tuple[Face, ...]:
@@ -269,8 +267,6 @@ def validate(m: Map) -> ValidationReport:
         return ValidationReport(("map has no darts",))
     if len(m.next_in_rotation) != D or len(m.reverse) != D:
         return ValidationReport(("dart arrays differ in length",))
-    if m.labels is not None and len(m.labels) <= max(m.vertex_of):
-        problems.append("labels shorter than vertex count")
 
     vmax = max(m.vertex_of)
     present = set(m.vertex_of)
@@ -416,7 +412,6 @@ def from_rotations(neighbor_lists: Sequence[Sequence[int]]) -> Map:
 def assemble(
     rotations: Mapping[int, Sequence[Hashable]],
     mate: Mapping[Hashable, Hashable],
-    labels: Sequence[str] | None = None,
 ) -> tuple[Map, dict[Hashable, int]]:
     """Number the darts of a token-level rotation system.
 
@@ -456,8 +451,7 @@ def assemble(
     for d in range(D):
         if rev[rev[d]] != d or rev[d] == d:
             raise ValueError("mate table is not a fixed-point-free involution")
-    lab = tuple(labels) if labels is not None else None
-    return Map(tuple(vertex_of), tuple(nxt), tuple(rev), lab), ids
+    return Map(tuple(vertex_of), tuple(nxt), tuple(rev)), ids
 
 
 # -- text format ----------------------------------------------------------------
@@ -666,18 +660,26 @@ def _least_root(sigma: Sequence[int], alpha: Sequence[int]) -> tuple[list[int], 
     return best, order
 
 
+def _renumber(seq: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """``seq`` relabelled by first occurrence, and the relabelling itself:
+    vertex v becomes ``perm[v]``.  ``seq`` uses the labels 0..V-1."""
+    table: dict[int, int] = {}
+    for v in seq:
+        if v not in table:
+            table[v] = len(table)
+    perm = [0] * len(table)
+    for v, new in table.items():
+        perm[v] = new
+    return tuple([table[v] for v in seq]), tuple(perm)
+
+
 def _relabel(
     vertex_of: Sequence[int], sigma: Sequence[int], alpha: Sequence[int], order: list[int]
 ) -> Map:
     """The map with dart ``order[i]`` renamed i and vertices numbered by first visit."""
     pos = {d: i for i, d in enumerate(order)}
-    vmap: dict[int, int] = {}
-    for d in order:
-        v = vertex_of[d]
-        if v not in vmap:
-            vmap[v] = len(vmap)
     return Map(
-        tuple(vmap[vertex_of[d]] for d in order),
+        _renumber([vertex_of[d] for d in order])[0],
         tuple(pos[sigma[d]] for d in order),
         tuple(pos[alpha[d]] for d in order),
     )
@@ -700,7 +702,7 @@ def canonical(m: Map) -> tuple[bytes, Map]:
     rotations.  A map and its mirror may get different codes; compare
     against ``canonical(m.mirror())`` to test equivalence up to orientation
     reversal.  The form is the map relabeled in the visit order of a root
-    that attains the code; labels are dropped.  The code fixes the form:
+    that attains the code.  The code fixes the form:
     the form's rotation and reverse arrays are the code's words, and its
     vertices are numbered by first visit.
 

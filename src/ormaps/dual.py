@@ -57,8 +57,7 @@ def dual(m: Map) -> DualReport:
     """
     fidx = m.face_index_of
     sigma_star = tuple(m.next_in_rotation[m.reverse[d]] for d in range(m.dart_count))
-    labels = tuple(f"f{f.index + 1}" for f in m.faces)
-    dual_map = Map(fidx, sigma_star, m.reverse, labels)
+    dual_map = Map(fidx, sigma_star, m.reverse)
 
     loops = []
     between = Counter()

@@ -29,6 +29,7 @@ from .core import (
     _least_root,
     _pack,
     _relabel,
+    _renumber,
     canonical,
     canonical_form,
     from_rotations,
@@ -361,19 +362,6 @@ def empty_map_problems(m: Map, spec: EmptyCircuitSpec) -> tuple[str, ...]:
 # -- boundary-walk shapes -----------------------------------------------------------
 
 
-def _renumber(seq: list[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """``seq`` relabelled by first occurrence, and the relabelling itself:
-    vertex v becomes ``perm[v]``.  ``seq`` uses the labels 0..V-1."""
-    table: dict[int, int] = {}
-    for v in seq:
-        if v not in table:
-            table[v] = len(table)
-    perm = [0] * len(table)
-    for v, new in table.items():
-        perm[v] = new
-    return tuple([table[v] for v in seq]), tuple(perm)
-
-
 def _shape_transforms(walks: tuple[tuple[int, ...], ...]):
     """Every relabelling of a walk shape that keeps its geometry.
 
@@ -443,6 +431,12 @@ def _walk_shapes(spec: EmptyCircuitSpec) -> list[tuple[tuple[int, ...], ...]]:
     return sorted(shapes)
 
 
+def _shape_group(walks: tuple[tuple[int, ...], ...]) -> list[tuple[tuple[int, ...], bool]]:
+    """The stabiliser of a shape: the ``(perm, reverses)`` relabellings from
+    ``_shape_transforms`` that give the walks back."""
+    return [(perm, rev) for w, perm, rev in _shape_transforms(walks) if w == walks]
+
+
 # -- the spanning-walk engine --------------------------------------------------------
 
 
@@ -464,61 +458,21 @@ def _finished_map(vertex_of, rotation, reverse) -> Map | None:
     raise RuntimeError("search produced a broken map: " + "; ".join(problems))
 
 
-class _WalkFrame:
-    """Precomputed geometry of one shape: positions, darts, corner blocks.
-
-    The out dart of position p is p itself and its reverse is k + p, placed
-    at the next vertex of the same walk.  Internal darts are numbered
-    upward from 2k in pairs, so the reverse of dart d >= 2k is d ^ 1.  The
-    graph stays simple, so it has at most V(V-1)/2 edges; ``capacity``
-    darts therefore always suffice, and each engine array is allocated
-    once per shape.
-
-    ``group`` is the stabiliser of the shape: the ``(perm, reverses)``
-    relabellings from ``_shape_transforms`` that give the walks back.
-    """
-
-    def __init__(self, walks: tuple[tuple[int, ...], ...]):
-        self.walks = walks
-        self.group = [(perm, rev) for w, perm, rev in _shape_transforms(walks) if w == walks]
-        flat: list[int] = []
-        self.next_pos: list[int] = []
-        for walk in walks:
-            base = len(flat)
-            n = len(walk)
-            flat.extend(walk)
-            self.next_pos.extend(base + (i + 1) % n for i in range(n))
-        k = self.k = len(flat)
-        self.seq = flat
-        V = self.V = max(flat) + 1
-        self.capacity = 2 * k + V * (V - 1)
-        self.alpha = (
-            [d + k for d in range(k)]
-            + [d - k for d in range(k, 2 * k)]
-            + [d ^ 1 for d in range(2 * k, self.capacity)]
-        )
-        edges = {frozenset((flat[p], flat[self.next_pos[p]])) for p in range(k)}
-        # fresh internal edges go from v to a higher vertex it does not
-        # already meet along the walks
-        self.cand = [
-            [u for u in range(v + 1, V) if frozenset((v, u)) not in edges]
-            for v in range(V)
-        ]
-        # corner blocks in visit order: (reverse of the arriving dart, out
-        # dart); the spanning orbit forces these two to sit consecutively
-        # in the rotation
-        self.blocks: list[list[tuple[int, int]]] = [[] for _ in range(V)]
-        for p in range(k):
-            vertex = flat[self.next_pos[p]]
-            self.blocks[vertex].append((k + p, self.next_pos[p]))
-
-
-def _run_walk_engine(frame: _WalkFrame, spec: EmptyCircuitSpec, clock: _Clock, sink) -> None:
+def _run_walk_engine(
+    walks: tuple[tuple[int, ...], ...], spec: EmptyCircuitSpec, clock: _Clock, sink
+) -> None:
     """Every completion of one walk shape into a member map, fed to ``sink``.
 
     Each vertex rotation is built one link at a time, and every face orbit
     is checked the instant its last link appears, so a forbidden face cuts
     off all orderings and edge choices that would share the same prefix.
+
+    Darts: position p of the walks read one after another has out dart p
+    and reverse k + p, placed at the next vertex of the same walk.
+    Internal darts are numbered upward from 2k in pairs, so the reverse of
+    dart d >= 2k is d ^ 1, and the darts in use are those below ``top``:
+    the edge count is ``top // 2``.  The graph stays simple, so it has at
+    most V(V-1)/2 edges, and every array is allocated once per shape.
 
     The face permutation is phi(d) = succ[alpha[d]], so a link
     ``succ[tail] = head`` adds the phi-edge ``alpha[tail] -> head``.  The
@@ -526,7 +480,8 @@ def _run_walk_engine(frame: _WalkFrame, spec: EmptyCircuitSpec, clock: _Clock, s
     Their links, the corner blocks, are set before the search starts, so
     they are never chained and no link ever targets them.  Every other
     dart lies on one partial orbit: a chain of phi-edges, a single dart at
-    first.
+    first.  A closed face therefore holds no dart below k, and its back
+    darts are those below 2k.
 
     The chain-end invariant: ``start_of`` and ``end_of`` are valid only at
     chain ends, ``end_of[s]`` at a start s and ``start_of[e]`` at an end e.
@@ -539,10 +494,11 @@ def _run_walk_engine(frame: _WalkFrame, spec: EmptyCircuitSpec, clock: _Clock, s
     face.  ``succ`` is never cleared, because only closed orbits and the
     finished map read it.
 
-    The shape's stabiliser (``frame.group``) maps completions onto
-    completions; an element that reverses orientation maps the mirror
-    image.  Every check above is invariant under it, so only the least
-    completion of each orbit is kept, by lex-leader pruning (McKay,
+    The shape's stabiliser, which ``_shape_group`` picks from the
+    ``_shape_transforms`` relabellings, maps completions onto completions;
+    an element that reverses orientation maps the mirror image.  Every
+    check above is invariant under it, so only the least completion of
+    each orbit is kept, by lex-leader pruning (McKay,
     J. Algorithms 1998): each time vertex v closes, ``least_so_far``
     compares the code positions now decided on both sides and cuts the
     branch as soon as an image is smaller.  The elements still tied are
@@ -551,40 +507,55 @@ def _run_walk_engine(frame: _WalkFrame, spec: EmptyCircuitSpec, clock: _Clock, s
     twins fold together, so the caller restores mirror images after a
     complete run.
     """
-    k, V = frame.k, frame.V
-    k2 = 2 * k
-    last = V - 1
+    seq: list[int] = []
+    next_pos: list[int] = []
+    for walk in walks:
+        base, n = len(seq), len(walk)
+        seq.extend(walk)
+        next_pos.extend(base + (i + 1) % n for i in range(n))
+    k = len(seq)
     max_edges = spec.max_edges
+    if max_edges is not None and k > max_edges:
+        return  # the walks alone use more edges than the spec allows
+    k2 = 2 * k
+    V = max(seq) + 1
+    last = V - 1
+    size = k2 + V * (V - 1)
+    max_top = size if max_edges is None else 2 * max_edges  # top never reaches size
     distinct = spec.distinct_neighbors
     single = spec.single_neighbor
-    alpha = frame.alpha
-    blocks = frame.blocks
-    cand = frame.cand
+    alpha = [*range(k, k2), *range(k), *(d ^ 1 for d in range(k2, size))]
+    edges = {frozenset((seq[p], seq[next_pos[p]])) for p in range(k)}
+    # fresh internal edges go from v to a higher vertex it does not already
+    # meet along the walks
+    cand = [[u for u in range(v + 1, V) if frozenset((v, u)) not in edges] for v in range(V)]
+    # corner blocks in visit order: (reverse of the arriving dart, out dart);
+    # the spanning orbit forces these two to sit consecutively in the rotation
+    blocks: list[list[tuple[int, int]]] = [[] for _ in range(V)]
+    for p in range(k):
+        blocks[seq[next_pos[p]]].append((k + p, next_pos[p]))
     tick = clock.tick
 
-    size = frame.capacity
     vertex_of = [0] * size
     succ = [-1] * size
     for p in range(k):
-        vertex_of[p] = frame.seq[p]
-        vertex_of[k + p] = frame.seq[frame.next_pos[p]]
-        succ[k + p] = frame.next_pos[p]  # every corner block is fixed in advance
+        vertex_of[p] = seq[p]
+        vertex_of[k + p] = seq[next_pos[p]]
+        succ[k + p] = next_pos[p]  # every corner block is fixed in advance
     claimed = [-1] * size  # face index of a dart on a closed ordinary face, else -1
     start_of = list(range(size))
     end_of = list(range(size))
     faces: list[list[int]] = []
-    closed_backs: list[int] = []
     pending: list[list[tuple[int]]] = [[] for _ in range(V)]
     in_use: list[set[int]] = [set() for _ in range(V)]
     degree = [2 * len(blocks[v]) for v in range(V)]
-    edge_total = k
     top = k2
     # lex-leader state, see least_so_far
     rotation: list[list[int]] = [[] for _ in range(V)]
     code: list[tuple[int, ...] | None] = [None] * V
     tied: list[list[tuple]] = [[] for _ in range(V + 1)]
     identity = tuple(range(V))
-    for perm, rev in frame.group:
+    for perm, rev in _shape_group(walks):
         if perm != identity:
             inverse = tuple(sorted(range(V), key=perm.__getitem__))
             tied[0].append((inverse[0], perm, inverse, rev, 0))
@@ -630,7 +601,6 @@ def _run_walk_engine(frame: _WalkFrame, spec: EmptyCircuitSpec, clock: _Clock, s
             if cur == head:
                 if not (single and backs and backs < k):
                     faces.append(path)
-                    closed_backs.append(backs)
                     return True
                 break
         for d in path:
@@ -642,7 +612,6 @@ def _run_walk_engine(frame: _WalkFrame, spec: EmptyCircuitSpec, clock: _Clock, s
         if claimed[head] >= 0:
             for d in faces.pop():
                 claimed[d] = -1
-            closed_backs.pop()
         else:
             a = alpha[tail]
             end_of[start_of[a]] = a
@@ -651,10 +620,10 @@ def _run_walk_engine(frame: _WalkFrame, spec: EmptyCircuitSpec, clock: _Clock, s
     def finish() -> None:
         if min(claimed[k:top]) < 0:
             raise RuntimeError("search invariant broken: unclaimed darts at completion")
-        if spec.min_faces and len(frame.walks) + len(closed_backs) < spec.min_faces:
+        if spec.min_faces and len(walks) + len(faces) < spec.min_faces:
             return
-        if spec.detached_face and 0 not in closed_backs:
-            return
+        if spec.detached_face and all(min(face) < k2 for face in faces):
+            return  # every closed face holds a back dart
         m = _finished_map(vertex_of[:top], succ[:top], alpha[:top])
         if m is not None:
             sink(m)
@@ -728,7 +697,7 @@ def _run_walk_engine(frame: _WalkFrame, spec: EmptyCircuitSpec, clock: _Clock, s
         arrange(v, blocks[v][0][1], rest)
 
     def arrange(v: int, tail: int, todo: list[tuple[int, ...]]) -> None:
-        nonlocal edge_total, top
+        nonlocal top
         tick()
         if not todo:
             # wrap the rotation shut and move to the next vertex
@@ -750,7 +719,7 @@ def _run_walk_engine(frame: _WalkFrame, spec: EmptyCircuitSpec, clock: _Clock, s
             todo.insert(i, item)
         if degree[v] >= last:
             return
-        if max_edges is not None and edge_total >= max_edges:
+        if top >= max_top:
             return
         used = in_use[v]
         for u in cand[v]:
@@ -763,20 +732,16 @@ def _run_walk_engine(frame: _WalkFrame, spec: EmptyCircuitSpec, clock: _Clock, s
             pending[u].append((d + 1,))
             degree[u] += 1
             degree[v] += 1
-            edge_total += 1
             used.add(u)
             if link_check(tail, d):
                 arrange(v, d, todo)
                 unlink(tail, d)
             used.discard(u)
-            edge_total -= 1
             degree[v] -= 1
             degree[u] -= 1
             pending[u].pop()
             top = d
 
-    if max_edges is not None and edge_total > max_edges:
-        return  # the walks alone use more edges than the spec allows
     place(0)
 
 
@@ -815,8 +780,6 @@ def enumerate_empty(
     if spec.k > 9:
         raise SearchError("spanning size above 9 is not supported")
     clock = _Clock(budget)
-    frames = [_WalkFrame(walks) for walks in _walk_shapes(spec)]
-
     found: dict[bytes, Map] = {}
 
     def sink(m: Map) -> None:
@@ -830,19 +793,15 @@ def enumerate_empty(
 
     complete = True
     try:
-        for frame in frames:
-            _run_walk_engine(frame, spec, clock, sink)
+        for walks in _walk_shapes(spec):
+            _run_walk_engine(walks, spec, clock, sink)
     except _Stop:
         complete = False
 
     if complete:
         # shape canonicalization folded reflections away; restore chiral twins
         for m in list(found.values()):
-            code, mirrored = canonical(m.mirror())
-            if code not in found:
-                if empty_map_problems(mirrored, spec):
-                    raise RuntimeError("mirror image fell outside the family")
-                found[code] = mirrored
+            sink(m.mirror())
 
     ordered = tuple(found[code] for code in sorted(found))
     return EnumerationOutcome(ordered, complete, clock.nodes, clock.seconds)
@@ -1152,9 +1111,7 @@ def _run_glue_engine(rules: _GlueRules, clock: _Clock, accept) -> None:
 
     def completion() -> None:
         # number vertices by their smallest dart
-        rank: dict[int, int] = {}
-        vertex_of = [rank.setdefault(vertex_id[d], len(rank)) for d in range(n)]
-        m = _finished_map(vertex_of, snext, alpha)
+        m = _finished_map(_renumber(vertex_id)[0], snext, alpha)
         if m is not None:
             accept(m)
 

@@ -76,10 +76,6 @@ class TestDualConstruction:
         assert report.dual.dart_count == cube.dart_count
         assert report.dual.reverse == cube.reverse
 
-    def test_dual_labels_name_faces(self, tetrahedron):
-        report = dual(tetrahedron)
-        assert report.dual.labels == ("f1", "f2", "f3", "f4")
-
     def test_involution_is_exact_on_fresh_maps(self, tetrahedron, cube):
         for m in (tetrahedron, cube, make_octahedron(), make_bowtie(), make_dumbbell()):
             again = dual(dual(m).dual).dual

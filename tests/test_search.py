@@ -17,9 +17,9 @@ from ormaps.search import (
     _Clock,
     _GlueRules,
     _Stop,
-    _WalkFrame,
     _finished_map,
     _run_glue_engine,
+    _shape_group,
     _walk_shapes,
     empty_map_problems,
     enumerate_connected_maps,
@@ -264,6 +264,13 @@ ENGINE_GOLDEN = [
      "8096d5df9654b02e584f6e0937a926ac0d4054b0"),
     ("k=7; mode=circuit; constraints=distinct-neighbors; max-vertices=6", None, 96650, 55590, 0,
      _EMPTY_SHA1),
+    # the edge cap binds
+    ("k=6; mode=circuit; max-edges=9", None, 524, 524, 17,
+     "666d5e8f69aab238fd242d87e5666c964c8b360b"),
+    ("k=6; mode=pair; max-edges=9", None, 342, 342, 17,
+     "b7eeb7505ed98aedd16e327298629e43e894c10f"),
+    ("k=7; mode=pair; constraints=distinct-neighbors; min-vertices=7; max-edges=13", None,
+     69709, 69709, 0, _EMPTY_SHA1),
     # truncated runs on hard shapes
     ("k=7; mode=circuit; constraints=single-neighbor,min-faces:3", 200_000, 200_001, 200_001,
      0, _EMPTY_SHA1),
@@ -348,7 +355,7 @@ class TestShapeStabiliser:
         ],
     )
     def test_group_order_and_action(self, walks, order):
-        group = _WalkFrame(walks).group
+        group = _shape_group(walks)
         assert len(group) == order
         assert len({perm for perm, _ in group}) == order
         for perm, reverses in group:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_cube
+from ormaps.bounds import one_cut_genus_bounds
 from ormaps.connectivity import adjacency_of, find_cutsets, vertex_connectivity
 from ormaps.core import face_size_multiset, genus, validate, walk_vertices
 from ormaps.dual import dual, is_dual_separating
@@ -674,6 +675,11 @@ class TestBuildWitness:
         assert genus(m) == 1
         assert vertex_connectivity(m) == 3
         assert one_cut_witness_problems(m, 3) == ()
+
+    @pytest.mark.parametrize("c", [1, 3])
+    def test_witness_genus_is_the_table_value(self, c):
+        exact = [e.value for e in one_cut_genus_bounds(c) if e.status == "exact"]
+        assert exact == [genus(build_one_cut_witness(c).map)]
 
     def test_explicit_ingredients_match_the_default(self):
         default = build_one_cut_witness(3)
