@@ -299,7 +299,7 @@ def _cmd_construct(args, manifest) -> int:
             raise _Failure(EXIT_IO, "delta1-witness needs --c")
         if args.triangulation:
             host = _load(args.triangulation, manifest)
-            outcome = one_cut_witness_from_triangulation(host)
+            outcome = one_cut_witness_from_triangulation(host, expect_connectivity=args.c)
         else:
             ingredients = tuple(
                 _load(path, manifest) for path in (args.ingredient or ())
@@ -579,7 +579,7 @@ def main(argv: list[str] | None = None) -> int:
         code = args.run(args, manifest)
     except _Failure as exc:
         code = _fail(manifest, str(exc), exc.code)
-    except ValueError as exc:  # RotParseError, ValidationError, SurgeryError, SearchError
+    except ValueError as exc:  # RotParseError, SurgeryError, SearchError
         code = _fail(manifest, str(exc), EXIT_INVALID)
     except RuntimeError as exc:  # a broken library invariant, not bad input
         code = _fail(manifest, f"internal: {exc}", EXIT_INTERNAL)

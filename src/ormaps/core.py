@@ -23,14 +23,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 
-class ValidationError(ValueError):
-    """Raised when an operation requires a valid map and got a broken one."""
-
-    def __init__(self, report: "ValidationReport"):
-        super().__init__("; ".join(report.problems) or "invalid map")
-        self.report = report
-
-
 class RotParseError(ValueError):
     """Syntax or consistency error in ``.rot`` text, with source location."""
 
@@ -81,21 +73,6 @@ class ValidationReport:
     def ok(self) -> bool:
         return not self.problems
 
-    def lines(self) -> list[str]:
-        out = [f"valid: {'yes' if self.ok else 'no'}"]
-        for name, value in (
-            ("vertices", self.vertex_count),
-            ("edges", self.edge_count),
-            ("faces", self.face_count),
-            ("euler", self.euler),
-            ("genus", self.genus),
-        ):
-            if value is not None:
-                out.append(f"{name}: {value}")
-        for p in self.problems:
-            out.append(f"problem: {p}")
-        return out
-
 
 @dataclass(frozen=True)
 class Map:
@@ -143,9 +120,6 @@ class Map:
                 d = self.next_in_rotation[d]
             rots.append(tuple(cyc))
         return tuple(rots)
-
-    def darts_at(self, v: int) -> tuple[int, ...]:
-        return self.rotations[v]
 
     def degree(self, v: int) -> int:
         return len(self.rotations[v])
@@ -198,9 +172,6 @@ class Map:
             for d in f.darts:
                 idx[d] = f.index
         return tuple(idx)
-
-    def face_of_dart(self, d: int) -> Face:
-        return self.faces[self.face_index_of[d]]
 
     # -- whole-map transforms -------------------------------------------------
 
@@ -342,13 +313,6 @@ def validate(m: Map) -> ValidationReport:
         else:
             g = (2 - chi) // 2
     return ValidationReport(tuple(problems), V, E, F, chi, g)
-
-
-def require_valid(m: Map) -> Map:
-    report = validate(m)
-    if not report.ok:
-        raise ValidationError(report)
-    return m
 
 
 # -- construction --------------------------------------------------------------

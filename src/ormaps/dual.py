@@ -146,7 +146,7 @@ def is_dual_separating(m: Map, K, side: frozenset | set | None = None):
     # separation property: with V(K) removed, no component of the primal
     # graph may touch faces on both sides of the bipartition
     for comp in _components(m.adjacency, v_of_k):
-        sides = {fidx[d] in X_f for u in comp for d in m.darts_at(u)}
+        sides = {fidx[d] in X_f for u in comp for d in m.rotations[u]}
         _invariant(len(sides) == 1, "V(K) fails to separate the sides")
     _invariant(len(v_of_k) <= len(K), "V(K) has more vertices than K has edges")
 

@@ -205,6 +205,16 @@ def _int_field(fields: dict[str, str], key: str) -> int | None:
         raise SearchError(f"{key} must be an integer") from None
 
 
+def _take_bounds(fields: dict[str, str], kwargs: dict, *keys: str) -> None:
+    """Move the integer size bounds ``keys`` into kwargs; reject any key left over."""
+    for key in keys:
+        value = _int_field(fields, key)
+        if value is not None:
+            kwargs[key.replace("-", "_")] = value
+    if fields:
+        raise SearchError(f"unknown keys: {', '.join(sorted(fields))}")
+
+
 def parse_empty_spec(text: str) -> EmptyCircuitSpec:
     """Build an EmptyCircuitSpec from its text form.
 
@@ -247,16 +257,7 @@ def parse_empty_spec(text: str) -> EmptyCircuitSpec:
                 raise SearchError("min-faces needs an integer") from None
         else:
             raise SearchError(f"unknown constraint {item!r}")
-    for key, kw in (
-        ("min-vertices", "min_vertices"),
-        ("max-vertices", "max_vertices"),
-        ("max-edges", "max_edges"),
-    ):
-        value = _int_field(fields, key)
-        if value is not None:
-            kwargs[kw] = value
-    if fields:
-        raise SearchError(f"unknown keys: {', '.join(sorted(fields))}")
+    _take_bounds(fields, kwargs, "min-vertices", "max-vertices", "max-edges")
     return EmptyCircuitSpec(**kwargs)
 
 
@@ -280,12 +281,7 @@ def parse_witness_spec(text: str) -> WitnessSpec:
         )
     if "pair" in fields:
         kwargs["pair_demand"] = fields.pop("pair")
-    for key, kw in (("max-vertices", "max_vertices"), ("max-edges", "max_edges")):
-        value = _int_field(fields, key)
-        if value is not None:
-            kwargs[kw] = value
-    if fields:
-        raise SearchError(f"unknown keys: {', '.join(sorted(fields))}")
+    _take_bounds(fields, kwargs, "max-vertices", "max-edges")
     return WitnessSpec(**kwargs)
 
 
@@ -843,45 +839,47 @@ class Remark24Report:
         return out
 
 
-# label -> ("empty", claim, sweeps) or ("bounds", claim, spec, exact vertices, least edges)
+# label -> (claim, sweeps, bounds): bounds None means every sweep must come
+# back empty; (V, E) means each find has exactly V vertices and >= E edges
 _REMARK_CASES: dict[str, tuple] = {
-    "i": ("empty", "no circuits with pairwise different neighbor faces, k=3,4,5",
-          [EmptyCircuitSpec(x, distinct_neighbors=True) for x in (3, 4, 5)]),
-    "ii": ("empty", "no circuits with a face detached from the spanning face, k=3,4,5",
-           [EmptyCircuitSpec(x, detached_face=True) for x in (3, 4, 5)]),
-    "iii": ("bounds", "6-circuits with distinct neighbors: 6 vertices, >= 13 edges",
-            EmptyCircuitSpec(6, distinct_neighbors=True), 6, 13),
-    "iv": ("empty", "no 6-circuits with >= 3 faces and a single neighbor face",
-           [EmptyCircuitSpec(6, single_neighbor=True, min_faces=3)]),
-    "v": ("bounds", "6-pairs with distinct neighbors: 6 vertices, >= 12 edges",
-          EmptyCircuitSpec(6, "pair", distinct_neighbors=True), 6, 12),
-    "vi": ("empty", "no 6-pairs with >= 4 faces sharing edges with one face only",
-           [EmptyCircuitSpec(6, "pair", single_neighbor=True, min_faces=4)]),
-    "vii": ("empty", "7-circuits with distinct neighbors need 7 vertices and >= 15 edges",
+    "i": ("no circuits with pairwise different neighbor faces, k=3,4,5",
+          [EmptyCircuitSpec(x, distinct_neighbors=True) for x in (3, 4, 5)], None),
+    "ii": ("no circuits with a face detached from the spanning face, k=3,4,5",
+           [EmptyCircuitSpec(x, detached_face=True) for x in (3, 4, 5)], None),
+    "iii": ("6-circuits with distinct neighbors: 6 vertices, >= 13 edges",
+            [EmptyCircuitSpec(6, distinct_neighbors=True)], (6, 13)),
+    "iv": ("no 6-circuits with >= 3 faces and a single neighbor face",
+           [EmptyCircuitSpec(6, single_neighbor=True, min_faces=3)], None),
+    "v": ("6-pairs with distinct neighbors: 6 vertices, >= 12 edges",
+          [EmptyCircuitSpec(6, "pair", distinct_neighbors=True)], (6, 12)),
+    "vi": ("no 6-pairs with >= 4 faces sharing edges with one face only",
+           [EmptyCircuitSpec(6, "pair", single_neighbor=True, min_faces=4)], None),
+    "vii": ("7-circuits with distinct neighbors need 7 vertices and >= 15 edges",
             [EmptyCircuitSpec(7, distinct_neighbors=True, max_vertices=6),
-             EmptyCircuitSpec(7, distinct_neighbors=True, min_vertices=7, max_edges=14)]),
-    "viii": ("empty", "no 7-circuits with >= 3 faces and a single neighbor face",
-             [EmptyCircuitSpec(7, single_neighbor=True, min_faces=3)]),
-    "ix": ("empty", "7-pairs with distinct neighbors need 7 vertices and >= 14 edges",
+             EmptyCircuitSpec(7, distinct_neighbors=True, min_vertices=7, max_edges=14)], None),
+    "viii": ("no 7-circuits with >= 3 faces and a single neighbor face",
+             [EmptyCircuitSpec(7, single_neighbor=True, min_faces=3)], None),
+    "ix": ("7-pairs with distinct neighbors need 7 vertices and >= 14 edges",
            [EmptyCircuitSpec(7, "pair", distinct_neighbors=True, max_vertices=6),
-            EmptyCircuitSpec(7, "pair", distinct_neighbors=True, min_vertices=7, max_edges=13)]),
-    "x": ("empty", "no 7-pairs with >= 4 faces sharing edges with one face only",
-          [EmptyCircuitSpec(7, "pair", single_neighbor=True, min_faces=4)]),
+            EmptyCircuitSpec(7, "pair", distinct_neighbors=True, min_vertices=7, max_edges=13)],
+           None),
+    "x": ("no 7-pairs with >= 4 faces sharing edges with one face only",
+          [EmptyCircuitSpec(7, "pair", single_neighbor=True, min_faces=4)], None),
 }
 
 CASE_LABELS = tuple(_REMARK_CASES)
 
 
-def _case_empty(label: str, claim: str, specs, budget) -> CaseOutcome:
-    nodes = 0
-    seconds = 0.0
-    found = 0
-    details = []
-    for spec in specs:
+def _run_case(label: str, budget: SearchBudget | None) -> CaseOutcome:
+    """Run one case's sweeps in order, stopping at the first that runs out of budget."""
+    claim, sweeps, bounds = _REMARK_CASES[label]
+    maps: list[Map] = []
+    nodes, seconds, scopes = 0, 0.0, []
+    for spec in sweeps:
         outcome = enumerate_empty(spec, budget)
         nodes += outcome.nodes
         seconds += outcome.seconds
-        found += len(outcome.maps)
+        maps += outcome.maps
         scope = f"k={spec.k}"
         if spec.max_vertices is not None:
             scope += f" V<={spec.max_vertices}"
@@ -889,30 +887,22 @@ def _case_empty(label: str, claim: str, specs, budget) -> CaseOutcome:
             scope += f" V>={spec.min_vertices}"
         if spec.max_edges is not None:
             scope += f" E<={spec.max_edges}"
-        details.append(f"{scope}: {len(outcome.maps)} found")
+        scopes.append(f"{scope}: {len(outcome.maps)} found")
         if not outcome.complete:
-            return CaseOutcome(
-                label, claim, "exhausted", None, "; ".join(details), found, nodes, seconds
-            )
+            break
+    complete = outcome.complete
+    if bounds is None:
+        detail, holds = "; ".join(scopes), not maps
+    elif not complete:
+        detail, holds = f"partial: {len(maps)} found", None
+    else:
+        v_exact, e_min = bounds
+        holds = all(m.vertex_count == v_exact and m.edge_count >= e_min for m in maps)
+        edges = sorted({m.edge_count for m in maps})
+        detail = f"{len(maps)} maps, edge counts {edges}" if maps else "none found"
+    status = "certified" if complete else "exhausted"
     return CaseOutcome(
-        label, claim, "certified", found == 0, "; ".join(details), found, nodes, seconds
-    )
-
-
-def _case_bounds(label, claim, spec, v_exact, e_min, budget) -> CaseOutcome:
-    outcome = enumerate_empty(spec, budget)
-    if not outcome.complete:
-        return CaseOutcome(
-            label, claim, "exhausted", None,
-            f"partial: {len(outcome.maps)} found", len(outcome.maps),
-            outcome.nodes, outcome.seconds,
-        )
-    holds = all(m.vertex_count == v_exact and m.edge_count >= e_min for m in outcome.maps)
-    edges = sorted({m.edge_count for m in outcome.maps})
-    detail = f"{len(outcome.maps)} maps, edge counts {edges}" if outcome.maps else "none found"
-    return CaseOutcome(
-        label, claim, "certified", holds, detail, len(outcome.maps),
-        outcome.nodes, outcome.seconds,
+        label, claim, status, holds if complete else None, detail, len(maps), nodes, seconds
     )
 
 
@@ -925,19 +915,13 @@ def verify_remark24(cases=None, budget: SearchBudget | None = None) -> Remark24R
     edge count below the claimed minimum; together these decide the claim
     because simplicity bounds the rest of the range.  A budget stop
     downgrades a case to "exhausted" with its node count, never to a
-    verdict.
+    verdict.  An unknown label is rejected before any case runs.
     """
     wanted = list(cases) if cases is not None else list(CASE_LABELS)
-    results = []
     for label in wanted:
         if label not in _REMARK_CASES:
             raise SearchError(f"unknown case {label!r}; pick from {', '.join(CASE_LABELS)}")
-        row = _REMARK_CASES[label]
-        if row[0] == "empty":
-            results.append(_case_empty(label, row[1], row[2], budget))
-        else:
-            results.append(_case_bounds(label, row[1], row[2], row[3], row[4], budget))
-    return Remark24Report(tuple(results))
+    return Remark24Report(tuple(_run_case(label, budget) for label in wanted))
 
 
 # -- the face-gluing engine ------------------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from collections.abc import Hashable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .bounds import one_cut_size_threshold
@@ -201,18 +201,6 @@ def delete_vertex(m: Map, v: int) -> Map:
     return out
 
 
-def _subdivide(m: Map, d0: int) -> tuple[Map, dict[Hashable, int]]:
-    d0 = m.edge_id(d0)  # either dart names the edge; normalize for determinism
-    d1 = m.reverse[d0]
-    rotations, mate = _editable(m)
-    rotations[m.vertex_count] = [("mid", 0), ("mid", 1)]
-    mate[d0] = ("mid", 0)
-    mate[("mid", 0)] = d0
-    mate[d1] = ("mid", 1)
-    mate[("mid", 1)] = d1
-    return assemble(rotations, mate)
-
-
 def subdivide_edge(m: Map, e: int) -> Map:
     """Insert a degree-2 vertex on the edge named by either of its darts.
 
@@ -222,20 +210,27 @@ def subdivide_edge(m: Map, e: int) -> Map:
 
 
 def subdivide_edges(m: Map, edges: Sequence[int]) -> Map:
-    """Subdivide several distinct edges of the original map."""
+    """Subdivide several distinct edges of the original map.
+
+    New vertex V + i lies on the i-th edge in ascending order of smaller
+    dart, and its first dart faces that smaller dart.
+    """
     for e in edges:
         if not 0 <= e < m.dart_count:
             raise SurgeryError(f"no dart {e}")
     pending = sorted({m.edge_id(e) for e in edges})
     if len(pending) != len(edges):
         raise SurgeryError("edge list names an edge twice")
-    current = m
-    while pending:
-        head, *rest = pending
-        current, ids = _subdivide(current, head)
-        # old dart numbers are the tokens, so survivors translate through ids
-        pending = [ids[d] for d in rest]
-    return current
+    if not pending:
+        return m
+    rotations, mate = _editable(m)
+    for i, d0 in enumerate(pending):
+        mids = [("mid", i, 0), ("mid", i, 1)]
+        rotations[m.vertex_count + i] = mids
+        for d, mid in zip((d0, m.reverse[d0]), mids):
+            mate[d] = mid
+            mate[mid] = d
+    return assemble(rotations, mate)[0]
 
 
 def wedge_at_vertex(a: Map, va: int, b: Map, vb: int) -> Map:
@@ -341,7 +336,7 @@ def glue_faces(a: Map, b: Map, spec: GlueSpec, *, require_simple: bool = True) -
     if spec.mirror_b:
         d0 = fb.darts[0]
         b = b.mirror()
-        fb = b.face_of_dart(b.reverse[d0])
+        fb = b.faces[b.face_index_of[b.reverse[d0]]]
     _require_simple_cycle(a, fa)
     _require_simple_cycle(b, fb)
     if fb.size != fa.size:

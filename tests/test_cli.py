@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from types import ModuleType
 
 import pytest
 
@@ -40,6 +41,13 @@ class TestBindingOutputs:
         code, out, _ = run_cli(capsys, "dual", str(rot_dir / "tetrahedron.rot"))
         assert code == 0
         assert out.splitlines()[0] == "simple; self-dual: yes"
+
+    def test_dual_of_the_plane_four_cycle_is_a_multigraph(self, capsys, tmp_path):
+        path = tmp_path / "c4.rot"
+        path.write_text("vertices: 4\n1: 2 4\n2: 3 1\n3: 4 2\n4: 1 3\n")
+        code, out, _ = run_cli(capsys, "dual", str(path))
+        assert code == 0
+        assert out.splitlines() == ["multi; self-dual: no", "multi pair: f4#0 f4#1"]
 
     def test_dual_connectivity_of_the_wedge(self, capsys, rot_dir):
         code, out, _ = run_cli(
@@ -237,6 +245,18 @@ class TestConstruct:
         assert out == ""
         assert "error: give both triangles and pivots, or neither" in err
 
+    def test_triangulation_witness_is_certified_at_the_given_connectivity(
+        self, capsys, tmp_path
+    ):
+        host = tmp_path / "stack33.rot"
+        host.write_text(emit(stacked_triangulation(33)))
+        code, out, err = run_cli(
+            capsys, "construct", "delta1-witness", "--c", "4", "--triangulation", str(host)
+        )
+        assert code == 2
+        assert out == ""
+        assert "last attempt: connectivity 3, expected 4" in err
+
     def test_missing_parameter_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "construct", "zc")
         assert code == 1
@@ -315,6 +335,21 @@ class TestSearchCommands:
         )
         assert code == 0
         assert "certified" in out
+
+
+    def test_witness_search_out_of_budget_is_exit_three(self, capsys, tmp_path):
+        path = tmp_path / "m.txt"
+        code, out, _ = run_cli(
+            capsys,
+            "search", "witness",
+            "--spec", "c=3; pair-sum=8; dual=simple,has-2-cut; pair=shares-two-vertices; "
+            "max-vertices=7; max-edges=18",
+            "--max-nodes", "1000",
+            "--manifest", str(path),
+        )
+        assert code == 3
+        assert out == "budget exhausted after 1001 nodes; existence undecided\n"
+        assert "swept: budget exhausted" in path.read_text().splitlines()
 
 
 class TestExport:
@@ -453,6 +488,15 @@ class TestManifest:
             if isinstance(node, ast.Assert)
         ]
         assert found == []
+
+    def test_package_exports_match_its_public_names(self):
+        public = {
+            name
+            for name, value in vars(ormaps).items()
+            if not name.startswith("_") and not isinstance(value, ModuleType)
+        }
+        assert ormaps.__all__ == sorted(set(ormaps.__all__))
+        assert set(ormaps.__all__) == public
 
 
 class TestDeterminism:

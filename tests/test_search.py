@@ -656,6 +656,13 @@ class TestRemark24:
         assert case.nodes > 0
         assert not report.ok
 
+    def test_bounded_cases_report_a_partial_count_when_exhausted(self):
+        report = verify_remark24(["iii", "v"], SearchBudget(max_nodes=20_000))
+        assert [(c.status, c.holds, c.detail, c.found, c.nodes) for c in report.cases] == [
+            ("exhausted", None, "partial: 4 found", 4, 20_001),
+            ("exhausted", None, "partial: 2 found", 2, 20_001),
+        ]
+
     def test_labels_cover_all_ten_cases(self):
         assert CASE_LABELS == ("i", "ii", "iii", "iv", "v", "vi", "vii", "viii", "ix", "x")
 

@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 from conftest import make_cube
 from ormaps.bounds import one_cut_genus_bounds
 from ormaps.connectivity import adjacency_of, find_cutsets, vertex_connectivity
-from ormaps.core import face_size_multiset, genus, validate, walk_vertices
+from ormaps.core import emit, face_size_multiset, genus, parse, validate, walk_vertices
 from ormaps.dual import dual, is_dual_separating
+from ormaps.search import enumerate_connected_maps
 from ormaps.surgery import (
     FillResult,
     GlueResult,
@@ -927,3 +928,24 @@ def test_surgery_outcomes_match_the_golden_fingerprint():
             record = ("refused", str(exc))
         h.update(repr((key, record)).encode())
     assert h.hexdigest() == SURGERY_GOLDEN
+
+
+# SHA-1 over the raw arrays of every subdivision of 1-3 edges (each named by
+# its larger dart) of every connected map with at most 6 edges, read back
+# through .rot text.
+SUBDIVIDE_GOLDEN = "8735973d22e462fb309b129c5d4773fe8130d896"
+
+
+@pytest.mark.golden
+def test_subdivisions_match_the_golden_fingerprint():
+    maps = [parse(emit(m)) for m in enumerate_connected_maps(6)]
+    h = hashlib.sha1()
+    calls = 0
+    for m in maps:
+        larger = [m.reverse[e] for e in m.edge_ids]
+        for r in (1, 2, 3):
+            for edges in itertools.combinations(larger, r):
+                out = subdivide_edges(m, edges)
+                h.update(repr((out.vertex_of, out.next_in_rotation, out.reverse)).encode())
+                calls += 1
+    assert (len(maps), calls, h.hexdigest()) == (89, 3078, SUBDIVIDE_GOLDEN)
