@@ -91,9 +91,12 @@ class ThresholdVerdict:
     for the 1-cut checker they are single face indices at or beyond it.
     """
 
-    guaranteed: bool
     threshold: int
     violations: tuple
+
+    @property
+    def guaranteed(self) -> bool:
+        return not self.violations
 
 
 def check_two_cut_guarantee(m: Map, c: int) -> ThresholdVerdict:
@@ -115,7 +118,7 @@ def check_two_cut_guarantee(m: Map, c: int) -> ThresholdVerdict:
                 m, faces[i], faces[j]
             ):
                 violations.append((i, j))
-    return ThresholdVerdict(not violations, threshold, tuple(violations))
+    return ThresholdVerdict(threshold, tuple(violations))
 
 
 def check_one_cut_guarantee(m: Map, c: int) -> ThresholdVerdict:
@@ -129,7 +132,7 @@ def check_one_cut_guarantee(m: Map, c: int) -> ThresholdVerdict:
         raise ValueError(f"dual is not simple (verdict: {report.verdict})")
     threshold = one_cut_size_threshold(c)
     violations = tuple(f.index for f in m.faces if f.size >= threshold)
-    return ThresholdVerdict(not violations, threshold, violations)
+    return ThresholdVerdict(threshold, violations)
 
 
 @dataclass(frozen=True)

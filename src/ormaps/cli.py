@@ -21,7 +21,7 @@ from .bounds import (
     one_cut_size_threshold,
     two_cut_size_threshold,
 )
-from .connectivity import adjacency_of, min_cut, vertex_connectivity
+from .connectivity import min_cut, vertex_connectivity
 from .core import (
     Map,
     canonical_code,
@@ -126,9 +126,9 @@ def _face_labels(m: Map) -> list[str]:
     ]
 
 
-def _self_dual(m: Map) -> bool:
+def _self_dual(m: Map, d: Map) -> bool:
+    """Whether ``d``, the dual of ``m``, is isomorphic to ``m`` or its mirror."""
     code = canonical_code(m)
-    d = dual(m).dual
     return canonical_code(d) == code or canonical_code(d.mirror()) == code
 
 
@@ -171,7 +171,7 @@ def _cmd_genus(args, manifest) -> int:
 def _cmd_dual(args, manifest) -> int:
     m = _load(args.file, manifest)
     report = dual(m)
-    self_dual = _self_dual(m)
+    self_dual = _self_dual(m, report.dual)
     print(f"{report.verdict}; self-dual: {'yes' if self_dual else 'no'}")
     labels = _face_labels(m)
     if report.loops:
@@ -192,9 +192,7 @@ def _cmd_connectivity(args, manifest) -> int:
         g, labels, name, key = report.dual, _face_labels(m), "kappa(dual)", "kappa.dual"
     else:
         g, labels, name, key = m, [str(v) for v in range(m.vertex_count)], "kappa", "kappa"
-    adj = adjacency_of(g)
-    kappa = vertex_connectivity(adj)
-    cut = min_cut(adj, kappa)
+    kappa, cut = min_cut(g)
     shown = "none" if cut is None else "{" + ",".join(labels[v] for v in cut) + "}"
     print(f"{name}={kappa}; cut={shown}")
     manifest.add(key, kappa)
@@ -289,7 +287,7 @@ def _cmd_construct(args, manifest) -> int:
             tris = _parse_int_list(args.triangles)
             pivots = _parse_int_list(args.pivots)
         else:
-            found = find_disjoint_triangles(host, 6)
+            found = find_disjoint_triangles(host)
             if found is None:
                 raise _Failure(EXIT_INVALID, "no six disjoint triangles with a pivot cycle")
             tris, pivots = found

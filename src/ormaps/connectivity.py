@@ -196,19 +196,19 @@ def _extends(net: _SplitNetwork, adj: Adjacency, prefix: list[int], v: int, room
     return any(b not in adj[a] and _st_flow(net, a, b, room + 1) <= room for a, b in pairs)
 
 
-def min_cut(g, kappa: int) -> tuple[int, ...] | None:
-    """The lexicographically smallest minimum vertex cut; None if g is complete.
+def min_cut(g) -> tuple[int, tuple[int, ...] | None]:
+    """kappa and the lexicographically smallest minimum vertex cut.
 
-    ``kappa`` must be the vertex connectivity of g.  Vertices are scanned in
-    ascending order, and v joins the prefix when some minimum cut holds the
-    prefix and v, which a few flows capped at the cut vertices still to
-    find decide.  The result equals the smallest sorted cut that
-    ``find_cutsets(g, kappa)`` lists, without listing any subset.
+    The cut is None if g is complete.  kappa comes from max-flow.  Vertices
+    are scanned in ascending order, and v joins the prefix when some
+    minimum cut holds the prefix and v, which a few flows capped at the cut
+    vertices still to find decide.  The cut equals the smallest sorted cut
+    that ``find_cutsets(g, kappa)`` lists, without listing any subset.
     """
     adj = adjacency_of(g)
-    _require_connected(adj)
+    kappa = vertex_connectivity_flow(adj)
     if _is_complete(adj):
-        return None
+        return kappa, None
     net = _SplitNetwork(adj)
     cut: list[int] = []
     for v in range(len(adj)):
@@ -216,10 +216,10 @@ def min_cut(g, kappa: int) -> tuple[int, ...] | None:
         if _extends(net, adj, cut, v, kappa - len(cut) - 1):
             cut.append(v)
             if len(cut) == kappa:
-                return tuple(cut)
+                return kappa, tuple(cut)
         else:
             net.base[2 * v] = 1
-    raise ValueError(f"graph has no cut of {kappa} vertices; kappa is wrong")
+    raise RuntimeError(f"scan found {len(cut)} of {kappa} cut vertices")
 
 
 def find_cutsets(g, k: int, cap: int = 10_000) -> list[frozenset[int]]:

@@ -60,14 +60,20 @@ class Face:
         return len(self.darts)
 
 
+def _face_of(m: Map, f: Face | int, error: type[ValueError] = ValueError) -> Face:
+    """The face of ``m`` that ``f`` names; ``error`` if it names none."""
+    if isinstance(f, Face):
+        if f.index >= len(m.faces) or m.faces[f.index].darts != f.darts:
+            raise error("face does not belong to this map")
+        return m.faces[f.index]
+    if not 0 <= f < len(m.faces):
+        raise error(f"no face with index {f}")
+    return m.faces[f]
+
+
 @dataclass(frozen=True)
 class ValidationReport:
     problems: tuple[str, ...]
-    vertex_count: int | None = None
-    edge_count: int | None = None
-    face_count: int | None = None
-    euler: int | None = None
-    genus: int | None = None
 
     @property
     def ok(self) -> bool:
@@ -298,21 +304,15 @@ def validate(m: Map) -> ValidationReport:
         if reached != D:
             problems.append(f"map is disconnected ({reached} of {D} darts reachable)")
 
-    V = vmax + 1
-    E = D // 2 if D % 2 == 0 else None
     if D % 2:
         problems.append("odd number of darts")
-    F = chi = g = None
-    if rotation_ok and involution_ok and E is not None:
-        F = len(facial_walks(m))
-        chi = V - E + F
+    elif rotation_ok and involution_ok:
+        chi = vmax + 1 - D // 2 + len(facial_walks(m))
         if chi % 2:
             problems.append(f"Euler characteristic {chi} is odd")
-        elif (2 - chi) // 2 < 0:
+        elif chi > 2:
             problems.append(f"negative genus {(2 - chi) // 2}")
-        else:
-            g = (2 - chi) // 2
-    return ValidationReport(tuple(problems), V, E, F, chi, g)
+    return ValidationReport(tuple(problems))
 
 
 # -- construction --------------------------------------------------------------

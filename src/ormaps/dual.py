@@ -12,7 +12,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .connectivity import _components
-from .core import Face, Map, _invariant
+from .core import Face, Map, _face_of, _invariant
 
 
 @dataclass(frozen=True)
@@ -205,10 +205,10 @@ def doubly_intersecting(m: Map, f: Face | int, f2: Face | int) -> bool:
 
     A vertex visited twice counts twice; the test is applied in both
     directions, so a triangle against a large face revisiting one shared
-    vertex still qualifies.
+    vertex still qualifies.  A face index out of range, or a Face of another
+    map, raises ``ValueError``.
     """
-    fa = m.faces[f] if isinstance(f, int) else f
-    fb = m.faces[f2] if isinstance(f2, int) else f2
+    fa, fb = _face_of(m, f), _face_of(m, f2)
     if fa.index == fb.index:
         raise ValueError("doubly_intersecting needs two distinct faces")
     va = {m.vertex_of[d] for d in fa.darts}

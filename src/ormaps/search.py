@@ -812,12 +812,15 @@ class CaseOutcome:
 
     case: str
     claim: str
-    status: str  # "certified" | "exhausted"
-    holds: bool | None
+    holds: bool | None  # None when the budget ran out
     detail: str
     found: int
     nodes: int
     seconds: float
+
+    @property
+    def status(self) -> str:
+        return "exhausted" if self.holds is None else "certified"
 
 
 @dataclass(frozen=True)
@@ -826,7 +829,7 @@ class Remark24Report:
 
     @property
     def ok(self) -> bool:
-        return all(c.status == "certified" and c.holds for c in self.cases)
+        return all(c.holds for c in self.cases)
 
     def lines(self) -> list[str]:
         out = []
@@ -900,9 +903,8 @@ def _run_case(label: str, budget: SearchBudget | None) -> CaseOutcome:
         holds = all(m.vertex_count == v_exact and m.edge_count >= e_min for m in maps)
         edges = sorted({m.edge_count for m in maps})
         detail = f"{len(maps)} maps, edge counts {edges}" if maps else "none found"
-    status = "certified" if complete else "exhausted"
     return CaseOutcome(
-        label, claim, status, holds if complete else None, detail, len(maps), nodes, seconds
+        label, claim, holds if complete else None, detail, len(maps), nodes, seconds
     )
 
 
@@ -915,9 +917,10 @@ def verify_remark24(cases=None, budget: SearchBudget | None = None) -> Remark24R
     edge count below the claimed minimum; together these decide the claim
     because simplicity bounds the rest of the range.  A budget stop
     downgrades a case to "exhausted" with its node count, never to a
-    verdict.  An unknown label is rejected before any case runs.
+    verdict.  Each distinct label runs once, in first-occurrence order; an
+    unknown label is rejected before any case runs.
     """
-    wanted = list(cases) if cases is not None else list(CASE_LABELS)
+    wanted = dict.fromkeys(cases) if cases is not None else CASE_LABELS
     for label in wanted:
         if label not in _REMARK_CASES:
             raise SearchError(f"unknown case {label!r}; pick from {', '.join(CASE_LABELS)}")
@@ -1323,19 +1326,14 @@ def search_empty_9_cycle(
 # -- complete graph embeddings -------------------------------------------------------------
 
 
-_COMPLETE_CACHE: dict[int, Map] = {}
-
-
 def triangular_complete_map(n: int) -> Map:
     """An all-triangle embedding of the complete graph on n vertices.
 
     Euler counting admits one only for n = 4 (the sphere) and n = 7 (the
     torus) in this range: n = 5 gives a fractional face count and n = 6 an
-    odd Euler characteristic.  The result is cached and canonical, so
-    repeated calls are cheap and deterministic.
+    odd Euler characteristic.  The result is canonical, so every call
+    returns the same map.
     """
-    if n in _COMPLETE_CACHE:
-        return _COMPLETE_CACHE[n]
     if n not in (4, 7):
         raise SearchError(f"no all-triangle embedding of the complete graph on {n} vertices")
     edges = n * (n - 1) // 2
@@ -1358,14 +1356,10 @@ def triangular_complete_map(n: int) -> Map:
     _, best = min((canonical(m) for m in candidates), key=lambda t: t[0])
     _invariant(genus(best) == (0 if n == 4 else 1), f"K{n} landed on the wrong genus")
     _invariant(vertex_connectivity(best) == degree, f"K{n} lost its connectivity")
-    _COMPLETE_CACHE[n] = best
     return best
 
 
 # -- the small-map corpus --------------------------------------------------------------------
-
-
-_CORPUS_CACHE: dict[int, tuple[Map, ...]] = {}
 
 
 def enumerate_connected_maps(max_edges: int) -> tuple[Map, ...]:
@@ -1388,8 +1382,6 @@ def enumerate_connected_maps(max_edges: int) -> tuple[Map, ...]:
         raise SearchError(f"max_edges must be an integer, got {max_edges!r}")
     if max_edges < 1:
         raise SearchError("need at least one edge")
-    if max_edges in _CORPUS_CACHE:
-        return _CORPUS_CACHE[max_edges]
     code, base = canonical(from_rotations([[1], [0]]))
     levels: list[dict[bytes, Map]] = [{code: base}]
     while len(levels) < max_edges:
@@ -1420,9 +1412,4 @@ def enumerate_connected_maps(max_edges: int) -> tuple[Map, ...]:
                 if code not in grown:
                     grown[code] = _relabel((*vertex_of, u, w), child, alpha, order)
         levels.append(grown)
-    merged: list[Map] = []
-    for level in levels:
-        merged.extend(level[code] for code in sorted(level))
-    result = tuple(merged)
-    _CORPUS_CACHE[max_edges] = result
-    return result
+    return tuple(level[code] for level in levels for code in sorted(level))

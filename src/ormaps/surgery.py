@@ -19,6 +19,7 @@ from .connectivity import _disconnects, vertex_connectivity
 from .core import (
     Face,
     Map,
+    _face_of,
     _invariant,
     assemble,
     face_size_multiset,
@@ -88,16 +89,6 @@ class PipelineOutcome:
 
 
 # -- small helpers ---------------------------------------------------------------
-
-
-def _face_of(m: Map, f: Face | int) -> Face:
-    if isinstance(f, Face):
-        if f.index >= len(m.faces) or m.faces[f.index].darts != f.darts:
-            raise SurgeryError("face does not belong to this map")
-        return m.faces[f.index]
-    if not 0 <= f < len(m.faces):
-        raise SurgeryError(f"no face with index {f}")
-    return m.faces[f]
 
 
 def _require_simple_cycle(m: Map, f: Face) -> tuple[int, ...]:
@@ -331,8 +322,8 @@ def glue_faces(a: Map, b: Map, spec: GlueSpec, *, require_simple: bool = True) -
     genus adds.  Every seam edge separates a former a-face from a former
     b-face.
     """
-    fa = _face_of(a, spec.face_a)
-    fb = _face_of(b, spec.face_b)
+    fa = _face_of(a, spec.face_a, SurgeryError)
+    fb = _face_of(b, spec.face_b, SurgeryError)
     if spec.mirror_b:
         d0 = fb.darts[0]
         b = b.mirror()
@@ -358,8 +349,8 @@ def glue_faces_self(
     Same walk alignment rule as glue_faces; V and E drop by the face size,
     F drops by 2, and the genus rises by exactly one.
     """
-    fa = _face_of(m, face_a)
-    fb = _face_of(m, face_b)
+    fa = _face_of(m, face_a, SurgeryError)
+    fb = _face_of(m, face_b, SurgeryError)
     if fa.index == fb.index:
         raise SurgeryError("cannot glue a face to itself")
     ua = _require_simple_cycle(m, fa)
@@ -433,7 +424,7 @@ def interior_fill(host: Map, face: Face | int, c: int, l: int, *, verify: bool =
     most one edge.  With ``verify`` the host must be c-connected and the
     result is checked to still be.
     """
-    f = _face_of(host, face)
+    f = _face_of(host, face, SurgeryError)
     if l < 3:
         raise SurgeryError("the inner cycle needs length at least 3")
     if c < 2:
@@ -488,9 +479,7 @@ def interior_fill(host: Map, face: Face | int, c: int, l: int, *, verify: bool =
     _invariant(list(face_size_multiset(out)) == expected, "fill face sizes are off")
     # the inner face stays chordless and meets each neighbor face just once
     inner_verts = walk_vertices(out, out.faces[inner].darts)
-    for x, y in itertools.combinations(inner_verts, 2):
-        if abs(inner_verts.index(x) - inner_verts.index(y)) not in (1, l - 1):
-            _invariant(y not in out.adjacency[x], "the filled face has a chord")
+    _invariant(not _has_chord(out, inner_verts), "the filled face has a chord")
     outside = [out.face_index_of[out.reverse[d]] for d in out.faces[inner].darts]
     _invariant(len(set(outside)) == l, "the filled face meets a neighbor face twice")
     if verify:
@@ -500,6 +489,9 @@ def interior_fill(host: Map, face: Face | int, c: int, l: int, *, verify: bool =
 
 
 # -- threading a cycle through triangles ------------------------------------------
+
+# the cycle length, and so the triangle and pivot count, of every threading
+_THREADED = 6
 
 
 def insert_cycle_in_triangles(
@@ -512,9 +504,9 @@ def insert_cycle_in_triangles(
     24-gon, a new hexagon appears inside the cycle sharing edges only with
     that 24-gon, F drops by 4 and the genus climbs by exactly 5.
     """
-    if len(triangles) != 6 or len(pivots) != 6:
+    if len(triangles) != _THREADED or len(pivots) != _THREADED:
         raise SurgeryError("need exactly six triangles and six pivots")
-    faces = [_face_of(m, t) for t in triangles]
+    faces = [_face_of(m, t, SurgeryError) for t in triangles]
     seen: set[int] = set()
     for f in faces:
         vs = walk_vertices(m, f.darts)
@@ -563,7 +555,7 @@ def insert_cycle_in_triangles(
 
 def stack_vertex(m: Map, face: Face | int) -> Map:
     """Put one new vertex inside a triangular face, joined to its corners."""
-    f = _face_of(m, face)
+    f = _face_of(m, face, SurgeryError)
     if f.size != 3:
         raise SurgeryError("can only stack inside a triangle")
     vs = _require_simple_cycle(m, f)
@@ -601,9 +593,9 @@ def stacked_triangulation(n: int) -> Map:
 
 
 def find_disjoint_triangles(
-    m: Map, count: int = 6, *, separated: bool = False
+    m: Map, *, separated: bool = False
 ) -> tuple[tuple[Face, ...], tuple[int, ...]] | None:
-    """Search for vertex-disjoint triangular faces with a usable pivot cycle.
+    """Search for six vertex-disjoint triangular faces with a usable pivot cycle.
 
     Returns (faces, pivots) where consecutive pivots (cyclically) are never
     adjacent, or None.  With ``separated`` no two picked triangles may touch
@@ -627,7 +619,7 @@ def find_disjoint_triangles(
             return bool(i) and p in m.adjacency[pivots[i - 1]]
 
         def go(i: int) -> bool:
-            if i == count:
+            if i == _THREADED:
                 return separated or pivots[0] not in m.adjacency[pivots[-1]]
             for p in tri_verts[chosen[i].index]:
                 if clashes(p, i):
@@ -645,7 +637,7 @@ def find_disjoint_triangles(
     claimed: list[frozenset[int]] = []
 
     def pick(start: int) -> tuple[tuple[Face, ...], tuple[int, ...]] | None:
-        if len(chosen) == count:
+        if len(chosen) == _THREADED:
             pivots = assign_pivots(chosen)
             if pivots is not None:
                 return tuple(chosen), pivots
@@ -975,7 +967,7 @@ def one_cut_witness_from_triangulation(
     if (triangles is None) != (pivots is None):
         raise SurgeryError("give both triangles and pivots, or neither")
     if triangles is None:
-        found = find_disjoint_triangles(host, 6, separated=True)
+        found = find_disjoint_triangles(host, separated=True)
         if found is None:
             raise SurgeryError("no six well-separated triangles with a pivot cycle")
         triangles, pivots = found

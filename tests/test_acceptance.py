@@ -278,7 +278,7 @@ def test_criterion_6_surgery_bookkeeping(corpus16):
     failures = []
 
     host = stacked_triangulation(33)
-    found = find_disjoint_triangles(host, 6)
+    found = find_disjoint_triangles(host)
     assert found is not None
     triangles, pivots = found
     result = insert_cycle_in_triangles(host, triangles, pivots)
@@ -365,7 +365,7 @@ def test_criterion_7_oracle_cross_checks(corpus16):
             adj = m.adjacency
             kappa = vertex_connectivity(adj)
             oracle = min((tuple(sorted(c)) for c in find_cutsets(adj, kappa)), default=None)
-            if min_cut(adj, kappa) != oracle:
+            if min_cut(adj) != (kappa, oracle):
                 failures.append("flow min cut disagrees with the subset-listing oracle")
                 break
 

@@ -13,6 +13,7 @@ from ormaps.core import (
     validate,
 )
 from ormaps.dual import CutDecomposition, cut_to_edge_cut, dual, doubly_intersecting, is_dual_separating
+from ormaps.surgery import wheel
 
 
 def make_octahedron():
@@ -316,6 +317,16 @@ class TestDoublyIntersecting:
     def test_same_face_rejected(self, tetrahedron):
         with pytest.raises(ValueError, match="distinct"):
             doubly_intersecting(tetrahedron, 0, 0)
+
+    @pytest.mark.parametrize("index", [-1, 99])
+    def test_index_out_of_range_rejected(self, index):
+        with pytest.raises(ValueError, match=f"no face with index {index}"):
+            doubly_intersecting(wheel(5), index, 0)
+
+    def test_face_of_another_map_rejected(self):
+        # index 0 exists in both wheels, with different darts
+        with pytest.raises(ValueError, match="does not belong"):
+            doubly_intersecting(wheel(5), wheel(6).faces[0], 1)
 
 
 @given(connected_simple_maps())

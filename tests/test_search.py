@@ -425,6 +425,11 @@ GLUE_WITNESS_GOLDEN = [
      ("pair=(3,4) triangles=1: done", "pair=(3,4) triangles=3: done",
       "pair=(3,4) triangles=5: hit"),
      "c0f505fd31b2a759233d9a8ee673177d2d39b26f"),
+    ("c=2; pair-sum=7; dual=simple,has-2-cut; pair=doubly-intersecting; "
+     "max-vertices=6; max-edges=15", None, 287, True,
+     ("pair=(3,4) triangles=1: done", "pair=(3,4) triangles=3: done",
+      "pair=(3,4) triangles=5: hit"),
+     "c0f505fd31b2a759233d9a8ee673177d2d39b26f"),
     ("c=2; pair-sum=6; dual=simple,has-2-cut; pair=shares-two-vertices; "
      "max-vertices=6; max-edges=15", None, 2279, True,
      tuple(f"pair=(3,3) triangles={t}: done" for t in (0, 2, 4, 6, 8)), None),
@@ -663,6 +668,10 @@ class TestRemark24:
             ("exhausted", None, "partial: 2 found", 2, 20_001),
         ]
 
+    def test_repeated_labels_run_once_in_first_occurrence_order(self):
+        report = verify_remark24(("ii", "i", "ii"))
+        assert tuple(c.case for c in report.cases) == ("ii", "i")
+
     def test_labels_cover_all_ten_cases(self):
         assert CASE_LABELS == ("i", "ii", "iii", "iv", "v", "vi", "vii", "viii", "ix", "x")
 
@@ -767,9 +776,6 @@ class TestTriangularCompleteMaps:
         assert t.is_simple_graph()
         assert vertex_connectivity(t) == 6
 
-    def test_results_are_cached(self):
-        assert triangular_complete_map(7) is triangular_complete_map(7)
-
     def test_unsupported_sizes_rejected(self):
         with pytest.raises(SearchError):
             triangular_complete_map(5)
@@ -801,9 +807,6 @@ class TestConnectedMapCorpus:
         for m in small_corpus:
             if m.edge_count <= 5:
                 assert canonical_code(m.mirror()) in codes
-
-    def test_corpus_is_cached(self):
-        assert enumerate_connected_maps(6) is enumerate_connected_maps(6)
 
     @pytest.mark.golden
     def test_codes_and_order_match_their_fingerprint(self, pair_corpus):

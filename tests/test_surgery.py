@@ -491,7 +491,7 @@ class TestInteriorFill:
 class TestInsertCycle:
     def test_on_a_stacked_triangulation(self):
         host = stacked_triangulation(33)
-        found = find_disjoint_triangles(host, 6)
+        found = find_disjoint_triangles(host)
         assert found is not None
         triangles, pivots = found
         res = insert_cycle_in_triangles(host, triangles, pivots)
@@ -506,7 +506,7 @@ class TestInsertCycle:
 
     def test_hexagon_borders_only_the_big_face(self):
         host = stacked_triangulation(33)
-        triangles, pivots = find_disjoint_triangles(host, 6)
+        triangles, pivots = find_disjoint_triangles(host)
         res = insert_cycle_in_triangles(host, triangles, pivots)
         m = res.map
         small = m.faces[res.small_face_index]
@@ -516,13 +516,13 @@ class TestInsertCycle:
 
     def test_wrong_count_raises(self):
         host = stacked_triangulation(33)
-        triangles, pivots = find_disjoint_triangles(host, 6)
+        triangles, pivots = find_disjoint_triangles(host)
         with pytest.raises(SurgeryError, match="exactly six"):
             insert_cycle_in_triangles(host, triangles[:5], pivots[:5])
 
     def test_shared_vertices_raise(self):
         host = stacked_triangulation(33)
-        triangles, pivots = find_disjoint_triangles(host, 6)
+        triangles, pivots = find_disjoint_triangles(host)
         doubled = (triangles[0],) * 6
         with pytest.raises(SurgeryError, match="share a vertex"):
             insert_cycle_in_triangles(host, doubled, pivots)
@@ -533,7 +533,7 @@ class TestInsertCycle:
 
     def test_off_triangle_pivot_raises(self):
         host = stacked_triangulation(33)
-        triangles, pivots = find_disjoint_triangles(host, 6)
+        triangles, pivots = find_disjoint_triangles(host)
         bad = list(pivots)
         bad[0] = pivots[1]
         with pytest.raises(SurgeryError, match="not on triangle"):
@@ -541,7 +541,7 @@ class TestInsertCycle:
 
     def test_adjacent_pivots_raise(self):
         host = stacked_triangulation(40)
-        triangles, pivots = find_disjoint_triangles(host, 6)
+        triangles, pivots = find_disjoint_triangles(host)
         spoiled = None
         for i in range(6):
             nxt = (i + 1) % 6
@@ -591,7 +591,7 @@ class TestStacking:
 class TestFindDisjointTriangles:
     def test_finds_six_on_a_big_host(self):
         host = stacked_triangulation(33)
-        found = find_disjoint_triangles(host, 6)
+        found = find_disjoint_triangles(host)
         assert found is not None
         triangles, pivots = found
         seen = set()
@@ -605,7 +605,7 @@ class TestFindDisjointTriangles:
 
     def test_separated_mode_keeps_neighbor_faces_apart(self):
         host = stacked_triangulation(40)
-        found = find_disjoint_triangles(host, 6, separated=True)
+        found = find_disjoint_triangles(host, separated=True)
         assert found is not None
         triangles, _ = found
         footprints = []
@@ -617,10 +617,10 @@ class TestFindDisjointTriangles:
                 assert not footprints[i] & footprints[j]
 
     def test_no_triangles_means_none(self, cube):
-        assert find_disjoint_triangles(cube, 1) is None
+        assert find_disjoint_triangles(cube) is None
 
     def test_too_few_triangles_means_none(self, tetrahedron):
-        assert find_disjoint_triangles(tetrahedron, 2) is None
+        assert find_disjoint_triangles(tetrahedron) is None
 
 
 class TestIngredientCheck:
@@ -850,7 +850,7 @@ def _surgery_operations():
     yield ("witness", 5, "weak"), lambda: build_one_cut_witness(5, (wheel(5), wheel(5)))
 
     host = stacked_triangulation(33)
-    separated = find_disjoint_triangles(host, 6, separated=True)
+    separated = find_disjoint_triangles(host, separated=True)
     yield ("pipeline", 33), lambda: one_cut_witness_from_triangulation(host)
     yield ("pipeline", 33, "given"), lambda: one_cut_witness_from_triangulation(
         host, *separated, expect_connectivity=3
@@ -866,7 +866,7 @@ def _surgery_operations():
         host, triangles=separated[0]
     )
 
-    triangles, pivots = find_disjoint_triangles(host, 6)
+    triangles, pivots = find_disjoint_triangles(host)
     yield ("insert",), lambda: insert_cycle_in_triangles(host, triangles, pivots)
     yield ("insert", "separated"), lambda: insert_cycle_in_triangles(host, *separated)
     yield ("insert", "five"), lambda: insert_cycle_in_triangles(host, triangles[:5], pivots[:5])
@@ -919,6 +919,7 @@ def _surgery_operations():
 SURGERY_GOLDEN = "54732688c62b72172dde33a1cda154527db301c0"
 
 
+@pytest.mark.golden
 def test_surgery_outcomes_match_the_golden_fingerprint():
     h = hashlib.sha1()
     for key, thunk in _surgery_operations():
