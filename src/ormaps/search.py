@@ -1213,6 +1213,22 @@ def _witness_demands(m: Map, spec: WitnessSpec, sizes: tuple[int, int]) -> bool:
     return False
 
 
+def _witness_vertex_cap(edges: int, faces: int, connectivity: int, max_vertices: int) -> int | None:
+    """The most vertices a witness with these edge and face counts can have.
+
+    A witness is a connected, simple, orientable map of minimum degree c =
+    ``connectivity``, so its vertex count V obeys V <= ``max_vertices``,
+    c V <= 2E and c + 1 <= V; simplicity gives V(V-1)/2 >= E; and Euler's
+    formula V - E + F = 2 - 2g with g >= 0 gives V <= E - F + 2 and V = E + F
+    (mod 2).  None when no V passes all of these.
+    """
+    v = min(max_vertices, 2 * edges // connectivity, edges - faces + 2)
+    v -= (v + edges + faces) % 2
+    if v < connectivity + 1 or v * (v - 1) // 2 < edges:
+        return None
+    return v
+
+
 def search_witness(spec: WitnessSpec, budget: SearchBudget | None = None) -> WitnessOutcome:
     """Hunt for a witness map, sweeping face multisets by increasing edge count.
 
@@ -1220,6 +1236,14 @@ def search_witness(spec: WitnessSpec, budget: SearchBudget | None = None) -> Wit
     edge budget, exhausts all maps with that exact face multiset.  Returns
     the first find; when every sweep completes empty, non-existence is
     certified for the entire budgeted range.
+
+    A sweep is ``infeasible``, and is skipped, when no vertex count V is
+    admissible for its E edges and F = t + 2 faces: c + 1 <= V <=
+    min(max-vertices, 2E / c), V(V-1)/2 >= E, V <= E - F + 2 and V = E + F
+    (mod 2), the last two from Euler's formula (``_witness_vertex_cap``).
+    Every other sweep runs with the largest admissible V as its vertex cap
+    and V - 1 as its degree cap; what that cuts off could only have closed
+    into disconnected maps, which are no witnesses.
     """
     clock = _Clock(budget)
     swept: list[str] = []
@@ -1238,10 +1262,8 @@ def search_witness(spec: WitnessSpec, budget: SearchBudget | None = None) -> Wit
     combos.sort()
 
     for edges, a, b, t in combos:
-        # a simple graph needs E <= V(V-1)/2, and demanding kappa = c
-        # forces minimum degree c, hence V <= 2E/c and V >= c+1
-        max_v = min(spec.max_vertices, 2 * edges // spec.connectivity)
-        if max_v * (max_v - 1) // 2 < edges or max_v < spec.connectivity + 1:
+        max_v = _witness_vertex_cap(edges, t + 2, spec.connectivity, spec.max_vertices)
+        if max_v is None:
             swept.append(f"pair=({a},{b}) triangles={t}: infeasible")
             continue
         sizes = tuple(sorted((a, b) + (3,) * t, reverse=True))

@@ -680,7 +680,7 @@ GOLDEN_DIGESTS = {
     "search empty budget": "97311fe2ff79e4738916446652c8d32a6a6a8fca",
     "search nine-cycle": "628e32b59db9d10656bae1f296dcbfa221c4434f",
     "search remark24 i": "fcb94cd5fae5ad70b54022ca94c5865a7d461925",
-    "search witness": "d2259cf9ea2470e3fa0e3cc5e6539750afce0ae0",
+    "search witness": "d11799fc672691da9a9b1d513b5fe521dd534670",
     "validate broken": "f042b38bb05ce9e1e876379d49ec88663a1ac4b3",
     "validate cube": "79f397c96432f7b3052375052c405da2edbe0101",
     "validate k4wedge": "0c9091df24cedf1ce3e4dcadae99561efc556dba",

@@ -3,6 +3,8 @@
 import hashlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ormaps
 from ormaps import canonical, canonical_code, dual, genus, vertex_connectivity
@@ -21,6 +23,7 @@ from ormaps.search import (
     _run_glue_engine,
     _shape_group,
     _walk_shapes,
+    _witness_vertex_cap,
     empty_map_problems,
     enumerate_connected_maps,
     enumerate_empty,
@@ -421,28 +424,29 @@ GLUE_GOLDEN = [
 # swept, sha1 of the found map's canonical code or None)
 GLUE_WITNESS_GOLDEN = [
     ("c=2; pair-sum=7; dual=simple,has-2-cut; pair=shares-two-vertices; "
-     "max-vertices=6; max-edges=15", None, 287, True,
+     "max-vertices=6; max-edges=15", None, 274, True,
      ("pair=(3,4) triangles=1: done", "pair=(3,4) triangles=3: done",
       "pair=(3,4) triangles=5: hit"),
      "c0f505fd31b2a759233d9a8ee673177d2d39b26f"),
     ("c=2; pair-sum=7; dual=simple,has-2-cut; pair=doubly-intersecting; "
-     "max-vertices=6; max-edges=15", None, 287, True,
+     "max-vertices=6; max-edges=15", None, 274, True,
      ("pair=(3,4) triangles=1: done", "pair=(3,4) triangles=3: done",
       "pair=(3,4) triangles=5: hit"),
      "c0f505fd31b2a759233d9a8ee673177d2d39b26f"),
     ("c=2; pair-sum=6; dual=simple,has-2-cut; pair=shares-two-vertices; "
-     "max-vertices=6; max-edges=15", None, 2279, True,
-     tuple(f"pair=(3,3) triangles={t}: done" for t in (0, 2, 4, 6, 8)), None),
+     "max-vertices=6; max-edges=15", None, 678, True,
+     tuple(f"pair=(3,3) triangles={t}: {'infeasible' if t == 8 else 'done'}"
+           for t in (0, 2, 4, 6, 8)), None),
     ("c=2; pair-sum=9; dual=simple,has-1-cut; pair=none; max-vertices=8; max-edges=18",
      100_000, 100_001, False,
      ("pair=(3,6) triangles=1: done", "pair=(4,5) triangles=1: done",
       "pair=(3,6) triangles=3: done", "pair=(4,5) triangles=3: done",
       "pair=(3,6) triangles=5: done", "pair=(4,5) triangles=5: done",
-      "budget exhausted"),
+      "pair=(3,6) triangles=7: done", "budget exhausted"),
      None),
     ("c=3; pair-sum=8; dual=simple,has-2-cut; pair=shares-two-vertices; "
-     "max-vertices=7; max-edges=18", None, 857176, True,
-     tuple(f"pair={pair} triangles={t}: {'infeasible' if t < 4 else 'done'}"
+     "max-vertices=7; max-edges=18", None, 84389, True,
+     tuple(f"pair={pair} triangles={t}: {'done' if t in (4, 6) else 'infeasible'}"
            for t in (0, 2, 4, 6, 8) for pair in ("(3,5)", "(4,4)")),
      None),
 ]
@@ -525,6 +529,65 @@ class TestGlueGolden:
         assert (out.nodes, out.complete, out.swept) == (nodes, complete, swept)
         code = hashlib.sha1(canonical_code(out.map)).hexdigest() if out.map else None
         assert code == digest
+
+    @pytest.mark.parametrize(
+        "text, max_nodes, swept", [(row[0], row[1], row[4]) for row in GLUE_WITNESS_GOLDEN]
+    )
+    def test_euler_caps_keep_every_connected_completion(self, text, max_nodes, swept):
+        """Each sweep a witness search reaches, run at the caps used before
+        Euler's formula bounded them and at ``_witness_vertex_cap``: the
+        tighter caps drop no connected completion and reorder none, and a
+        sweep they call infeasible had none to give."""
+        spec = parse_witness_spec(text)
+        c = spec.connectivity
+        sweeps = sorted(
+            ((a + b + 3 * t) // 2, a, b, t)
+            for a in range(3, spec.pair_sum // 2 + 1)
+            for b in [spec.pair_sum - a]
+            for t in range((a + b) % 2, 2 * spec.max_edges, 2)
+            if (a + b + 3 * t) // 2 <= spec.max_edges
+        )
+
+        def completions(sizes, cap):
+            rules = _GlueRules(
+                sizes=sizes,
+                dual_simple="simple" in spec.dual_demands,
+                min_degree=c,
+                max_degree=cap - 1,
+                max_vertices=cap,
+            )
+            seen = []
+            try:
+                _run_glue_engine(
+                    rules,
+                    _Clock(SearchBudget(max_nodes=max_nodes) if max_nodes else None),
+                    lambda m: seen.append((m.vertex_of, m.next_in_rotation, m.reverse)),
+                )
+            except _Stop:
+                return False, seen
+            return True, seen
+
+        # "budget exhausted" takes the place of the line of the sweep it stops
+        for (edges, a, b, t), line in zip(sweeps, swept):
+            label = f"pair=({a},{b}) triangles={t}"
+            assert line.startswith((label, "budget exhausted"))
+            old_v = min(spec.max_vertices, 2 * edges // c)
+            new_v = _witness_vertex_cap(edges, t + 2, c, spec.max_vertices)
+            if old_v * (old_v - 1) // 2 < edges or old_v < c + 1:
+                assert new_v is None
+                continue
+            sizes = tuple(sorted((a, b) + (3,) * t, reverse=True))
+            old_done, old_seen = completions(sizes, old_v)
+            if new_v is None:
+                assert line == f"{label}: infeasible"
+                assert (old_done, old_seen) == (True, []), label
+                continue
+            new_done, new_seen = completions(sizes, new_v)
+            # the new search tree is the old one with dead branches cut, so
+            # under one node budget it gets at least as far
+            assert new_seen[: len(old_seen)] == old_seen, label
+            if old_done:
+                assert (new_done, new_seen) == (True, old_seen), label
 
 
 class TestFinishedMap:
@@ -722,6 +785,54 @@ class TestWitnessSearch:
         out = search_witness(spec)
         assert out.map is not None
         assert out.map.vertex_count == 3 and out.map.edge_count == 3
+
+    @pytest.mark.parametrize(
+        "edges, faces, c, max_vertices, cap",
+        [
+            (16, 10, 3, 7, None),  # V even, so V <= 6, and C(6, 2) = 15 < 16
+            (15, 10, 2, 6, None),  # V odd, so V <= 5, and C(5, 2) = 10 < 15
+            (13, 8, 3, 7, 7),  # E - F + 2 = 7 is odd, as E + F is
+            (5, 3, 2, 5, 4),  # genus 0 caps V at E - F + 2 = 4
+        ],
+    )
+    def test_vertex_cap_by_hand(self, edges, faces, c, max_vertices, cap):
+        assert _witness_vertex_cap(edges, faces, c, max_vertices) == cap
+
+    @given(
+        st.integers(3, 6),
+        st.integers(3, 6),
+        st.integers(0, 5),
+        st.integers(1, 3),
+        st.integers(3, 8),
+        st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_vertex_cap_admits_every_connected_completion(
+        self, a, b, t, c, max_vertices, dual_simple
+    ):
+        t += (a + b + t) % 2  # 2E = a + b + 3t is even
+        edges, faces = (a + b + 3 * t) // 2, t + 2
+        # the caps search_witness used before Euler's formula bounded them
+        old_v = min(max_vertices, 2 * edges // c)
+        rules = _GlueRules(
+            sizes=tuple(sorted((a, b) + (3,) * t, reverse=True)),
+            dual_simple=dual_simple,
+            min_degree=c,
+            max_degree=old_v - 1,
+            max_vertices=old_v,
+        )
+        counts = []
+        try:
+            _run_glue_engine(
+                rules,
+                _Clock(SearchBudget(max_nodes=20_000)),
+                lambda m: counts.append(m.vertex_count),
+            )
+        except _Stop:
+            pass
+        cap = _witness_vertex_cap(edges, faces, c, max_vertices)
+        for v in counts:
+            assert cap is not None and v <= cap and (cap - v) % 2 == 0
 
 
 class TestNineCycleSearch:
