@@ -10,7 +10,9 @@ run manifest (``key: value`` lines) to stderr, or to the file named by
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
+import locale
 import sys
 import time
 from pathlib import Path
@@ -74,9 +76,10 @@ class _Manifest:
     def add(self, key: str, value) -> None:
         self.entries.append((key, str(value)))
 
-    def add_file(self, key: str, path: str) -> None:
-        """Record a file read ("input") or written ("output") with its sha256."""
-        digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    def add_file(self, key: str, path: str, data: bytes) -> None:
+        """Record a file read ("input") or written ("output") with the sha256 of
+        ``data``, the bytes that were parsed or written."""
+        digest = hashlib.sha256(data).hexdigest()
         self.add(key, f"{path} sha256={digest}")
 
     def write(self, destination: str | None) -> None:
@@ -89,10 +92,13 @@ class _Manifest:
 
 def _load(path: str, manifest: _Manifest, *, require_valid: bool = True) -> Map:
     try:
-        text = Path(path).read_text()
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise _Failure(EXIT_IO, f"cannot read {path}: {exc.strerror or exc}") from exc
-    manifest.add_file("input", path)
+    # one read, so the digest names the bytes parsed; parse splits with
+    # splitlines, so a text-mode read's newline translation is not needed
+    text = data.decode(locale.getpreferredencoding(False))  # UnicodeDecodeError: exit 2
+    manifest.add_file("input", path, data)
     m = parse(text)  # RotParseError propagates; mapped to exit 2
     if require_valid:
         report = validate(m)
@@ -108,11 +114,12 @@ class _Failure(Exception):
 
 
 def _write_map(m: Map, path: str, manifest: _Manifest) -> None:
+    data = emit(m).encode(locale.getpreferredencoding(False))
     try:
-        Path(path).write_text(emit(m))
+        Path(path).write_bytes(data)
     except OSError as exc:
         raise _Failure(EXIT_IO, f"cannot write {path}: {exc.strerror or exc}") from exc
-    manifest.add_file("output", path)
+    manifest.add_file("output", path, data)
 
 
 def _face_labels(m: Map) -> list[str]:
@@ -460,7 +467,13 @@ def _cmd_export(args, manifest) -> int:
 # -- argument plumbing ---------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and shared by every later ``main``.
+
+    It is read-only once built: ``parse_args`` returns a fresh namespace and
+    the ``append`` action copies its list, so no call leaks into the next.
+    """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--manifest",

@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface."""
 
+import argparse
 import ast
 import hashlib
 import os
@@ -25,6 +26,20 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def clobber_after(monkeypatch, target, replacement, *methods):
+    """Make each ``Path`` method named overwrite ``target`` with ``replacement``
+    right after it has read or written it, as a concurrent writer might."""
+    for name in methods:
+        def wrapper(self, *args, _method=getattr(Path, name), **kwargs):
+            result = _method(self, *args, **kwargs)
+            if self == target:
+                with open(target, "wb") as handle:
+                    handle.write(replacement)
+            return result
+
+        monkeypatch.setattr(Path, name, wrapper)
 
 
 @pytest.fixture(scope="module")
@@ -122,6 +137,14 @@ class TestExitCodes:
         bad.write_text("this is not a rotation file\n")
         code, _, err = run_cli(capsys, "genus", str(bad))
         assert code == 2
+
+    def test_undecodable_file_is_invalid(self, capsys, tmp_path):
+        bad = tmp_path / "bad.rot"
+        bad.write_bytes(b"vertices: 1\n1: 1 1 \xff\n")
+        code, _, err = run_cli(capsys, "genus", str(bad))
+        assert code == 2
+        assert err.startswith("error: ")
+        assert "input: " not in err
 
     def test_unknown_spec_key_is_invalid(self, capsys):
         code, _, err = run_cli(capsys, "search", "empty", "--spec", "k=6; zz=1")
@@ -427,6 +450,25 @@ class TestManifest:
         assert code == 1
         assert "outcome: error" in path.read_text()
 
+    def test_input_digest_is_of_the_bytes_parsed(self, capsys, rot_dir, tmp_path, monkeypatch):
+        original = (rot_dir / "k6torus.rot").read_bytes()
+        path = tmp_path / "k6torus.rot"
+        path.write_bytes(original)
+        replacement = emit(triangular_complete_map(4)).encode()
+        clobber_after(monkeypatch, path, replacement, "read_text", "read_bytes")
+        code, out, err = run_cli(capsys, "genus", str(path))
+        assert code == 0
+        assert out.strip() == "1"
+        assert f"input: {path} sha256={hashlib.sha256(original).hexdigest()}" in err.splitlines()
+
+    def test_output_digest_is_of_the_bytes_written(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "wedge.rot"
+        clobber_after(monkeypatch, path, b"vertices: 1\n1: 1 1\n", "write_text", "write_bytes")
+        code, _, err = run_cli(capsys, "construct", "k4-wedge", "-o", str(path))
+        assert code == 0
+        digest = hashlib.sha256(emit(k4_wedge()).encode()).hexdigest()
+        assert f"output: {path} sha256={digest}" in err.splitlines()
+
     def test_internal_error_is_exit_four(self, capsys, tmp_path, monkeypatch):
         def broken(spec, budget):
             raise RuntimeError("search produced a broken map")
@@ -511,6 +553,44 @@ class TestDeterminism:
             capsys, "search", "empty", "--spec", "k=4; constraints=distinct-neighbors"
         )
         assert re.search(r"nodes: \d+", out)
+
+
+class TestRepeatedCalls:
+    """``main`` builds its parser once per process; no call may leak into the next."""
+
+    def test_appended_cases_start_empty(self, capsys):
+        run_cli(capsys, "search", "remark24", "--case", "i", "--case", "ii")
+        _, out, _ = run_cli(capsys, "search", "remark24", "--case", "i")
+        assert [line.split(":")[0] for line in out.splitlines()] == ["case i"]
+
+    def test_manifest_path_is_not_remembered(self, capsys, rot_dir, tmp_path):
+        path = tmp_path / "m.txt"
+        run_cli(capsys, "--manifest", str(path), "genus", str(rot_dir / "k6torus.rot"))
+        first = path.read_text()
+        _, _, err = run_cli(capsys, "genus", str(rot_dir / "k6torus.rot"))
+        assert "manifest: ormaps/1" in err
+        assert path.read_text() == first
+
+    def test_help_is_unchanged_by_a_failed_parse(self, capsys):
+        _, before, _ = run_cli(capsys, "--help")
+        assert run_cli(capsys, "no-such-command")[0] == 1
+        _, after, _ = run_cli(capsys, "--help")
+        assert after == before
+
+    def test_second_call_builds_no_parser(self, capsys, rot_dir, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        argv = ("genus", str(rot_dir / "k6torus.rot"))
+        assert run_cli(capsys, *argv)[0] == 0
+        first = len(built)
+        assert run_cli(capsys, *argv)[0] == 0
+        assert len(built) == first
 
 
 # -- golden run: every command on a fixed corpus --------------------------------
