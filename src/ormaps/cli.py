@@ -27,7 +27,9 @@ from .connectivity import min_cut, vertex_connectivity
 from .core import (
     Map,
     canonical_code,
+    degree_multiset,
     emit,
+    face_size_multiset,
     genus,
     parse,
     validate,
@@ -134,7 +136,13 @@ def _face_labels(m: Map) -> list[str]:
 
 
 def _self_dual(m: Map, d: Map) -> bool:
-    """Whether ``d``, the dual of ``m``, is isomorphic to ``m`` or its mirror."""
+    """Whether ``d``, the dual of ``m``, is isomorphic to ``m`` or its mirror.
+
+    The face sizes of ``m`` are the vertex degrees of ``d``, so when they
+    differ from the degrees of ``m`` as multisets no code is computed.
+    """
+    if degree_multiset(m) != face_size_multiset(m):
+        return False
     code = canonical_code(m)
     return canonical_code(d) == code or canonical_code(d.mirror()) == code
 

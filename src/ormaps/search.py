@@ -486,8 +486,10 @@ def _run_walk_engine(
     is interior, so undoing links in reverse order restores every end
     exactly.  Here the chain edge of ``succ[tail] = head`` is
     ``alpha[tail] -> head``, so the link closes a face exactly when
-    ``start_of[alpha[tail]] == head``, and only a closing link walks its
-    face.  ``succ`` is never cleared, because only closed orbits and the
+    ``start_of[alpha[tail]] == head``.  Any other link is three writes and
+    its undo two, done in place by ``arrange``; only a closing link calls
+    ``close_face``, which walks the face.  A link to a fresh dart never
+    closes.  ``succ`` is never cleared, because only closed orbits and the
     finished map read it.
 
     The shape's stabiliser, which ``_shape_group`` picks from the
@@ -498,10 +500,13 @@ def _run_walk_engine(
     J. Algorithms 1998): each time vertex v closes, ``least_so_far``
     compares the code positions now decided on both sides and cuts the
     branch as soon as an image is smaller.  The elements still tied are
-    kept per depth: v's close reads ``tied[v]`` and writes ``tied[v + 1]``,
-    so this state, like ``succ``, is overwritten and never undone.  Chiral
-    twins fold together, so the caller restores mirror images after a
-    complete run.
+    kept per depth: v's close reads ``tied[v]`` and writes ``tied[v + 1]``.
+    Each comparison's verdict is memoised per code position p, keyed by
+    the element and the code of the vertex it maps onto p, and the memo of
+    p is replaced when p closes again.  So this state, like ``succ``, is
+    overwritten and never undone, and it holds at most one memo per vertex.
+    Chiral twins fold together, so the caller restores mirror images after
+    a complete run.
     """
     seq: list[int] = []
     next_pos: list[int] = []
@@ -547,33 +552,25 @@ def _run_walk_engine(
     degree = [2 * len(blocks[v]) for v in range(V)]
     top = k2
     # lex-leader state, see least_so_far
-    rotation: list[list[int]] = [[] for _ in range(V)]
-    code: list[tuple[int, ...] | None] = [None] * V
+    code: list[tuple[int, ...]] = [()] * V
+    verdicts: list[dict[tuple, int]] = [{} for _ in range(V)]
     tied: list[list[tuple]] = [[] for _ in range(V + 1)]
     identity = tuple(range(V))
-    for perm, rev in _shape_group(walks):
+    for j, (perm, rev) in enumerate(_shape_group(walks)):
         if perm != identity:
             inverse = tuple(sorted(range(V), key=perm.__getitem__))
-            tied[0].append((inverse[0], perm, inverse, rev, 0))
+            tied[0].append((inverse[0], j, perm, inverse, rev, 0))
 
-    def link_check(tail: int, head: int) -> bool:
-        """Set ``succ[tail] = head`` and account for the phi-edge it adds.
+    def close_face(head: int) -> bool:
+        """Walk and check the face that the link ``succ[tail] = head`` closes.
 
-        True when the orbit stays open or closes as an admissible face (then
-        its darts are claimed and the face recorded); a True link is undone
-        by ``unlink``.  False kills the whole branch and leaves nothing to
-        undo.  Chain ends follow the invariant in ``_run_walk_engine``; only
-        a closing link walks its face.
+        The caller has set ``succ[tail]``.  True when the face is admissible:
+        its darts are claimed and the face recorded, and the caller undoes
+        it by popping ``faces``.  False kills the whole branch and leaves
+        nothing to undo.
         """
-        succ[tail] = head
-        start = start_of[alpha[tail]]
-        if start != head:
-            end = end_of[head]
-            end_of[start] = end
-            start_of[end] = start
-            return True
-        # the face closes: walk it once, claiming as we go, so that an edge
-        # with both sides on it (a dual loop) shows up at its second side
+        # walk the face once, claiming as we go, so that an edge with both
+        # sides on it (a dual loop) shows up at its second side
         fid = len(faces)
         path: list[int] = []
         shared: list[int] = []
@@ -603,16 +600,6 @@ def _run_walk_engine(
             claimed[d] = -1
         return False
 
-    def unlink(tail: int, head: int) -> None:
-        """Undo a link that ``link_check`` accepted."""
-        if claimed[head] >= 0:
-            for d in faces.pop():
-                claimed[d] = -1
-        else:
-            a = alpha[tail]
-            end_of[start_of[a]] = a
-            start_of[end_of[head]] = head
-
     def finish() -> None:
         if min(claimed[k:top]) < 0:
             raise RuntimeError("search invariant broken: unclaimed darts at completion")
@@ -632,13 +619,20 @@ def _run_walk_engine(
         element the image rotation at perm[x] is perm applied to x's
         rotation, reversed when the element reverses orientation.
         ``tied[v]`` holds the elements that agree with the completion so
-        far, each as (w, perm, inverse, reverses, p): the element agrees
-        before position p, and w = max(p, inverse[p]) is the vertex whose
-        close decides position p on both sides.  Elements with w = v are
-        advanced, and the survivors are written to ``tied[v + 1]``; an
-        element whose image turns out larger is left out.  The lists are
-        written again whenever their vertex closes, so nothing is undone.
-        False prunes the branch: an image is already smaller.
+        far, each as (w, j, perm, inverse, reverses, p): j is the element's
+        index in the stabiliser, the element agrees before position p, and
+        w = max(p, inverse[p]) is the vertex whose close decides position p
+        on both sides.  Elements with w = v are advanced, and the survivors
+        are written to ``tied[v + 1]``; an element whose image turns out
+        larger is left out.
+
+        A comparison at position p depends only on ``code[p]``, the element
+        and the decider's code ``code[inverse[p]]``, so ``verdicts[p]`` maps
+        (j, decider's code) to the sign of image minus ``code[p]``; only a
+        miss builds and normalises the image.  ``code[v]``, ``verdicts[v]``
+        and ``tied[v + 1]`` are written again whenever v closes with an
+        element still tied, so nothing is undone.  False prunes the branch:
+        an image is already smaller.
         """
         elements = tied[v]
         if not elements:
@@ -651,30 +645,34 @@ def _run_walk_engine(
             d = succ[d]
             if d == first:
                 break
-        rotation[v] = nbrs
-        code[v] = None
+        i = nbrs.index(min(nbrs))
+        code[v] = tuple(nbrs[i:] + nbrs[:i])
+        verdicts[v] = {}
         survivors = []
         for element in elements:
-            w, perm, inverse, rev, p = element
+            w, j, perm, inverse, rev, p = element
             if w > v:
                 survivors.append(element)
                 continue
             while True:
-                mine = code[p]
-                if mine is None:  # read from its least neighbour on first use
-                    r = rotation[p]
-                    i = r.index(min(r))
-                    mine = code[p] = tuple(r[i:] + r[:i])
-                # a vertex meets at least two walk edges, so the getter
-                # always returns a tuple
-                image = itemgetter(*rotation[inverse[p]])(perm)
-                if rev:
-                    image = image[::-1]
-                i = image.index(min(image))
-                if i:
-                    image = image[i:] + image[:i]
-                if image != mine:
-                    if image < mine:
+                decider = code[inverse[p]]
+                known = verdicts[p]
+                key = (j, decider)
+                sign = known.get(key)
+                if sign is None:
+                    # the decider's code is a cyclic shift of its rotation,
+                    # which renormalising undoes; a vertex meets at least two
+                    # walk edges, so the getter always returns a tuple
+                    image = itemgetter(*decider)(perm)
+                    if rev:
+                        image = image[::-1]
+                    i = image.index(min(image))
+                    if i:
+                        image = image[i:] + image[:i]
+                    mine = code[p]
+                    sign = known[key] = (image > mine) - (image < mine)
+                if sign:
+                    if sign < 0:
                         return False
                     break
                 p += 1
@@ -682,10 +680,18 @@ def _run_walk_engine(
                     break  # the element is an automorphism of the completion
                 w = max(p, inverse[p])
                 if w > v:
-                    survivors.append((w, perm, inverse, rev, p))
+                    survivors.append((w, j, perm, inverse, rev, p))
                     break
         tied[v + 1] = survivors
         return True
+
+    def shut(v: int) -> None:
+        """Go past v, whose rotation just closed, unless an image is smaller."""
+        if least_so_far(v):
+            if v == last:
+                finish()
+            else:
+                place(v + 1)
 
     def place(v: int) -> None:
         rest: list[tuple[int, ...]] = blocks[v][1:]
@@ -693,25 +699,42 @@ def _run_walk_engine(
         arrange(v, blocks[v][0][1], rest)
 
     def arrange(v: int, tail: int, todo: list[tuple[int, ...]]) -> None:
+        """Every way to go on from ``tail``, the last dart of v's rotation so far."""
         nonlocal top
         tick()
+        a = alpha[tail]
+        start = start_of[a]  # fixed over this call, since every branch is undone
         if not todo:
             # wrap the rotation shut and move to the next vertex
             head = blocks[v][0][0]
-            if link_check(tail, head):
-                if least_so_far(v):
-                    if v == last:
-                        finish()
-                    else:
-                        place(v + 1)
-                unlink(tail, head)
+            succ[tail] = head
+            if start != head:
+                end = end_of[head]
+                end_of[start] = end
+                start_of[end] = start
+                shut(v)
+                end_of[start] = a
+                start_of[end] = head
+            elif close_face(head):
+                shut(v)
+                for d in faces.pop():
+                    claimed[d] = -1
         for i in range(len(todo)):
             item = todo.pop(i)
             head = item[0]
-            if link_check(tail, head):
-                # a corner block carries its own fixed inner link
+            succ[tail] = head
+            # a corner block carries its own fixed inner link
+            if start != head:
+                end = end_of[head]
+                end_of[start] = end
+                start_of[end] = start
                 arrange(v, item[-1], todo)
-                unlink(tail, head)
+                end_of[start] = a
+                start_of[end] = head
+            elif close_face(head):
+                arrange(v, item[-1], todo)
+                for d in faces.pop():
+                    claimed[d] = -1
             todo.insert(i, item)
         if degree[v] >= last:
             return
@@ -729,9 +752,14 @@ def _run_walk_engine(
             degree[u] += 1
             degree[v] += 1
             used.add(u)
-            if link_check(tail, d):
-                arrange(v, d, todo)
-                unlink(tail, d)
+            # the fresh dart d is a chain of its own, so this link never
+            # closes a face
+            succ[tail] = d
+            end_of[start] = d
+            start_of[d] = start
+            arrange(v, d, todo)
+            end_of[start] = a
+            start_of[d] = d
             used.discard(u)
             degree[v] -= 1
             degree[u] -= 1
@@ -1181,7 +1209,12 @@ class WitnessOutcome:
 
 
 def _witness_demands(m: Map, spec: WitnessSpec, sizes: tuple[int, int]) -> bool:
-    if not m.is_simple_graph():
+    """Whether a completion meets the witness demands of ``spec``.
+
+    The checks are pure and cheapest first: the face-pair demand reads only
+    faces, so it runs before the flow kappa and the dual.
+    """
+    if not m.is_simple_graph() or not _has_face_pair(m, spec.pair_demand, sizes):
         return False
     if vertex_connectivity(m) != spec.connectivity:
         return False
@@ -1194,7 +1227,12 @@ def _witness_demands(m: Map, spec: WitnessSpec, sizes: tuple[int, int]) -> bool:
             return False
         if "has-2-cut" in spec.dual_demands and dual_kappa > 2:
             return False
-    if spec.pair_demand == "none":
+    return True
+
+
+def _has_face_pair(m: Map, demand: str, sizes: tuple[int, int]) -> bool:
+    """Whether two faces of sizes ``sizes`` meet as ``demand`` asks ("none": always)."""
+    if demand == "none":
         return True
     a, b = sizes
     for fa in m.faces:
@@ -1203,7 +1241,7 @@ def _witness_demands(m: Map, spec: WitnessSpec, sizes: tuple[int, int]) -> bool:
         for fb in m.faces:
             if fb.index == fa.index or fb.size != b:
                 continue
-            if spec.pair_demand == "shares-two-vertices":
+            if demand == "shares-two-vertices":
                 va = set(walk_vertices(m, fa.darts))
                 vb = set(walk_vertices(m, fb.darts))
                 if len(va & vb) >= 2:

@@ -13,10 +13,10 @@ from types import ModuleType
 import pytest
 
 import ormaps
-from ormaps.cli import main
+from ormaps.cli import _self_dual, main
 from ormaps.core import ValidationReport, canonical_code, emit, parse
 from ormaps.dual import dual
-from ormaps.search import triangular_complete_map
+from ormaps.search import enumerate_connected_maps, triangular_complete_map
 from ormaps.surgery import delete_vertex, k4_wedge, stacked_triangulation, wheel
 
 from conftest import make_cube
@@ -63,6 +63,19 @@ class TestBindingOutputs:
         code, out, _ = run_cli(capsys, "dual", str(path))
         assert code == 0
         assert out.splitlines() == ["multi; self-dual: no", "multi pair: f4#0 f4#1"]
+
+    def test_self_dual_shortcut_matches_the_three_codes(self):
+        # unequal degree and face-size multisets answer "no" without a code;
+        # the full comparison is the oracle
+        maps = enumerate_connected_maps(6)
+        answers = set()
+        for m in maps:
+            d = dual(m).dual
+            code = canonical_code(m)
+            full = canonical_code(d) == code or canonical_code(d.mirror()) == code
+            assert _self_dual(m, d) == full
+            answers.add(full)
+        assert answers == {True, False}
 
     def test_dual_connectivity_of_the_wedge(self, capsys, rot_dir):
         code, out, _ = run_cli(

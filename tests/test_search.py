@@ -267,6 +267,11 @@ ENGINE_GOLDEN = [
      "8096d5df9654b02e584f6e0937a926ac0d4054b0"),
     ("k=7; mode=circuit; constraints=distinct-neighbors; max-vertices=6", None, 96650, 55590, 0,
      _EMPTY_SHA1),
+    # the 6-vertex sweeps of remark24 cases viii and x
+    ("k=7; mode=circuit; constraints=single-neighbor,min-faces:3; max-vertices=6", None, 71050,
+     40193, 0, _EMPTY_SHA1),
+    ("k=7; mode=pair; constraints=single-neighbor,min-faces:4; max-vertices=6", None, 69783,
+     35116, 0, _EMPTY_SHA1),
     # the edge cap binds
     ("k=6; mode=circuit; max-edges=9", None, 524, 524, 17,
      "666d5e8f69aab238fd242d87e5666c964c8b360b"),
