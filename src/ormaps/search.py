@@ -778,8 +778,9 @@ class EnumerationOutcome:
     ``search_empty_9_cycle`` both return it.
 
     ``maps`` holds canonical forms sorted by canonical code.  ``complete``
-    is False exactly when a budget stopped the run early; partial results
-    are still returned.
+    is False when a budget stopped the run early, or when
+    ``search_empty_9_cycle(stop_at_first=True)`` stopped at its first find;
+    partial results are still returned.
     """
 
     maps: tuple[Map, ...]
@@ -1211,18 +1212,18 @@ class WitnessOutcome:
 def _witness_demands(m: Map, spec: WitnessSpec, sizes: tuple[int, int]) -> bool:
     """Whether a completion meets the witness demands of ``spec``.
 
-    The checks are pure and cheapest first: the face-pair demand reads only
-    faces, so it runs before the flow kappa and the dual.
+    The glue rules already make the graph simple and the dual loop-free,
+    and under the ``simple`` dual demand they let no two faces share two
+    edges, so those demands are not checked.  The rest run cheapest first:
+    the face-pair demand reads only faces, so it runs before the flow kappa
+    and the dual.
     """
-    if not m.is_simple_graph() or not _has_face_pair(m, spec.pair_demand, sizes):
+    if not _has_face_pair(m, spec.pair_demand, sizes):
         return False
     if vertex_connectivity(m) != spec.connectivity:
         return False
-    rep = dual(m)
-    if "simple" in spec.dual_demands and not rep.simple:
-        return False
     if "has-1-cut" in spec.dual_demands or "has-2-cut" in spec.dual_demands:
-        dual_kappa = vertex_connectivity(rep.dual)
+        dual_kappa = vertex_connectivity(dual(m).dual)
         if "has-1-cut" in spec.dual_demands and dual_kappa != 1:
             return False
         if "has-2-cut" in spec.dual_demands and dual_kappa > 2:
@@ -1336,7 +1337,7 @@ def search_witness(spec: WitnessSpec, budget: SearchBudget | None = None) -> Wit
 # -- the spanning 9-gon neighboring a single 15-gon --------------------------------------
 
 
-_NINE_SIZES = (15, 9, 3, 3, 3, 3, 3, 3)  # 2E = 42 forces E=21, F=8, genus 3
+_NINE_SIZES = (15, 9, 3, 3, 3, 3, 3, 3)  # 2E = 42 forces E=21, F=8; with V=9, genus 3
 
 
 def search_empty_9_cycle(
@@ -1345,11 +1346,13 @@ def search_empty_9_cycle(
     """Find 9-vertex maps spanned by a 9-gon whose edges all border one 15-gon.
 
     The face multiset is fully determined: one 15-gon, the spanning 9-gon,
-    and six triangles, hence 21 edges and genus 3.  The gluing engine runs
-    with the 9-gon's sides forced into the 15-gon and dual multi-edges
-    allowed only at the 9-gon.  Reports every find within budget unless
-    told to stop at the first.  An empty result is no non-existence claim;
-    only ``complete`` says whether the space was finished.
+    and six triangles, hence 21 edges; one 9-gon corner per vertex makes 9
+    vertices, hence genus 3.  The gluing engine runs with the 9-gon's sides
+    forced into the 15-gon and dual multi-edges allowed only at the 9-gon.
+    Reports every find within budget unless told to stop at the first.  An
+    empty result is no non-existence claim; only ``complete`` says whether
+    the space was finished.  A find that ``empty_map_problems`` rejects
+    raises ``RuntimeError``, as in ``enumerate_empty``.
     """
     clock = _Clock(budget)
     rules = _GlueRules(
@@ -1366,13 +1369,15 @@ def search_empty_9_cycle(
     found: dict[bytes, Map] = {}
 
     def accept(m: Map) -> None:
-        if m.vertex_count != 9 or genus(m) != 3 or empty_map_problems(m, member_spec):
-            return
         code, cm = canonical(m)
-        if code not in found:
-            found[code] = cm
-            if stop_at_first:
-                raise _Stop
+        if code in found:
+            return
+        problems = empty_map_problems(cm, member_spec)
+        if problems:
+            raise RuntimeError("enumerated a non-member: " + "; ".join(problems))
+        found[code] = cm
+        if stop_at_first:
+            raise _Stop
 
     try:
         _run_glue_engine(rules, clock, accept)
@@ -1404,13 +1409,9 @@ def triangular_complete_map(n: int) -> Map:
         max_degree=degree,
         max_vertices=n,
     )
+    # no loop or parallel edge closes, and V(n - 1) = 2E = n(n - 1): each completion is K_n
     candidates: list[Map] = []
-
-    def accept(m: Map) -> None:
-        if m.vertex_count == n and m.is_simple_graph():
-            candidates.append(m)
-
-    _run_glue_engine(rules, _Clock(None), accept)
+    _run_glue_engine(rules, _Clock(None), candidates.append)
     if not candidates:
         raise RuntimeError(f"found no all-triangle embedding for n={n}")
     _, best = min((canonical(m) for m in candidates), key=lambda t: t[0])

@@ -865,20 +865,10 @@ def _cap_gadget_six(ingredients: Sequence[Map]) -> PipelineOutcome:
             "a 6-connected torus triangulation with two triangles at distance two"
         )
     hexing, torus = ingredients
-    problems = check_fill_ingredient(hexing, 6, 6)
-    if problems:
-        raise SurgeryError("hexagon ingredient: " + "; ".join(problems))
-    tr = validate(torus)
-    torus_problems = list(tr.problems)
-    if tr.ok:
-        if any(f.size != 3 for f in torus.faces):
-            torus_problems.append("not a triangulation")
-        if not torus.is_simple_graph():
-            torus_problems.append("graph is not simple")
-        elif vertex_connectivity(torus) < 6:
-            torus_problems.append("connectivity below 6")
-    if torus_problems:
-        raise SurgeryError("torus ingredient: " + "; ".join(torus_problems))
+    for name, m, l in (("hexagon", hexing, 6), ("torus", torus, 3)):
+        problems = check_fill_ingredient(m, l, 6)
+        if problems:
+            raise SurgeryError(f"{name} ingredient: " + "; ".join(problems))
     pairs = list(_distant_triangle_pairs(torus))
     if not pairs:
         raise SurgeryError("torus ingredient has no two triangles at distance two")

@@ -595,6 +595,60 @@ class TestGlueGolden:
                 assert (new_done, new_seen) == (True, old_seen), label
 
 
+def _check_glue_guarantees(rules: _GlueRules, m) -> None:
+    """What every glue completion is, whatever its caller then checks."""
+    assert m.is_simple_graph()
+    rep = dual(m)
+    assert not rep.loops
+    if rules.dual_simple and rules.exempt_block is None:
+        assert rep.simple
+    if rules.spanning_block is not None:
+        assert m.vertex_count == rules.sizes[rules.spanning_block]
+
+
+class TestGlueGuarantees:
+    """The guarantees the glue front ends rely on instead of re-checking."""
+
+    @pytest.mark.parametrize(
+        "rules, max_nodes, completions",
+        [(row[1], row[2], row[5]) for row in GLUE_GOLDEN],
+        ids=[row[0] for row in GLUE_GOLDEN],
+    )
+    def test_every_completion_keeps_the_rules(self, rules, max_nodes, completions):
+        seen = []
+
+        def accept(m):
+            _check_glue_guarantees(rules, m)
+            seen.append(m)
+
+        try:
+            _run_glue_engine(
+                rules, _Clock(SearchBudget(max_nodes=max_nodes) if max_nodes else None), accept
+            )
+        except _Stop:
+            pass
+        assert len(seen) == completions
+
+    def test_complete_graph_completions_keep_the_rules(self, monkeypatch):
+        from ormaps import search
+
+        engine = search._run_glue_engine
+        seen = []
+
+        def checked_engine(rules, clock, accept):
+            def check(m):
+                _check_glue_guarantees(rules, m)
+                assert m.vertex_count == 7
+                seen.append(m)
+                accept(m)
+
+            engine(rules, clock, check)
+
+        monkeypatch.setattr(search, "_run_glue_engine", checked_engine)
+        triangular_complete_map(7)
+        assert len(seen) == 2
+
+
 class TestFinishedMap:
     """The completion check both engines call on every finished array."""
 
@@ -840,10 +894,17 @@ class TestWitnessSearch:
             assert cap is not None and v <= cap and (cap - v) % 2 == 0
 
 
+@pytest.fixture(scope="module")
+def nine_first_hit():
+    return search_empty_9_cycle(stop_at_first=True)
+
+
 class TestNineCycleSearch:
-    def test_first_hit_has_the_stated_shape(self):
-        out = search_empty_9_cycle(stop_at_first=True)
+    def test_first_hit_has_the_stated_shape(self, nine_first_hit):
+        out = nine_first_hit
         assert out.maps, "the target map exists and must be found"
+        # no budget is set: stopping at the first find alone clears ``complete``
+        assert (len(out.maps), out.nodes, out.complete) == (1, 2_834_933, False)
         m = out.maps[0]
         assert m.vertex_count == 9
         assert m.edge_count == 21
@@ -861,10 +922,16 @@ class TestNineCycleSearch:
             assert {a, b} == {nine.index, fifteen.index}
         assert not rep.loops
 
-    def test_membership_via_independent_checker(self):
-        out = search_empty_9_cycle(stop_at_first=True)
-        m = out.maps[0]
+    def test_membership_via_independent_checker(self, nine_first_hit):
+        m = nine_first_hit.maps[0]
         assert empty_map_problems(m, EmptyCircuitSpec(k=9, single_neighbor=True)) == ()
+
+    def test_non_member_find_raises(self, monkeypatch):
+        # the audit must raise, not filter: a planted problem on the first
+        # find stops the run instead of dropping the map
+        monkeypatch.setattr("ormaps.search.empty_map_problems", lambda m, spec: ("planted",))
+        with pytest.raises(RuntimeError, match="non-member"):
+            search_empty_9_cycle(SearchBudget(max_nodes=3_000_000), stop_at_first=True)
 
     def test_budget_exhaustion_reports_not_found(self):
         out = search_empty_9_cycle(SearchBudget(max_nodes=500))

@@ -708,6 +708,21 @@ class TestBuildWitness:
         with pytest.raises(SurgeryError, match="hexagon ingredient"):
             build_one_cut_witness(6, (wheel(6), tetrahedron))
 
+    def test_torus_ingredient_for_six_is_checked_as_a_fill_ingredient(
+        self, cube, monkeypatch
+    ):
+        # pass the hexagon check so that the torus, a cube here, is the one refused
+        from ormaps import surgery
+
+        check = surgery.check_fill_ingredient
+        monkeypatch.setattr(
+            surgery, "check_fill_ingredient", lambda m, l, c: () if l == 6 else check(m, l, c)
+        )
+        with pytest.raises(
+            SurgeryError, match="torus ingredient: faces other than triangles present"
+        ):
+            build_one_cut_witness(6, (wheel(6), cube))
+
     @pytest.mark.parametrize("c", [2, 4, 8])
     def test_unsupported_targets_raise(self, c):
         with pytest.raises(SurgeryError, match="no witness construction"):
