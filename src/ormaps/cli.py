@@ -47,7 +47,6 @@ from .search import (
     verify_remark24,
 )
 from .surgery import (
-    GlueSpec,
     SurgeryError,
     build_one_cut_witness,
     cycle_square_gadget,
@@ -343,7 +342,7 @@ def _try_glue(a, b, fa, fb, alignments):
     last: SurgeryError | None = None
     for offset, mir in alignments:
         try:
-            return glue_faces(a, b, GlueSpec(fa, fb, offset, mir)).map
+            return glue_faces(a, b, fa, fb, offset, mir).map
         except SurgeryError as exc:
             last = exc
     raise _Failure(EXIT_INVALID, f"no alignment glues cleanly: {last}")
@@ -370,6 +369,16 @@ def _write_found(maps, out_dir: str | None, stem: str, manifest) -> None:
         raise _Failure(EXIT_IO, f"cannot create {out_dir}: {exc.strerror or exc}") from exc
     for i, m in enumerate(maps, start=1):
         _write_map(m, str(directory / f"{stem}-{i:03d}.rot"), manifest)
+
+
+def _report_finds(outcome, out_dir: str | None, stem: str, manifest) -> None:
+    """Print, write and record the finds of an ``EnumerationOutcome``."""
+    complete = "yes" if outcome.complete else "no"
+    print(f"found: {len(outcome.maps)}; complete: {complete}; nodes: {outcome.nodes}")
+    _write_found(outcome.maps, out_dir, stem, manifest)
+    manifest.add("found", len(outcome.maps))
+    manifest.add("complete", complete)
+    manifest.add("nodes", outcome.nodes)
 
 
 def _cmd_search(args, manifest) -> int:
@@ -399,14 +408,7 @@ def _cmd_search(args, manifest) -> int:
             raise _Failure(EXIT_IO, "search empty needs --spec")
         spec = parse_empty_spec(args.spec)
         outcome = enumerate_empty(spec, _budget(args))
-        print(
-            f"found: {len(outcome.maps)}; complete: {'yes' if outcome.complete else 'no'}; "
-            f"nodes: {outcome.nodes}"
-        )
-        _write_found(outcome.maps, args.out, "empty", manifest)
-        manifest.add("found", len(outcome.maps))
-        manifest.add("complete", "yes" if outcome.complete else "no")
-        manifest.add("nodes", outcome.nodes)
+        _report_finds(outcome, args.out, "empty", manifest)
         return EXIT_OK if outcome.complete else EXIT_EXHAUSTED
 
     if kind == "witness":
@@ -435,13 +437,7 @@ def _cmd_search(args, manifest) -> int:
 
     if kind == "nine-cycle":
         outcome = search_empty_9_cycle(_budget(args), stop_at_first=args.stop_at_first)
-        print(
-            f"found: {len(outcome.maps)}; complete: {'yes' if outcome.complete else 'no'}; "
-            f"nodes: {outcome.nodes}"
-        )
-        _write_found(outcome.maps, args.out, "nine-cycle", manifest)
-        manifest.add("found", len(outcome.maps))
-        manifest.add("nodes", outcome.nodes)
+        _report_finds(outcome, args.out, "nine-cycle", manifest)
         if outcome.maps or outcome.complete:
             return EXIT_OK
         return EXIT_EXHAUSTED

@@ -15,9 +15,10 @@ the left of each dart, and the genus follows from Euler's formula.
 
 from __future__ import annotations
 
+import itertools
 import re
 import struct
-from collections import Counter
+from collections import Counter, deque
 from collections.abc import Hashable, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -318,58 +319,45 @@ def validate(m: Map) -> ValidationReport:
 # -- construction --------------------------------------------------------------
 
 
+def _number_darts(rotations: Sequence[Sequence]) -> tuple[list[int], list[int]]:
+    """Dart ids for per-vertex clockwise lists, vertex by vertex in rotation
+    order: ``vertex_of`` and ``next_in_rotation``.  ValueError on an empty list."""
+    vertex_of: list[int] = []
+    nxt: list[int] = []
+    for v, rot in enumerate(rotations):
+        if not rot:
+            raise ValueError(f"vertex {v} has an empty rotation (isolated vertices unsupported)")
+        start = len(vertex_of)
+        vertex_of += [v] * len(rot)
+        nxt += range(start + 1, len(vertex_of))
+        nxt.append(start)
+    return vertex_of, nxt
+
+
 def from_rotations(neighbor_lists: Sequence[Sequence[int]]) -> Map:
     """Build a map from 0-based clockwise neighbor lists.
 
     Parallel edges are paired by order of occurrence: the i-th dart u->w
     matches the i-th dart w->u, and loop darts at a vertex pair up first
-    with second, third with fourth, and so on.  Darts left unpaired by that
-    rule are marked dangling (reverse maps them to themselves) so that
-    validate() rejects the map while parsing still succeeds.
+    with second, third with fourth, and so on.  One pass does both: a dart
+    u->w takes the oldest waiting dart w->u, or else waits itself.  Darts
+    left unpaired are marked dangling (reverse maps them to themselves) so
+    that validate() rejects the map while parsing still succeeds.
     """
     n = len(neighbor_lists)
-    vertex_of: list[int] = []
-    target: list[int] = []
-    blocks: list[range] = []
-    for v, nbrs in enumerate(neighbor_lists):
-        if not nbrs:
-            raise ValueError(f"vertex {v} has an empty rotation (isolated vertices unsupported)")
-        start = len(vertex_of)
-        for w in nbrs:
-            if not 0 <= w < n:
-                raise ValueError(f"vertex {v} lists unknown neighbor {w}")
-            vertex_of.append(v)
-            target.append(w)
-        blocks.append(range(start, len(vertex_of)))
-
-    D = len(vertex_of)
-    nxt = [0] * D
-    for block in blocks:
-        k = len(block)
-        for i, d in enumerate(block):
-            nxt[d] = block[(i + 1) % k]
-
-    occurrences: dict[tuple[int, int], list[int]] = {}
-    for d in range(D):
-        occurrences.setdefault((vertex_of[d], target[d]), []).append(d)
-
-    rev = [-1] * D
-    for (u, w), darts in occurrences.items():
-        if u < w:
-            partners = occurrences.get((w, u), [])
-            for a, b in zip(darts, partners):
-                rev[a] = b
-                rev[b] = a
-            for extra in darts[len(partners):]:
-                rev[extra] = extra
-            for extra in partners[len(darts):]:
-                rev[extra] = extra
-        elif u == w:
-            for i in range(0, len(darts) - 1, 2):
-                rev[darts[i]] = darts[i + 1]
-                rev[darts[i + 1]] = darts[i]
-            if len(darts) % 2:
-                rev[darts[-1]] = darts[-1]
+    vertex_of, nxt = _number_darts(neighbor_lists)
+    rev = list(range(len(vertex_of)))
+    waiting: dict[tuple[int, int], deque[int]] = {}
+    for d, w in enumerate(itertools.chain.from_iterable(neighbor_lists)):
+        u = vertex_of[d]
+        if not 0 <= w < n:
+            raise ValueError(f"vertex {u} lists unknown neighbor {w}")
+        partners = waiting.get((w, u))
+        if partners:
+            e = partners.popleft()
+            rev[d], rev[e] = e, d
+        else:
+            waiting.setdefault((u, w), deque()).append(d)
     return Map(tuple(vertex_of), tuple(nxt), tuple(rev))
 
 
@@ -387,23 +375,14 @@ def assemble(
     vertices = sorted(rotations)
     if vertices != list(range(len(vertices))):
         raise ValueError("vertex ids must be dense integers 0..n-1")
+    lists = [rotations[v] for v in vertices]
+    vertex_of, nxt = _number_darts(lists)
     ids: dict[Hashable, int] = {}
-    vertex_of: list[int] = []
-    for v in vertices:
-        if not rotations[v]:
-            raise ValueError(f"vertex {v} has an empty rotation")
-        for tok in rotations[v]:
-            if tok in ids:
-                raise ValueError(f"dart token {tok!r} appears twice")
-            ids[tok] = len(vertex_of)
-            vertex_of.append(v)
-    D = len(vertex_of)
-    nxt = [0] * D
-    for v in vertices:
-        toks = rotations[v]
-        for i, tok in enumerate(toks):
-            nxt[ids[tok]] = ids[toks[(i + 1) % len(toks)]]
-    rev = [-1] * D
+    for tok in itertools.chain.from_iterable(lists):
+        if tok in ids:
+            raise ValueError(f"dart token {tok!r} appears twice")
+        ids[tok] = len(ids)
+    rev = [-1] * len(vertex_of)
     for tok, d in ids.items():
         other = mate.get(tok)
         if other is None:
@@ -412,8 +391,8 @@ def assemble(
         if o is None:
             raise ValueError(f"mate of {tok!r} is not a known dart token")
         rev[d] = o
-    for d in range(D):
-        if rev[rev[d]] != d or rev[d] == d:
+    for d, r in enumerate(rev):
+        if rev[r] != d or r == d:
             raise ValueError("mate table is not a fixed-point-free involution")
     return Map(tuple(vertex_of), tuple(nxt), tuple(rev)), ids
 

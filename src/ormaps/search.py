@@ -238,10 +238,8 @@ def parse_empty_spec(text: str) -> EmptyCircuitSpec:
             raise SearchError("pair sizes must look like pair:3+4") from None
         kwargs["mode"] = "pair"
         kwargs["pair_sizes"] = (a, b) if a <= b else (b, a)
-    elif mode in ("circuit", "pair"):
-        kwargs["mode"] = mode
     else:
-        raise SearchError(f"unknown mode {mode!r}")
+        kwargs["mode"] = mode  # EmptyCircuitSpec refuses an unknown mode
     constraints = fields.pop("constraints", "")
     for item in filter(None, (c.strip() for c in constraints.split(","))):
         if item == "distinct-neighbors":
@@ -789,6 +787,32 @@ class EnumerationOutcome:
     seconds: float
 
 
+class _Finds:
+    """The audited finds of one run, keyed by canonical code."""
+
+    def __init__(self, spec: EmptyCircuitSpec):
+        self.spec = spec
+        self.maps: dict[bytes, Map] = {}
+
+    def add(self, m: Map) -> bool:
+        """Keep ``m``'s canonical form unless its code is known; True when kept.
+
+        A new find that ``empty_map_problems`` rejects raises RuntimeError.
+        """
+        code, cm = canonical(m)
+        if code in self.maps:
+            return False
+        problems = empty_map_problems(cm, self.spec)
+        if problems:
+            raise RuntimeError("enumerated a non-member: " + "; ".join(problems))
+        self.maps[code] = cm
+        return True
+
+    def outcome(self, complete: bool, clock: _Clock) -> EnumerationOutcome:
+        ordered = tuple(self.maps[code] for code in sorted(self.maps))
+        return EnumerationOutcome(ordered, complete, clock.nodes, clock.seconds)
+
+
 def enumerate_empty(
     spec: EmptyCircuitSpec, budget: SearchBudget | None = None
 ) -> EnumerationOutcome:
@@ -805,31 +829,19 @@ def enumerate_empty(
     if spec.k > 9:
         raise SearchError("spanning size above 9 is not supported")
     clock = _Clock(budget)
-    found: dict[bytes, Map] = {}
-
-    def sink(m: Map) -> None:
-        code, cm = canonical(m)
-        if code in found:
-            return
-        problems = empty_map_problems(cm, spec)
-        if problems:
-            raise RuntimeError("enumerated a non-member: " + "; ".join(problems))
-        found[code] = cm
-
+    finds = _Finds(spec)
     complete = True
     try:
         for walks in _walk_shapes(spec):
-            _run_walk_engine(walks, spec, clock, sink)
+            _run_walk_engine(walks, spec, clock, finds.add)
     except _Stop:
         complete = False
 
     if complete:
         # shape canonicalization folded reflections away; restore chiral twins
-        for m in list(found.values()):
-            sink(m.mirror())
-
-    ordered = tuple(found[code] for code in sorted(found))
-    return EnumerationOutcome(ordered, complete, clock.nodes, clock.seconds)
+        for m in list(finds.maps.values()):
+            finds.add(m.mirror())
+    return finds.outcome(complete, clock)
 
 
 # -- the ten-case certification report -------------------------------------------------
@@ -1365,18 +1377,10 @@ def search_empty_9_cycle(
         max_vertices=9,
         spanning_block=1,
     )
-    member_spec = EmptyCircuitSpec(k=9, mode="circuit", single_neighbor=True)
-    found: dict[bytes, Map] = {}
+    finds = _Finds(EmptyCircuitSpec(k=9, mode="circuit", single_neighbor=True))
 
     def accept(m: Map) -> None:
-        code, cm = canonical(m)
-        if code in found:
-            return
-        problems = empty_map_problems(cm, member_spec)
-        if problems:
-            raise RuntimeError("enumerated a non-member: " + "; ".join(problems))
-        found[code] = cm
-        if stop_at_first:
+        if finds.add(m) and stop_at_first:
             raise _Stop
 
     try:
@@ -1384,8 +1388,7 @@ def search_empty_9_cycle(
         complete = True
     except _Stop:
         complete = False
-    ordered = tuple(found[code] for code in sorted(found))
-    return EnumerationOutcome(ordered, complete, clock.nodes, clock.seconds)
+    return finds.outcome(complete, clock)
 
 
 # -- complete graph embeddings -------------------------------------------------------------

@@ -36,22 +36,6 @@ class SurgeryError(ValueError):
 
 
 @dataclass(frozen=True)
-class GlueSpec:
-    """How to identify two equal-size faces.
-
-    ``offset`` rotates the second walk: vertex i of the first walk lands on
-    vertex (offset - i) of the second.  The subtraction keeps the two
-    orientations consistent across the seam; ``mirror_b`` flips the second
-    map first, reaching the alignments the subtraction alone cannot.
-    """
-
-    face_a: Face | int
-    face_b: Face | int
-    offset: int = 0
-    mirror_b: bool = False
-
-
-@dataclass(frozen=True)
 class GlueResult:
     map: Map
     seam_edges: tuple[int, ...]
@@ -192,14 +176,6 @@ def delete_vertex(m: Map, v: int) -> Map:
     return out
 
 
-def subdivide_edge(m: Map, e: int) -> Map:
-    """Insert a degree-2 vertex on the edge named by either of its darts.
-
-    Both incident faces grow by one; the genus stays put.
-    """
-    return subdivide_edges(m, [e])
-
-
 def subdivide_edges(m: Map, edges: Sequence[int]) -> Map:
     """Subdivide several distinct edges of the original map.
 
@@ -313,7 +289,16 @@ def cycle_square_gadget(c: int) -> Map:
 # -- gluing ----------------------------------------------------------------------
 
 
-def glue_faces(a: Map, b: Map, spec: GlueSpec, *, require_simple: bool = True) -> GlueResult:
+def glue_faces(
+    a: Map,
+    b: Map,
+    face_a: Face | int,
+    face_b: Face | int,
+    offset: int = 0,
+    mirror_b: bool = False,
+    *,
+    require_simple: bool = True,
+) -> GlueResult:
     """Remove one face from each map and sew the boundaries together.
 
     The maps are treated as disjoint copies (passing the same object twice
@@ -321,10 +306,15 @@ def glue_faces(a: Map, b: Map, spec: GlueSpec, *, require_simple: bool = True) -
     length m; afterwards V = Va+Vb-m, E = Ea+Eb-m, F = Fa+Fb-2, so the
     genus adds.  Every seam edge separates a former a-face from a former
     b-face.
+
+    ``offset`` rotates the second walk: vertex i of ``face_a``'s walk lands
+    on vertex (offset - i) of ``face_b``'s.  The subtraction keeps the two
+    orientations consistent across the seam; ``mirror_b`` flips ``b``
+    first, reaching the alignments the subtraction alone cannot.
     """
-    fa = _face_of(a, spec.face_a, SurgeryError)
-    fb = _face_of(b, spec.face_b, SurgeryError)
-    if spec.mirror_b:
+    fa = _face_of(a, face_a, SurgeryError)
+    fb = _face_of(b, face_b, SurgeryError)
+    if mirror_b:
         d0 = fb.darts[0]
         b = b.mirror()
         fb = b.faces[b.face_index_of[b.reverse[d0]]]
@@ -335,7 +325,7 @@ def glue_faces(a: Map, b: Map, spec: GlueSpec, *, require_simple: bool = True) -
     # a's faces keep their indices in the union; b's follow them
     u = _disjoint_union(a, b)
     fb = u.faces[len(a.faces) + fb.index]
-    res = _sew(u, u.faces[fa.index], fb, spec.offset, genus(a) + genus(b), require_simple)
+    res = _sew(u, u.faces[fa.index], fb, offset, genus(a) + genus(b), require_simple)
     vmap, Va = res.vertex_map_a, a.vertex_count
     vmap_b = {w: vmap[Va + w] for w in range(b.vertex_count)}
     return GlueResult(res.map, res.seam_edges, {v: vmap[v] for v in range(Va)}, vmap_b)
@@ -740,7 +730,7 @@ def _alignments(a: Map, b: Map, fa: int, fb: int, size: int):
     for offset in range(size):
         for mirror in (False, True):
             try:
-                res = glue_faces(a, b, GlueSpec(fa, fb, offset, mirror))
+                res = glue_faces(a, b, fa, fb, offset, mirror)
             except SurgeryError:
                 continue
             yield res

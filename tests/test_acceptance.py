@@ -40,7 +40,6 @@ from ormaps.search import (
     verify_remark24,
 )
 from ormaps.surgery import (
-    GlueSpec,
     SurgeryError,
     build_one_cut_witness,
     find_disjoint_triangles,
@@ -324,8 +323,9 @@ def test_criterion_6_surgery_bookkeeping(corpus16):
         size = rng.choice([s for s, entries in by_size.items() if len(entries) >= 1])
         a, fa = rng.choice(by_size[size])
         b, fb = rng.choice(by_size[size])
-        spec = GlueSpec(fa.index, fb.index, rng.randrange(size), rng.random() < 0.5)
-        res = glue_faces(a, b, spec, require_simple=False)
+        res = glue_faces(
+            a, b, fa.index, fb.index, rng.randrange(size), rng.random() < 0.5, require_simple=False
+        )
         if genus(res.map) != genus(a) + genus(b):
             failures.append(f"gluing {size}-gons: genus {genus(res.map)} "
                             f"!= {genus(a)} + {genus(b)}")

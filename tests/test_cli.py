@@ -771,7 +771,7 @@ GOLDEN_DIGESTS = {
     "genus wheel6": "bb86b04c77c7384e9e54f56a538ce1b422731933",
     "search empty": "f51457b1df602f955c05934988ac3ae4d237f623",
     "search empty budget": "97311fe2ff79e4738916446652c8d32a6a6a8fca",
-    "search nine-cycle": "628e32b59db9d10656bae1f296dcbfa221c4434f",
+    "search nine-cycle": "ee285789dbd7486b7edf42151a2c16d4c636ee6e",
     "search remark24 i": "fcb94cd5fae5ad70b54022ca94c5865a7d461925",
     "search witness": "d11799fc672691da9a9b1d513b5fe521dd534670",
     "validate broken": "f042b38bb05ce9e1e876379d49ec88663a1ac4b3",

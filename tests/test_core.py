@@ -153,6 +153,20 @@ class TestValidateRejections:
         assert not report.ok
         assert any("dangling" in p for p in report.problems)
 
+    def test_unanswered_dart_dangles(self):
+        # the last dart points at a vertex that lists no dart back to it
+        for text, d in (
+            ("vertices: 2\n1: 1 1\n2: 1\n", 2),
+            ("vertices: 3\n1: 2\n2: 1 3\n3: 2 1\n", 4),
+        ):
+            m = parse(text)
+            assert m.reverse[d] == d
+            assert all(0 <= r < m.dart_count for r in m.reverse)
+            problems = validate(m).problems
+            dangling = f"dart {d} at vertex {m.vertex_of[d]} is dangling (paired with itself)"
+            assert dangling in problems
+            assert not any("out of range" in p for p in problems)
+
     def test_odd_dart_count(self):
         m = parse("vertices: 2\n1: 2\n2: 1 1\n")
         report = validate(m)
@@ -416,6 +430,28 @@ def test_bruteforce_iso_matches_codes_on_relabelings(m, rng):
 @settings(max_examples=80)
 def test_bruteforce_iso_agrees_with_codes(a, b):
     assert maps_isomorphic_bruteforce(a, b) == (canonical_code(a) == canonical_code(b))
+
+
+@given(
+    st.integers(1, 7).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(0, n - 1), min_size=1, max_size=6), min_size=n, max_size=n
+        )
+    )
+)
+@settings(max_examples=300)
+def test_from_rotations_pairs_darts_by_occurrence(neighbor_lists):
+    """The i-th dart u->w pairs with the i-th w->u, loop darts pair 1st with
+    2nd, 3rd with 4th and so on, and only the darts left over are fixed."""
+    m = from_rotations(neighbor_lists)
+    occurrences: dict[tuple[int, int], list[int]] = {}
+    for d, w in enumerate(w for nbrs in neighbor_lists for w in nbrs):
+        occurrences.setdefault((m.vertex_of[d], w), []).append(d)
+    for (u, w), darts in occurrences.items():
+        partners = darts if u == w else occurrences.get((w, u), [])
+        for rank, d in enumerate(darts):
+            mate = rank ^ 1 if u == w else rank
+            assert m.reverse[d] == (partners[mate] if mate < len(partners) else d)
 
 
 def test_from_rotations_rejects_bad_input():

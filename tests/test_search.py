@@ -100,6 +100,10 @@ class TestSpecGrammar:
         with pytest.raises(SearchError):
             parse_empty_spec("k")
 
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(SearchError, match="unknown mode 'bogus'"):
+            parse_empty_spec("k=5; mode=bogus")
+
     def test_witness_grammar(self):
         spec = parse_witness_spec(
             "c=2; pair-sum=7; dual=simple,has-2-cut; pair=shares-two-vertices; "

@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+from collections import namedtuple
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +17,6 @@ from ormaps.search import enumerate_connected_maps
 from ormaps.surgery import (
     FillResult,
     GlueResult,
-    GlueSpec,
     InsertResult,
     PipelineOutcome,
     SurgeryError,
@@ -34,7 +34,6 @@ from ormaps.surgery import (
     one_cut_witness_problems,
     stack_vertex,
     stacked_triangulation,
-    subdivide_edge,
     subdivide_edges,
     wedge_at_vertex,
     wheel,
@@ -84,7 +83,7 @@ class TestDeleteVertex:
 
 class TestSubdivide:
     def test_one_edge_of_the_tetrahedron(self, tetrahedron):
-        m = subdivide_edge(tetrahedron, 0)
+        m = subdivide_edges(tetrahedron, [0])
         assert m.vertex_count == 5
         assert m.edge_count == 7
         assert face_size_multiset(m) == (3, 3, 4, 4)
@@ -98,8 +97,8 @@ class TestSubdivide:
         assert genus(m) == 0
 
     def test_either_dart_names_the_edge(self, tetrahedron):
-        a = subdivide_edge(tetrahedron, 0)
-        b = subdivide_edge(tetrahedron, tetrahedron.reverse[0])
+        a = subdivide_edges(tetrahedron, [0])
+        b = subdivide_edges(tetrahedron, [tetrahedron.reverse[0]])
         assert a == b
 
     def test_repeating_an_edge_raises(self, tetrahedron):
@@ -108,7 +107,7 @@ class TestSubdivide:
 
     def test_bad_dart_raises(self, tetrahedron):
         with pytest.raises(SurgeryError, match="no dart"):
-            subdivide_edge(tetrahedron, 99)
+            subdivide_edges(tetrahedron, [99])
 
 
 class TestWheel:
@@ -205,7 +204,7 @@ def _diamond():
 
 class TestGlueFaces:
     def test_two_tetrahedra_make_a_bipyramid(self, tetrahedron):
-        res = glue_faces(tetrahedron, tetrahedron, GlueSpec(0, 0))
+        res = glue_faces(tetrahedron, tetrahedron, 0, 0)
         m = res.map
         assert m.vertex_count == 5
         assert m.edge_count == 9
@@ -215,7 +214,7 @@ class TestGlueFaces:
         assert m.is_simple_graph()
 
     def test_two_cubes_share_a_square(self, cube):
-        res = glue_faces(cube, cube, GlueSpec(0, 0, offset=1))
+        res = glue_faces(cube, cube, 0, 0, offset=1)
         m = res.map
         assert m.vertex_count == 12
         assert m.edge_count == 20
@@ -223,7 +222,7 @@ class TestGlueFaces:
         assert genus(m) == 0
 
     def test_vertex_maps_track_the_identification(self, tetrahedron):
-        res = glue_faces(tetrahedron, tetrahedron, GlueSpec(0, 0))
+        res = glue_faces(tetrahedron, tetrahedron, 0, 0)
         assert res.vertex_map_a == {v: v for v in range(4)}
         walk = set(walk_vertices(tetrahedron, tetrahedron.faces[0].darts))
         for w, target in res.vertex_map_b.items():
@@ -233,25 +232,25 @@ class TestGlueFaces:
                 assert target >= 4
 
     def test_seam_separates_the_two_ingredients(self, tetrahedron, cube):
-        for ingredient, spec in ((tetrahedron, GlueSpec(0, 0)), (cube, GlueSpec(2, 4))):
-            res = glue_faces(ingredient, ingredient, spec)
+        for ingredient, faces in ((tetrahedron, (0, 0)), (cube, (2, 4))):
+            res = glue_faces(ingredient, ingredient, *faces)
             dec = is_dual_separating(res.map, res.seam_edges)
             assert dec is not None
             sides = {len(dec.X_f), len(res.map.faces) - len(dec.X_f)}
             assert sides == {len(ingredient.faces) - 1}
 
     def test_mirrored_gluing_also_adds_genus(self, tetrahedron):
-        res = glue_faces(tetrahedron, tetrahedron, GlueSpec(1, 2, offset=2, mirror_b=True))
+        res = glue_faces(tetrahedron, tetrahedron, 1, 2, offset=2, mirror_b=True)
         assert genus(res.map) == 0
         assert face_size_multiset(res.map) == (3,) * 6
 
     def test_size_mismatch_raises(self, tetrahedron, cube):
         with pytest.raises(SurgeryError, match="cannot glue"):
-            glue_faces(tetrahedron, cube, GlueSpec(0, 0))
+            glue_faces(tetrahedron, cube, 0, 0)
 
     def test_foreign_face_object_raises(self, tetrahedron, cube):
         with pytest.raises(SurgeryError, match="does not belong"):
-            glue_faces(tetrahedron, cube, GlueSpec(cube.faces[0], 0))
+            glue_faces(tetrahedron, cube, cube.faces[0], 0)
 
     def test_chords_collide_or_complete_depending_on_alignment(self):
         diamond = _diamond()
@@ -261,7 +260,7 @@ class TestGlueFaces:
         for offset in range(4):
             for mirror in (False, True):
                 try:
-                    res = glue_faces(diamond, diamond, GlueSpec(square, square, offset, mirror))
+                    res = glue_faces(diamond, diamond, square, square, offset, mirror)
                 except SurgeryError:
                     outcomes["parallel"] += 1
                     continue
@@ -279,7 +278,7 @@ class TestGlueFaces:
         seen_multi = False
         for offset in range(4):
             res = glue_faces(
-                diamond, diamond, GlueSpec(square, square, offset), require_simple=False
+                diamond, diamond, square, square, offset, require_simple=False
             )
             assert validate(res.map).ok
             assert genus(res.map) == 0
@@ -402,7 +401,7 @@ class TestGlueAdditivity:
         offset = data.draw(st.integers(min_value=0, max_value=size - 1))
         mirror = data.draw(st.booleans())
         a, b = _POOL[ia], _POOL[ib]
-        res = glue_faces(a, b, GlueSpec(fa, fb, offset, mirror), require_simple=False)
+        res = glue_faces(a, b, fa, fb, offset, mirror, require_simple=False)
         m = res.map
         assert validate(m).ok
         assert m.vertex_count == a.vertex_count + b.vertex_count - size
@@ -815,6 +814,11 @@ def _two_faces_per_size(m):
     return [i for indices in picked.values() for i in indices]
 
 
+# The glue operations' keys print as the gluing arguments did when
+# SURGERY_GOLDEN was recorded: GlueSpec(face_a=.., face_b=.., offset=.., mirror_b=..).
+_GlueKey = namedtuple("GlueSpec", "face_a face_b offset mirror_b")
+
+
 def _surgery_operations():
     """(key, thunk) for a fixed set of surgery calls, refusals included."""
     from ormaps.surgery import one_cut_witness_from_triangulation
@@ -836,16 +840,14 @@ def _surgery_operations():
             for offset, mirror, simple in itertools.product(
                 offsets, (False, True), (True, False)
             ):
-                spec = GlueSpec(fa, fb, offset, mirror)
+                spec = _GlueKey(fa, fb, offset, mirror)
                 yield ("glue", ia, ib, spec, simple), (
                     lambda a=a, b=b, spec=spec, simple=simple: glue_faces(
-                        a, b, spec, require_simple=simple
+                        a, b, *spec, require_simple=simple
                     )
                 )
-    yield ("glue", "no face"), lambda: glue_faces(pool[0], pool[1], GlueSpec(9, 0))
-    yield ("glue", "foreign"), lambda: glue_faces(
-        pool[0], pool[4], GlueSpec(pool[4].faces[0], 0)
-    )
+    yield ("glue", "no face"), lambda: glue_faces(pool[0], pool[1], 9, 0)
+    yield ("glue", "foreign"), lambda: glue_faces(pool[0], pool[4], pool[4].faces[0], 0)
 
     for name, m in (("stack12", stacked_triangulation(12)), ("cube", make_cube())):
         for fa, fb in itertools.product(range(len(m.faces)), repeat=2):
