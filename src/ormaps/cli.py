@@ -258,7 +258,7 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
 def _cmd_construct(args, manifest) -> int:
     name = args.what
     manifest.add("construction", name)
-    report_lines: list[str] = []
+    report_lines: tuple[str, ...] = ()
     if name == "k4-wedge":
         out = k4_wedge()
     elif name == "zc":
@@ -318,7 +318,7 @@ def _cmd_construct(args, manifest) -> int:
             )
             outcome = build_one_cut_witness(args.c, ingredients)
         out = outcome.map
-        report_lines = outcome.report.lines()
+        report_lines = outcome.report
     else:  # pragma: no cover - argparse restricts choices
         raise _Failure(EXIT_IO, f"unknown construction {name}")
 

@@ -152,7 +152,10 @@ class Map:
         return tuple(d for d in range(self.dart_count) if d < self.reverse[d])
 
     def endpoints(self, e: int) -> tuple[int, int]:
-        return self.vertex_of[e], self.vertex_of[self.reverse[e]]
+        u, r = self.vertex_of[e], self.reverse[e]
+        if r == e:
+            raise ValueError(f"dart {e} at vertex {u} is dangling (paired with itself)")
+        return u, self.vertex_of[r]
 
     def is_simple_graph(self) -> bool:
         seen = set()
@@ -459,15 +462,15 @@ def emit(m: Map) -> str:
 
     Vertices ascending, each rotation starting at its minimal dart, single
     spaces, trailing newline.  The output is re-parsed and compared before
-    returning; a multigraph whose pairing the occurrence rule cannot express
-    raises ValueError instead of being silently corrupted.
+    returning; a dangling dart, or a multigraph whose pairing the occurrence
+    rule cannot express, raises ValueError instead of being silently corrupted.
     """
     lines = [f"vertices: {m.vertex_count}"]
     order: list[int] = []
     for v in range(m.vertex_count):
         rot = m.rotations[v]
         order.extend(rot)
-        lines.append(f"{v + 1}: " + " ".join(str(m.vertex_of[m.reverse[d]] + 1) for d in rot))
+        lines.append(f"{v + 1}: " + " ".join(str(m.endpoints(d)[1] + 1) for d in rot))
     text = "\n".join(lines) + "\n"
 
     pos = {d: i for i, d in enumerate(order)}

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from collections.abc import Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 from .bounds import one_cut_size_threshold
@@ -57,19 +57,11 @@ class InsertResult:
 
 
 @dataclass(frozen=True)
-class PipelineReport:
-    """Plain-text provenance for a composite construction."""
-
-    entries: tuple[tuple[str, str], ...]
-
-    def lines(self) -> list[str]:
-        return [f"{key}: {value}" for key, value in self.entries]
-
-
-@dataclass(frozen=True)
 class PipelineOutcome:
+    """A certified witness and its provenance as ``key: value`` lines."""
+
     map: Map
-    report: PipelineReport
+    report: tuple[str, ...]
 
 
 # -- small helpers ---------------------------------------------------------------
@@ -688,22 +680,28 @@ def check_fill_ingredient(m: Map, l: int, c: int) -> tuple[str, ...]:
     return tuple(problems)
 
 
-def _cut_face_problems(m: Map, size: int) -> list[str]:
+def _witness_problems(m: Map, size: int, c: int | None) -> list[str]:
     """Problems keeping m from certifying a dual cut vertex at one size-gon.
 
-    Wanted: every face a triangle except one size-gon, a simple dual, and
-    that face a cut vertex of the dual.
+    Wanted: connectivity exactly c (unchecked when c is None), every face
+    a triangle except one size-gon, a simple dual, and that face a cut
+    vertex of the dual.
     """
     problems: list[str] = []
+    if c is not None:
+        kappa = vertex_connectivity(m)
+        if kappa != c:
+            problems.append(f"connectivity {kappa}, expected {c}")
     odd = [f for f in m.faces if f.size != 3]
-    if len(odd) != 1 or odd[0].size != size:
+    shaped = len(odd) == 1 and odd[0].size == size
+    if not shaped:
         problems.append(
             f"face sizes {face_size_multiset(m)}; expected one {size}-gon among triangles"
         )
     d = dual(m)
     if not d.simple:
         problems.append(f"dual is not simple ({d.verdict})")
-    if not problems and not _disconnects(d.dual.adjacency, frozenset({odd[0].index})):
+    elif shaped and not _disconnects(d.dual.adjacency, frozenset({odd[0].index})):
         problems.append(f"dual has no cut vertex at the {size}-gon")
     return problems
 
@@ -717,12 +715,7 @@ def one_cut_witness_problems(m: Map, c: int) -> tuple[str, ...]:
     report = validate(m)
     if not report.ok:
         return tuple(report.problems)
-    problems: list[str] = []
-    kappa = vertex_connectivity(m)
-    if kappa != c:
-        problems.append(f"connectivity {kappa}, expected {c}")
-    problems += _cut_face_problems(m, one_cut_size_threshold(c))
-    return tuple(problems)
+    return tuple(_witness_problems(m, one_cut_size_threshold(c), c))
 
 
 def _alignments(a: Map, b: Map, fa: int, fb: int, size: int):
@@ -736,13 +729,36 @@ def _alignments(a: Map, b: Map, fa: int, fb: int, size: int):
             yield res
 
 
-def _first_certified(candidates, problems_of, failure: str) -> Map:
-    """The first candidate map with no problems; else SurgeryError with the last problems seen."""
+def _certified(
+    candidates: Iterable[Map],
+    size: int,
+    c: int | None,
+    failure: str,
+    head: Sequence[str],
+    genus_note: str = "",
+    big_face: str = "the big face",
+) -> PipelineOutcome:
+    """The first candidate with no _witness_problems, reported after the head lines.
+
+    With none, SurgeryError(failure) names the last candidate's problems.
+    """
     problems: Sequence[str] = ()
     for m in candidates:
-        problems = problems_of(m)
+        problems = _witness_problems(m, size, c)
         if not problems:
-            return m
+            return PipelineOutcome(
+                m,
+                (
+                    *head,
+                    f"vertices: {m.vertex_count}",
+                    f"edges: {m.edge_count}",
+                    f"faces: {len(m.faces)}",
+                    f"genus: {genus(m)}{genus_note}",
+                    f"big-face-size: {size}",
+                    f"dual: simple, cut vertex at {big_face}",
+                    "checks: passed",
+                ),
+            )
     raise SurgeryError(failure + (f"; last attempt: {'; '.join(problems)}" if problems else ""))
 
 
@@ -762,23 +778,6 @@ def _min_face_of_size(m: Map, size: int, *, skip: int | None = None) -> int:
     raise SurgeryError(f"no face of size {size} left to fill")
 
 
-def _witness_report(m: Map, c: int, construction: str) -> PipelineReport:
-    big = next(f for f in m.faces if f.size != 3)
-    return PipelineReport(
-        (
-            ("construction", construction),
-            ("connectivity", str(c)),
-            ("vertices", str(m.vertex_count)),
-            ("edges", str(m.edge_count)),
-            ("faces", str(len(m.faces))),
-            ("genus", str(genus(m))),
-            ("big-face-size", str(big.size)),
-            ("dual", "simple, cut vertex at the big face"),
-            ("checks", "passed"),
-        )
-    )
-
-
 def build_one_cut_witness(c: int, ingredients: Sequence[Map] = ()) -> PipelineOutcome:
     """Manufacture a certified dual-one-cut witness of connectivity c.
 
@@ -793,33 +792,38 @@ def build_one_cut_witness(c: int, ingredients: Sequence[Map] = ()) -> PipelineOu
     if c == 1:
         if ingredients:
             raise SurgeryError("the c=1 witness takes no ingredients")
-        out = k4_wedge()
-        problems = one_cut_witness_problems(out, 1)
-        _invariant(not problems, "the c=1 witness fails: " + "; ".join(problems))
-        return PipelineOutcome(out, _witness_report(out, 1, "two plane K4 copies wedged at a vertex"))
-    if c == 3 and not ingredients:
-        ingredients = (wheel(6), wheel(3))
-    if c in (3, 5, 7):
-        return _fill_gadget(c, ingredients)
-    if c == 6:
-        return _cap_gadget_six(ingredients)
-    raise SurgeryError(f"no witness construction for connectivity {c}")
+        candidates: Iterable[Map] = [k4_wedge()]
+        construction = "two plane K4 copies wedged at a vertex"
+    elif c in (3, 5, 7):
+        if c == 3 and not ingredients:
+            ingredients = (wheel(6), wheel(3))
+        candidates = _fill_gadget(c, ingredients)
+        construction = f"gadget on {c} vertices with both satellites glued over"
+    elif c == 6:
+        candidates = _cap_gadget_six(ingredients)
+        construction = "six-vertex gadget capped by hexagon ingredient and doubled torus triangles"
+    else:
+        raise SurgeryError(f"no witness construction for connectivity {c}")
+    failure = f"no gluing alignment certified the c={c} witness"
+    head = (f"construction: {construction}", f"connectivity: {c}")
+    return _certified(candidates, one_cut_size_threshold(c), c, failure, head)
 
 
-def _fill_gadget(c: int, ingredients: Sequence[Map]) -> PipelineOutcome:
+def _fill_gadget(c: int, ingredients: Sequence[Map]) -> Iterator[Map]:
     if len(ingredients) != 2:
         raise SurgeryError(
             f"missing ingredients: the c={c} witness needs two maps with faces "
             f"{sorted(_GADGET_FACES[c])[:-1]} to glue over the gadget"
         )
     targets = list(_GADGET_FACES[c][:-1])  # satellite sizes, ascending
-    ings = sorted(ingredients, key=_glue_face_size)
-    if [_glue_face_size(i) for i in ings] != targets:
+    # (glue face size, ingredient), ascending by size
+    sized = sorted(((_glue_face_size(m), m) for m in ingredients), key=lambda p: p[0])
+    if [size for size, _ in sized] != targets:
         raise SurgeryError(
-            f"ingredient glue faces {[_glue_face_size(i) for i in ings]} "
+            f"ingredient glue faces {[size for size, _ in sized]} "
             f"do not match the gadget satellites {targets}"
         )
-    for ing, size in zip(ings, targets):
+    for size, ing in sized:
         problems = check_fill_ingredient(ing, size, c)
         if problems:
             raise SurgeryError(f"{size}-gon ingredient: " + "; ".join(problems))
@@ -827,28 +831,19 @@ def _fill_gadget(c: int, ingredients: Sequence[Map]) -> PipelineOutcome:
     big_size = _GADGET_FACES[c][-1]
 
     def attempts(current: Map, step: int):
-        if step == len(ings):
+        if step == len(sized):
             yield current
             return
-        size = targets[step]
-        ing = ings[step]
-        big = next(f.index for f in current.faces if f.size == big_size)
-        target = _min_face_of_size(current, size, skip=big)
+        size, ing = sized[step]
+        target = _min_face_of_size(current, size, skip=_min_face_of_size(current, big_size))
         source = _min_face_of_size(ing, size)
         for res in _alignments(current, ing, target, source, size):
             yield from attempts(res.map, step + 1)
 
-    out = _first_certified(
-        attempts(cycle_square_gadget(c), 0),
-        lambda m: one_cut_witness_problems(m, c),
-        f"no gluing alignment certified the c={c} witness",
-    )
-    return PipelineOutcome(
-        out, _witness_report(out, c, f"gadget on {c} vertices with both satellites glued over")
-    )
+    return attempts(cycle_square_gadget(c), 0)
 
 
-def _cap_gadget_six(ingredients: Sequence[Map]) -> PipelineOutcome:
+def _cap_gadget_six(ingredients: Sequence[Map]) -> Iterator[Map]:
     if len(ingredients) != 2:
         raise SurgeryError(
             "missing ingredients: the c=6 witness needs a hexagon ingredient and "
@@ -864,7 +859,7 @@ def _cap_gadget_six(ingredients: Sequence[Map]) -> PipelineOutcome:
         raise SurgeryError("torus ingredient has no two triangles at distance two")
 
     gadget = cycle_square_gadget(6)
-    hex_face = next(f.index for f in gadget.faces if f.size == 6)
+    hex_face = _min_face_of_size(gadget, 6)
     tri_sets = [
         set(walk_vertices(gadget, f.darts)) for f in gadget.faces if f.size == 3
     ]
@@ -887,17 +882,7 @@ def _cap_gadget_six(ingredients: Sequence[Map]) -> PipelineOutcome:
                                 continue
                             yield res.map
 
-    out = _first_certified(
-        attempts(),
-        lambda m: one_cut_witness_problems(m, 6),
-        "no gluing alignment certified the c=6 witness",
-    )
-    return PipelineOutcome(
-        out,
-        _witness_report(
-            out, 6, "six-vertex gadget capped by hexagon ingredient and doubled torus triangles"
-        ),
-    )
+    return attempts()
 
 
 def _distant_triangle_pairs(m: Map):
@@ -951,46 +936,20 @@ def one_cut_witness_from_triangulation(
         if found is None:
             raise SurgeryError("no six well-separated triangles with a pivot cycle")
         triangles, pivots = found
-    _invariant(pivots is not None, "triangles without pivots")
     ins = insert_cycle_in_triangles(host, triangles, pivots)
     cap = _torus_hexagon_cap()
-    cap_face = next(f.index for f in cap.faces if f.size == 6)
-
-    out = _first_certified(
-        (res.map for res in _alignments(ins.map, cap, ins.small_face_index, cap_face, 6)),
-        lambda m: _cap_problems(m, host, expect_connectivity),
+    caps = _alignments(ins.map, cap, ins.small_face_index, _min_face_of_size(cap, 6), 6)
+    return _certified(
+        (res.map for res in caps),
+        24,
+        expect_connectivity,
         "no cap alignment certified the pipeline output",
-    )
-    big = next(f for f in out.faces if f.size == 24)
-    return PipelineOutcome(
-        out,
-        PipelineReport(
-            (
-                ("construction", "6-cycle threaded through six triangles, hexagon capped"),
-                ("host-vertices", str(host.vertex_count)),
-                ("host-genus", str(genus(host))),
-                ("pivots", " ".join(map(str, pivots))),
-                ("vertices", str(out.vertex_count)),
-                ("edges", str(out.edge_count)),
-                ("faces", str(len(out.faces))),
-                ("genus", f"{genus(out)} (host + 6)"),
-                ("big-face-size", str(big.size)),
-                ("dual", "simple, cut vertex at the 24-gon"),
-                ("checks", "passed"),
-            )
+        (
+            "construction: 6-cycle threaded through six triangles, hexagon capped",
+            f"host-vertices: {host.vertex_count}",
+            f"host-genus: {genus(host)}",
+            f"pivots: {' '.join(map(str, pivots))}",
         ),
+        " (host + 6)",
+        "the 24-gon",
     )
-
-
-def _cap_problems(out: Map, host: Map, expect_connectivity: int | None) -> list[str]:
-    problems: list[str] = []
-    if not validate(out).ok:
-        return ["output failed validation"]
-    if genus(out) != genus(host) + 6:
-        problems.append(f"genus {genus(out)}, expected {genus(host) + 6}")
-    problems += _cut_face_problems(out, 24)
-    if expect_connectivity is not None:
-        kappa = vertex_connectivity(out)
-        if kappa != expect_connectivity:
-            problems.append(f"connectivity {kappa}, expected {expect_connectivity}")
-    return problems

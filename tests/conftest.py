@@ -50,6 +50,18 @@ def k2() -> Map:
     return parse("vertices: 2\n1: 2\n2: 1\n")
 
 
+def torus_grid(p: int, q: int) -> Map:
+    """The 6-regular triangulation T(p, q) of the torus on a p x q grid."""
+    steps = [(1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1)]
+    return from_rotations(
+        [
+            [(i + di) % p * q + (j + dj) % q for di, dj in steps]
+            for i in range(p)
+            for j in range(q)
+        ]
+    )
+
+
 def relabel_darts(m: Map, perm: list[int]) -> Map:
     """Apply a dart permutation: dart d becomes perm[d]."""
     D = m.dart_count

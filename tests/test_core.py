@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 import struct
 
 import pytest
@@ -12,12 +13,14 @@ from conftest import (
     connected_simple_maps,
     relabel_darts,
     rotation_system,
+    torus_grid,
 )
 from ormaps.core import (
     Map,
     RotParseError,
     _pack,
     _root_code,
+    assemble,
     canonical,
     canonical_code,
     canonical_form,
@@ -105,6 +108,37 @@ class TestParseErrors:
         with pytest.raises(RotParseError, match="no neighbors"):
             parse("vertices: 2\n1:\n2: 1\n")
 
+    @pytest.mark.parametrize(
+        "text, fragment",
+        [
+            ("vertices: 0\n", "vertex count must be positive"),
+            ("vertices: 2\n1 2\n2: 1\n", "expected 'v: n1 n2 ...' rotation line"),
+            ("vertices: 2\n3: 1\n", "vertex id 3 outside 1..2"),
+        ],
+    )
+    def test_refusal_texts(self, text, fragment):
+        with pytest.raises(RotParseError, match=re.escape(fragment)):
+            parse(text)
+
+
+@pytest.mark.parametrize(
+    "rotations, mate, fragment",
+    [
+        ({0: ["a"], 2: ["b"]}, {"a": "b", "b": "a"}, "vertex ids must be dense integers"),
+        ({0: ["a", "a"]}, {"a": "a"}, "dart token 'a' appears twice"),
+        ({0: ["a"], 1: ["b"]}, {"a": "b"}, "dart token 'b' has no mate"),
+        ({0: ["a"], 1: ["b"]}, {"a": "b", "b": "z"}, "mate of 'b' is not a known dart token"),
+        (
+            {0: ["a", "c"], 1: ["b"]},
+            {"a": "b", "b": "c", "c": "a"},
+            "mate table is not a fixed-point-free involution",
+        ),
+    ],
+)
+def test_assemble_refusal_texts(rotations, mate, fragment):
+    with pytest.raises(ValueError, match=re.escape(fragment)):
+        assemble(rotations, mate)
+
 
 def test_comments_and_blank_lines_ignored():
     text = "# a map\n\nvertices: 2\n1: 2  # only edge\n\n2: 1\n"
@@ -154,10 +188,12 @@ class TestValidateRejections:
         assert any("dangling" in p for p in report.problems)
 
     def test_unanswered_dart_dangles(self):
-        # the last dart points at a vertex that lists no dart back to it
+        # dart d points at a vertex that lists no dart back to it; it has no
+        # far end, so neither endpoints nor emit may invent a loop for it
         for text, d in (
             ("vertices: 2\n1: 1 1\n2: 1\n", 2),
             ("vertices: 3\n1: 2\n2: 1 3\n3: 2 1\n", 4),
+            ("vertices: 2\n1: 2 2\n2: 1\n", 1),
         ):
             m = parse(text)
             assert m.reverse[d] == d
@@ -166,6 +202,10 @@ class TestValidateRejections:
             dangling = f"dart {d} at vertex {m.vertex_of[d]} is dangling (paired with itself)"
             assert dangling in problems
             assert not any("out of range" in p for p in problems)
+            with pytest.raises(ValueError, match=re.escape(dangling)):
+                m.endpoints(d)
+            with pytest.raises(ValueError, match=re.escape(dangling)):
+                emit(m)
 
     def test_odd_dart_count(self):
         m = parse("vertices: 2\n1: 2\n2: 1 1\n")
@@ -286,18 +326,6 @@ def full_scan_canonical(m: Map) -> tuple[bytes, Map]:
 
 def cycle_map(n: int) -> Map:
     return from_rotations([[(i - 1) % n, (i + 1) % n] for i in range(n)])
-
-
-def torus_grid(p: int, q: int) -> Map:
-    """The 6-regular triangulation T(p, q) of the torus on a p x q grid."""
-    steps = [(1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1)]
-    return from_rotations(
-        [
-            [(i + di) % p * q + (j + dj) % q for di, dj in steps]
-            for i in range(p)
-            for j in range(q)
-        ]
-    )
 
 
 def root_rule(m: Map) -> str:

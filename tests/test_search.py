@@ -1,6 +1,7 @@
 """Exhaustive-search engine tests: spec parsing, small oracles, budgets."""
 
 import hashlib
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -144,6 +145,34 @@ class TestSpecGrammar:
     )
     def test_negative_witness_bound_rejected(self, text, key):
         with pytest.raises(SearchError, match=key):
+            parse_witness_spec(text)
+
+    @pytest.mark.parametrize(
+        "text, fragment",
+        [
+            ("k=5; k=6", "duplicate key 'k'"),
+            ("k=five", "k must be an integer"),
+            ("mode=pair", "missing required key 'k'"),
+            ("k=5; mode=pair:3+x", "pair sizes must look like pair:3+4"),
+            ("k=5; constraints=min-faces:x", "min-faces needs an integer"),
+            ("k=5; constraints=bogus", "unknown constraint 'bogus'"),
+        ],
+    )
+    def test_empty_spec_refusal_texts(self, text, fragment):
+        with pytest.raises(SearchError, match=re.escape(fragment)):
+            parse_empty_spec(text)
+
+    @pytest.mark.parametrize(
+        "text, fragment",
+        [
+            ("c=2", "witness specs need both 'c' and 'pair-sum'"),
+            ("c=0; pair-sum=7", "connectivity must be positive"),
+            ("c=2; pair-sum=5", "two faces cannot sum below 6"),
+            ("c=2; pair-sum=7; pair=bogus", "unknown pair demand 'bogus'"),
+        ],
+    )
+    def test_witness_spec_refusal_texts(self, text, fragment):
+        with pytest.raises(SearchError, match=re.escape(fragment)):
             parse_witness_spec(text)
 
     def test_zero_bounds_stay_allowed(self):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_cube
+from conftest import make_cube, torus_grid
 from ormaps.bounds import one_cut_genus_bounds
 from ormaps.connectivity import adjacency_of, find_cutsets, vertex_connectivity
 from ormaps.core import emit, face_size_multiset, genus, parse, validate, walk_vertices
@@ -663,8 +663,8 @@ class TestBuildWitness:
         assert face_size_multiset(m) == (3, 3, 3, 3, 3, 3, 6)
         assert genus(m) == 0
         assert vertex_connectivity(m) == 1
-        assert ("connectivity", "1") in outcome.report.entries
-        assert any(line.startswith("checks:") for line in outcome.report.lines())
+        assert "connectivity: 1" in outcome.report
+        assert any(line.startswith("checks:") for line in outcome.report)
 
     def test_connectivity_three(self):
         outcome = build_one_cut_witness(3)
@@ -722,6 +722,19 @@ class TestBuildWitness:
         ):
             build_one_cut_witness(6, (wheel(6), cube))
 
+    def test_six_glues_a_hexagon_wheel_and_a_torus_grid(self, monkeypatch):
+        # wheel(6) is only 3-connected, so pass the ingredient checks; the
+        # certificate still demands connectivity 6 of the glued map
+        from ormaps import connectivity, surgery
+
+        monkeypatch.setattr(surgery, "check_fill_ingredient", lambda m, l, c: ())
+        m = build_one_cut_witness(6, (wheel(6), torus_grid(4, 4))).map
+        assert one_cut_witness_problems(m, 6) == ()
+        assert (m.vertex_count, m.edge_count, genus(m)) == (17, 60, 4)
+        assert connectivity.vertex_connectivity_bruteforce(m) == 6
+        digest = hashlib.sha1(emit(m).encode()).hexdigest()
+        assert digest == "8ef592d87f1193047287edc32dc3139296e1baa1"
+
     @pytest.mark.parametrize("c", [2, 4, 8])
     def test_unsupported_targets_raise(self, c):
         with pytest.raises(SurgeryError, match="no witness construction"):
@@ -765,7 +778,7 @@ class TestTorusCapPipeline:
         assert rep.simple
         big = next(f.index for f in out.faces if f.size == 24)
         assert frozenset({big}) in find_cutsets(adjacency_of(rep.dual), 1)
-        assert "checks: passed" in outcome.report.lines()
+        assert "checks: passed" in outcome.report
 
     def test_pipeline_rejects_non_triangulations(self, cube):
         from ormaps.surgery import one_cut_witness_from_triangulation
@@ -801,7 +814,7 @@ def _raw_outcome(result):
     if isinstance(result, InsertResult):
         return (_raw_outcome(result.map), result.big_face_index, result.small_face_index)
     if isinstance(result, PipelineOutcome):
-        return (_raw_outcome(result.map), result.report.lines())
+        return (_raw_outcome(result.map), list(result.report))
     return (result.vertex_of, result.next_in_rotation, result.reverse)
 
 
