@@ -478,17 +478,20 @@ def _run_walk_engine(
     darts are those below 2k.
 
     The chain-end invariant: ``start_of`` and ``end_of`` are valid only at
-    chain ends, ``end_of[s]`` at a start s and ``start_of[e]`` at an end e.
-    A link that joins two chains rewrites those two entries in O(1), and
-    its undo writes them back.  An entry is never written while its dart
-    is interior, so undoing links in reverse order restores every end
-    exactly.  Here the chain edge of ``succ[tail] = head`` is
+    chain ends, ``end_of[s]`` at a start s and ``start_of[e]`` at an end e,
+    and so is ``backs_of[s]``, the number of back darts on the chain that
+    starts at s.  A link that joins two chains rewrites those three entries
+    in O(1), and its undo writes them back.  An entry is never written
+    while its dart is interior, so undoing links in reverse order restores
+    every end exactly.  Here the chain edge of ``succ[tail] = head`` is
     ``alpha[tail] -> head``, so the link closes a face exactly when
-    ``start_of[alpha[tail]] == head``.  Any other link is three writes and
-    its undo two, done in place by ``arrange``; only a closing link calls
-    ``close_face``, which walks the face.  A link to a fresh dart never
-    closes.  ``succ`` is never cleared, because only closed orbits and the
-    finished map read it.
+    ``start_of[alpha[tail]] == head``.  Any other link is four writes and
+    its undo three, done in place by ``arrange``; under
+    ``distinct-neighbors`` a join that would put two back darts on one
+    chain is not taken, since that chain can only close into a forbidden
+    face.  Only a closing link calls ``close_face``, which walks the face.
+    A link to a fresh dart never closes and adds no back dart.  ``succ`` is
+    never cleared, because only closed orbits and the finished map read it.
 
     The shape's stabiliser, which ``_shape_group`` picks from the
     ``_shape_transforms`` relabellings, maps completions onto completions;
@@ -521,8 +524,8 @@ def _run_walk_engine(
     last = V - 1
     size = k2 + V * (V - 1)
     max_top = size if max_edges is None else 2 * max_edges  # top never reaches size
-    distinct = spec.distinct_neighbors
     single = spec.single_neighbor
+    limit = 1 if spec.distinct_neighbors else k  # most back darts on one chain
     alpha = [*range(k, k2), *range(k), *(d ^ 1 for d in range(k2, size))]
     edges = {frozenset((seq[p], seq[next_pos[p]])) for p in range(k)}
     # fresh internal edges go from v to a higher vertex it does not already
@@ -544,6 +547,7 @@ def _run_walk_engine(
     claimed = [-1] * size  # face index of a dart on a closed ordinary face, else -1
     start_of = list(range(size))
     end_of = list(range(size))
+    backs_of = [0] * k + [1] * k + [0] * (size - k2)  # a back dart is a chain of its own
     faces: list[list[int]] = []
     pending: list[list[tuple[int]]] = [[] for _ in range(V)]
     in_use: list[set[int]] = [set() for _ in range(V)]
@@ -565,22 +569,21 @@ def _run_walk_engine(
         The caller has set ``succ[tail]``.  True when the face is admissible:
         its darts are claimed and the face recorded, and the caller undoes
         it by popping ``faces``.  False kills the whole branch and leaves
-        nothing to undo.
+        nothing to undo.  The face is the chain that starts at ``head``, so
+        ``backs_of[head]`` counts its back darts; the joins already kept it
+        below two under ``distinct-neighbors``.
         """
+        if single and 0 < backs_of[head] < k:
+            return False
         # walk the face once, claiming as we go, so that an edge with both
         # sides on it (a dual loop) shows up at its second side
         fid = len(faces)
         path: list[int] = []
         shared: list[int] = []
-        backs = 0
         cur = head
         while True:
             claimed[cur] = fid
             path.append(cur)
-            if cur < k2:
-                backs += 1
-                if distinct and backs >= 2:
-                    break
             other = claimed[alpha[cur]]
             if other >= 0:
                 # the same face across an edge is a dual loop; the same
@@ -590,10 +593,8 @@ def _run_walk_engine(
                 shared.append(other)
             cur = succ[alpha[cur]]
             if cur == head:
-                if not (single and backs and backs < k):
-                    faces.append(path)
-                    return True
-                break
+                faces.append(path)
+                return True
         for d in path:
             claimed[d] = -1
         return False
@@ -702,17 +703,22 @@ def _run_walk_engine(
         tick()
         a = alpha[tail]
         start = start_of[a]  # fixed over this call, since every branch is undone
+        backs = backs_of[start]
         if not todo:
             # wrap the rotation shut and move to the next vertex
             head = blocks[v][0][0]
             succ[tail] = head
             if start != head:
-                end = end_of[head]
-                end_of[start] = end
-                start_of[end] = start
-                shut(v)
-                end_of[start] = a
-                start_of[end] = head
+                both = backs + backs_of[head]
+                if both <= limit:
+                    end = end_of[head]
+                    end_of[start] = end
+                    start_of[end] = start
+                    backs_of[start] = both
+                    shut(v)
+                    backs_of[start] = backs
+                    end_of[start] = a
+                    start_of[end] = head
             elif close_face(head):
                 shut(v)
                 for d in faces.pop():
@@ -723,12 +729,16 @@ def _run_walk_engine(
             succ[tail] = head
             # a corner block carries its own fixed inner link
             if start != head:
-                end = end_of[head]
-                end_of[start] = end
-                start_of[end] = start
-                arrange(v, item[-1], todo)
-                end_of[start] = a
-                start_of[end] = head
+                both = backs + backs_of[head]
+                if both <= limit:
+                    end = end_of[head]
+                    end_of[start] = end
+                    start_of[end] = start
+                    backs_of[start] = both
+                    arrange(v, item[-1], todo)
+                    backs_of[start] = backs
+                    end_of[start] = a
+                    start_of[end] = head
             elif close_face(head):
                 arrange(v, item[-1], todo)
                 for d in faces.pop():

@@ -769,10 +769,10 @@ GOLDEN_DIGESTS = {
     "genus stack12": "2c042070c03c5c695d66071093db1e3478e16881",
     "genus tetrahedron": "2547c78a2ed9f6e5487b499522935a397eabb8fa",
     "genus wheel6": "bb86b04c77c7384e9e54f56a538ce1b422731933",
-    "search empty": "f51457b1df602f955c05934988ac3ae4d237f623",
+    "search empty": "1397ab36c005a7adcc982a796499196825a09459",
     "search empty budget": "97311fe2ff79e4738916446652c8d32a6a6a8fca",
     "search nine-cycle": "ee285789dbd7486b7edf42151a2c16d4c636ee6e",
-    "search remark24 i": "fcb94cd5fae5ad70b54022ca94c5865a7d461925",
+    "search remark24 i": "526cba57cd16ea8206735043e768eca473b5f7ff",
     "search witness": "d11799fc672691da9a9b1d513b5fe521dd534670",
     "validate broken": "f042b38bb05ce9e1e876379d49ec88663a1ac4b3",
     "validate cube": "79f397c96432f7b3052375052c405da2edbe0101",

@@ -264,6 +264,20 @@ class TestSmallOracle:
         assert mine == brute
         assert len(mine) == finds
 
+    @pytest.mark.parametrize(
+        "text", ["k=6; mode=circuit", "k=6; mode=pair", "k=7; mode=pair; max-vertices=6"]
+    )
+    def test_distinct_prune_keeps_every_unpruned_find(self, text):
+        # the engine drops a distinct-neighbours branch at the join that puts
+        # two back darts on one chain; filtering the unconstrained run by the
+        # independent checker must give the same maps in the same order
+        spec = parse_empty_spec(text + "; constraints=distinct-neighbors")
+        everything = enumerate_empty(parse_empty_spec(text))
+        pruned = enumerate_empty(spec)
+        assert everything.complete and pruned.complete
+        kept = [m for m in everything.maps if not empty_map_problems(m, spec)]
+        assert [canonical_code(m) for m in kept] == [canonical_code(m) for m in pruned.maps]
+
     @pytest.mark.parametrize("text", ["k=6; max-edges=5", "k=7; mode=pair:3+4; max-edges=6"])
     def test_edge_cap_below_the_spanning_size_is_empty(self, text):
         out = enumerate_empty(parse_empty_spec(text))
@@ -279,26 +293,26 @@ class TestSmallOracle:
 # with it which finds precede the cut, so they are pinned exactly.
 _EMPTY_SHA1 = "da39a3ee5e6b4b0d3255bfef95601890afd80709"
 ENGINE_GOLDEN = [
-    ("k=3; mode=circuit; constraints=distinct-neighbors", None, 3, 3, 0, _EMPTY_SHA1),
-    ("k=4; mode=circuit; constraints=distinct-neighbors", None, 16, 14, 0, _EMPTY_SHA1),
-    ("k=5; mode=circuit; constraints=distinct-neighbors", None, 512, 215, 0, _EMPTY_SHA1),
+    ("k=3; mode=circuit; constraints=distinct-neighbors", None, 3, 1, 0, _EMPTY_SHA1),
+    ("k=4; mode=circuit; constraints=distinct-neighbors", None, 16, 5, 0, _EMPTY_SHA1),
+    ("k=5; mode=circuit; constraints=distinct-neighbors", None, 512, 57, 0, _EMPTY_SHA1),
     ("k=3; mode=circuit; constraints=detached-face", None, 3, 3, 0, _EMPTY_SHA1),
     ("k=4; mode=circuit; constraints=detached-face", None, 18, 15, 0, _EMPTY_SHA1),
     ("k=5; mode=circuit; constraints=detached-face", None, 565, 233, 0, _EMPTY_SHA1),
-    ("k=6; mode=circuit; constraints=distinct-neighbors", None, 349731, 65968, 11,
+    ("k=6; mode=circuit; constraints=distinct-neighbors", None, 349731, 4767, 11,
      "0289d45be761fcabd119adf03b4406ad9b2a043e"),
     ("k=6; mode=circuit; constraints=single-neighbor,min-faces:3", None, 231770, 43947, 0,
      _EMPTY_SHA1),
-    ("k=6; mode=pair; constraints=distinct-neighbors", None, 354870, 22541, 4,
+    ("k=6; mode=pair; constraints=distinct-neighbors", None, 354870, 2915, 4,
      "8ed49ec1503bac585eb9039c32b7e195e7619582"),
     ("k=6; mode=pair; constraints=single-neighbor,min-faces:4", None, 227133, 15472, 0,
      _EMPTY_SHA1),
-    ("k=7; mode=pair; constraints=distinct-neighbors; max-vertices=6", None, 95007, 47743, 0,
+    ("k=7; mode=pair; constraints=distinct-neighbors; max-vertices=6", None, 95007, 4, 0,
      _EMPTY_SHA1),
     ("k=6; mode=circuit", None, 402871, 73930, 184, "9f64542700b238acc0afc9597e8ee4dfb9534a79"),
     ("k=5; mode=circuit; constraints=single-neighbor", None, 420, 185, 1,
      "8096d5df9654b02e584f6e0937a926ac0d4054b0"),
-    ("k=7; mode=circuit; constraints=distinct-neighbors; max-vertices=6", None, 96650, 55590, 0,
+    ("k=7; mode=circuit; constraints=distinct-neighbors; max-vertices=6", None, 96650, 4, 0,
      _EMPTY_SHA1),
     # the 6-vertex sweeps of remark24 cases viii and x
     ("k=7; mode=circuit; constraints=single-neighbor,min-faces:3; max-vertices=6", None, 71050,
@@ -311,7 +325,7 @@ ENGINE_GOLDEN = [
     ("k=6; mode=pair; max-edges=9", None, 342, 342, 17,
      "b7eeb7505ed98aedd16e327298629e43e894c10f"),
     ("k=7; mode=pair; constraints=distinct-neighbors; min-vertices=7; max-edges=13", None,
-     69709, 69709, 0, _EMPTY_SHA1),
+     69709, 6593, 0, _EMPTY_SHA1),
     # truncated runs on hard shapes
     ("k=7; mode=circuit; constraints=single-neighbor,min-faces:3", 200_000, 200_001, 200_001,
      0, _EMPTY_SHA1),
@@ -772,13 +786,15 @@ class TestBudgets:
 
     def test_node_budget_runs_are_deterministic(self):
         spec = EmptyCircuitSpec(k=6, distinct_neighbors=True)
-        a = enumerate_empty(spec, SearchBudget(max_nodes=20000))
-        b = enumerate_empty(spec, SearchBudget(max_nodes=20000))
+        a = enumerate_empty(spec, SearchBudget(max_nodes=2000))
+        b = enumerate_empty(spec, SearchBudget(max_nodes=2000))
+        assert not a.complete and a.maps
         assert [ormaps.emit(m) for m in a.maps] == [ormaps.emit(m) for m in b.maps]
 
     def test_partial_results_still_satisfy_the_spec(self):
         spec = EmptyCircuitSpec(k=6, distinct_neighbors=True)
-        cut = enumerate_empty(spec, SearchBudget(max_nodes=150000))
+        cut = enumerate_empty(spec, SearchBudget(max_nodes=2000))
+        assert not cut.complete and cut.maps
         for m in cut.maps:
             assert empty_map_problems(m, spec) == ()
 
@@ -817,10 +833,10 @@ class TestRemark24:
         assert not report.ok
 
     def test_bounded_cases_report_a_partial_count_when_exhausted(self):
-        report = verify_remark24(["iii", "v"], SearchBudget(max_nodes=20_000))
+        report = verify_remark24(["iii", "v"], SearchBudget(max_nodes=2_000))
         assert [(c.status, c.holds, c.detail, c.found, c.nodes) for c in report.cases] == [
-            ("exhausted", None, "partial: 4 found", 4, 20_001),
-            ("exhausted", None, "partial: 2 found", 2, 20_001),
+            ("exhausted", None, "partial: 4 found", 4, 2_001),
+            ("exhausted", None, "partial: 2 found", 2, 2_001),
         ]
 
     def test_repeated_labels_run_once_in_first_occurrence_order(self):
