@@ -152,22 +152,25 @@ def vertex_connectivity_flow(g) -> int:
     A minimum cut either misses some fixed vertex v0, in which case v0 is
     separated from a non-neighbor, or contains v0, in which case two of
     v0's neighbors in different components are non-adjacent.  Both families
-    of flows run on one network, each capped at the best kappa so far;
-    complete graphs short-circuit to n-1.
+    of flows run on one network, each capped at the best kappa so far, and
+    stop once it is 1, which a connected graph cannot go below; complete
+    graphs short-circuit to n-1.
     """
     adj = adjacency_of(g)
     _require_connected(adj)
     n = len(adj)
     if _is_complete(adj):
         return n - 1
-    net = _SplitNetwork(adj)
     v0 = min(range(n), key=lambda v: (len(adj[v]), v))
     best = len(adj[v0])
+    if best == 1:
+        return 1
+    net = _SplitNetwork(adj)
     for t in range(n):
-        if t != v0 and t not in adj[v0]:
+        if best > 1 and t != v0 and t not in adj[v0]:
             best = _st_flow(net, v0, t, best)
     for x, y in itertools.combinations(sorted(adj[v0]), 2):
-        if y not in adj[x]:
+        if best > 1 and y not in adj[x]:
             best = _st_flow(net, x, y, best)
     return best
 

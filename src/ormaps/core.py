@@ -676,7 +676,7 @@ def canonical(m: Map) -> tuple[bytes, Map]:
 
 def canonical_code(m: Map) -> bytes:
     """Orientation-preserving isomorphism invariant; see ``canonical``."""
-    return canonical(m)[0]
+    return _pack(_least_root(m.next_in_rotation, m.reverse)[0])
 
 
 def canonical_form(m: Map) -> Map:

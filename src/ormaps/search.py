@@ -1441,16 +1441,26 @@ def enumerate_connected_maps(max_edges: int) -> tuple[Map, ...]:
 
     Grown by edge augmentation: each map with E+1 edges arises from one
     with E edges by attaching a fresh leaf into some rotation gap or by
-    joining two non-adjacent vertices, because deleting a leaf edge or a
-    non-bridge edge of any connected map keeps it connected.  Chiral pairs
-    appear as two classes.
+    joining two non-adjacent vertices.  Chiral pairs appear as two classes.
+
+    Only children whose new edge a canonical deletion could remove are
+    built (McKay's canonical construction path).  A leaf is a degree-1
+    vertex and its anchor is its one neighbour.  A leaf child at u is kept
+    when no leaf edge of the child has an anchor of larger degree than u's;
+    a join child is kept when it has no leaf.  Every class is still
+    reached.  If a map M with E+1 edges has a leaf, deleting the leaf edge
+    whose anchor has the largest degree leaves a connected map, isomorphic
+    to some parent, and the leaf child that puts the edge back passes.  If
+    M has no leaf, M has a cycle; deleting one of its edges leaves a
+    connected map, and the join child that puts it back has no leaf.
 
     Children are grown on the parent's dart arrays: the new edge is darts D
     and D + 1, with D inserted after a dart d of u in u's rotation and D + 1
     after a dart e of w, or alone at a new vertex for a leaf.  Each child
     gets only its least-root words; a child's relabelled form is built only
     when its code is new.  The code fixes the form, so which child of a
-    class comes first does not matter.  Output is by edge count, then code.
+    class comes first, or which children are skipped, does not matter.
+    Output is by edge count, then code.
     """
     if isinstance(max_edges, bool) or not isinstance(max_edges, int):
         raise SearchError(f"max_edges must be an integer, got {max_edges!r}")
@@ -1464,15 +1474,20 @@ def enumerate_connected_maps(max_edges: int) -> tuple[Map, ...]:
             vertex_of, sigma = m.vertex_of, m.next_in_rotation
             D, V = m.dart_count, m.vertex_count
             alpha = (*m.reverse, D + 1, D)
-            children = []  # (child sigma, vertex of D, vertex of D + 1)
-            for d in range(D):
-                child = [*sigma, sigma[d], D + 1]
-                child[d] = D
-                children.append((child, vertex_of[d], V))
             rotations, adjacency = m.rotations, m.adjacency
-            for u in range(V):
+            degree = [len(r) for r in rotations]
+            anchor = {x: vertex_of[alpha[r[0]]] for x, r in enumerate(rotations) if len(r) == 1}
+            children = []  # (child sigma, vertex of D, vertex of D + 1)
+            for u, darts in enumerate(rotations):
+                if any(x != u and a != u and degree[a] > degree[u] + 1 for x, a in anchor.items()):
+                    continue
+                for d in darts:
+                    child = [*sigma, sigma[d], D + 1]
+                    child[d] = D
+                    children.append((child, u, V))
+            for u in range(V) if len(anchor) < 3 else ():
                 for w in range(u + 1, V):
-                    if w in adjacency[u]:
+                    if w in adjacency[u] or not anchor.keys() <= {u, w}:
                         continue
                     for d in rotations[u]:
                         for e in rotations[w]:

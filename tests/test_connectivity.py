@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import connected_simple_maps
+from ormaps import connectivity
 from ormaps.connectivity import (
     adjacency_of,
     find_cutsets,
@@ -93,6 +94,27 @@ class TestVertexConnectivity:
     @settings(max_examples=120, deadline=None)
     def test_flow_equals_bruteforce(self, m):
         assert vertex_connectivity_flow(m) == vertex_connectivity_bruteforce(m)
+
+    def test_a_leaf_decides_kappa_without_a_flow(self, monkeypatch):
+        # a degree-1 vertex makes kappa 1, and no flow can go below that
+        flows = []
+        st_flow = connectivity._st_flow
+
+        def counted(*args):
+            flows.append(args)
+            return st_flow(*args)
+
+        monkeypatch.setattr(connectivity, "_st_flow", counted)
+        spider = [{1, 2, 3}, {0, 4}, {0, 5}, {0}, {1}, {2, 6}, {5}]
+        leafy = [
+            m
+            for m in enumerate_connected_maps(6)
+            if min(m.degree(v) for v in range(m.vertex_count)) == 1
+        ]
+        assert len(leafy) == 73
+        for g in [path_graph(6), spider, *leafy]:
+            assert vertex_connectivity_flow(g) == vertex_connectivity_bruteforce(g) == 1
+        assert flows == []
 
     @given(connected_simple_maps(max_vertices=7, max_extra_edges=6))
     @settings(max_examples=60, deadline=None)

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ormaps
-from ormaps import canonical, canonical_code, dual, genus, vertex_connectivity
-from ormaps.core import maps_isomorphic_bruteforce
+from ormaps import canonical, canonical_code, dual, genus, search, vertex_connectivity
+from ormaps.core import _least_root, _pack, _relabel, maps_isomorphic_bruteforce
 from ormaps.search import (
     _NINE_SIZES,
     CASE_LABELS,
@@ -1013,6 +1013,41 @@ class TestTriangularCompleteMaps:
             triangular_complete_map(5)
 
 
+def _unfiltered_connected_maps(max_edges):
+    """The corpus build before the canonical-deletion filter: every leaf
+    child and every join child of every parent is canonicalised."""
+    code, base = canonical(ormaps.from_rotations([[1], [0]]))
+    levels = [{code: base}]
+    while len(levels) < max_edges:
+        grown = {}
+        for m in levels[-1].values():
+            vertex_of, sigma = m.vertex_of, m.next_in_rotation
+            D, V = m.dart_count, m.vertex_count
+            alpha = (*m.reverse, D + 1, D)
+            children = []
+            for d in range(D):
+                child = [*sigma, sigma[d], D + 1]
+                child[d] = D
+                children.append((child, vertex_of[d], V))
+            for u in range(V):
+                for w in range(u + 1, V):
+                    if w in m.adjacency[u]:
+                        continue
+                    for d in m.rotations[u]:
+                        for e in m.rotations[w]:
+                            child = [*sigma, sigma[d], sigma[e]]
+                            child[d] = D
+                            child[e] = D + 1
+                            children.append((child, u, w))
+            for child, u, w in children:
+                words, order = _least_root(child, alpha)
+                code = _pack(words)
+                if code not in grown:
+                    grown[code] = _relabel((*vertex_of, u, w), child, alpha, order)
+        levels.append(grown)
+    return tuple(level[code] for level in levels for code in sorted(level))
+
+
 class TestConnectedMapCorpus:
     def test_counts_by_edges(self, small_corpus):
         counts = {}
@@ -1069,6 +1104,26 @@ class TestConnectedMapCorpus:
         corpus = enumerate_connected_maps(edges)
         arrays = repr([(m.vertex_of, m.next_in_rotation, m.reverse) for m in corpus])
         assert hashlib.sha1(arrays.encode()).hexdigest() == digest
+
+    def test_filtered_build_equals_the_unfiltered_one(self, pair_corpus):
+        # the canonical-deletion filter skips children, never classes: codes,
+        # forms and their order are those of the build that kept every child
+        reference = _unfiltered_connected_maps(7)
+        assert [canonical_code(m) for m in pair_corpus] == [canonical_code(m) for m in reference]
+        assert pair_corpus == reference
+
+    @pytest.mark.parametrize("edges, children", [(7, 1092), (8, 5537)])
+    def test_canonicalises_only_the_children_a_deletion_keeps(self, monkeypatch, edges, children):
+        # the unfiltered build canonicalises 2,658 and 16,554 children
+        calls = []
+
+        def counted(sigma, alpha):
+            calls.append(len(sigma))
+            return _least_root(sigma, alpha)
+
+        monkeypatch.setattr(search, "_least_root", counted)
+        enumerate_connected_maps(edges)
+        assert len(calls) == children
 
     def test_every_member_is_its_own_canonical_form(self, pair_corpus):
         # forms are built on first sight of a code; they must be what the
