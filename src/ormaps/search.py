@@ -489,9 +489,22 @@ def _run_walk_engine(
     its undo three, done in place by ``arrange``; under
     ``distinct-neighbors`` a join that would put two back darts on one
     chain is not taken, since that chain can only close into a forbidden
-    face.  Only a closing link calls ``close_face``, which walks the face.
-    A link to a fresh dart never closes and adds no back dart.  ``succ`` is
-    never cleared, because only closed orbits and the finished map read it.
+    face.  Under ``single-neighbor``, ``close_face`` rejects a face with
+    some but not all k back darts, so in every completion they lie on one
+    face N, and every chain that carries a back dart is a piece of N from
+    the moment it forms.  ``in_n`` marks the darts of those chains: the
+    back darts at first, then the darts of a chain without back darts
+    that a join adds to one with them (``into_n``), and a fresh dart
+    linked from one.  Such a join is refused at the first dart whose
+    reverse is marked, since N would then hold both darts of an edge, a
+    dual loop that ``close_face`` rejects (``other == fid``); a refused
+    state has no completion, so the finds and their order stay the same.
+    The join's undo unmarks what it marked.  A fresh dart's reverse sits
+    alone in ``pending``, so a fresh link is never refused, and its mark
+    is written at each allocation.  Only a closing link calls
+    ``close_face``, which walks the face.  A link to a fresh dart never
+    closes and adds no back dart.  ``succ`` is never cleared, because only
+    closed orbits and the finished map read it.
 
     The shape's stabiliser, which ``_shape_group`` picks from the
     ``_shape_transforms`` relabellings, maps completions onto completions;
@@ -548,6 +561,7 @@ def _run_walk_engine(
     start_of = list(range(size))
     end_of = list(range(size))
     backs_of = [0] * k + [1] * k + [0] * (size - k2)  # a back dart is a chain of its own
+    in_n = [False] * k + [True] * k + [False] * (size - k2)  # read under single-neighbor only
     faces: list[list[int]] = []
     pending: list[list[tuple[int]]] = [[] for _ in range(V)]
     in_use: list[set[int]] = [set() for _ in range(V)]
@@ -598,6 +612,22 @@ def _run_walk_engine(
         for d in path:
             claimed[d] = -1
         return False
+
+    def into_n(start: int, a: int, head: int) -> list[int] | None:
+        """Mark the darts that joining ``start..a`` to ``head..`` puts on N,
+        where just one of the two chains carries back darts; None, with
+        nothing marked, when N would then hold both darts of an edge."""
+        d, stop = (head, end_of[head]) if backs_of[start] else (start, a)
+        grown = []
+        while not in_n[alpha[d]]:
+            in_n[d] = True
+            grown.append(d)
+            if d == stop:
+                return grown
+            d = succ[alpha[d]]
+        for d in grown:
+            in_n[d] = False
+        return None
 
     def finish() -> None:
         if min(claimed[k:top]) < 0:
@@ -708,7 +738,25 @@ def _run_walk_engine(
             # wrap the rotation shut and move to the next vertex
             head = blocks[v][0][0]
             succ[tail] = head
-            if start != head:
+            if start == head:
+                if close_face(head):
+                    shut(v)
+                    for d in faces.pop():
+                        claimed[d] = -1
+            elif single and (not backs) != (not backs_of[head]):
+                grown = into_n(start, a, head)
+                if grown is not None:
+                    end = end_of[head]
+                    end_of[start] = end
+                    start_of[end] = start
+                    backs_of[start] = backs + backs_of[head]
+                    shut(v)
+                    backs_of[start] = backs
+                    end_of[start] = a
+                    start_of[end] = head
+                    for d in grown:
+                        in_n[d] = False
+            else:
                 both = backs + backs_of[head]
                 if both <= limit:
                     end = end_of[head]
@@ -719,16 +767,30 @@ def _run_walk_engine(
                     backs_of[start] = backs
                     end_of[start] = a
                     start_of[end] = head
-            elif close_face(head):
-                shut(v)
-                for d in faces.pop():
-                    claimed[d] = -1
         for i in range(len(todo)):
             item = todo.pop(i)
             head = item[0]
             succ[tail] = head
             # a corner block carries its own fixed inner link
-            if start != head:
+            if start == head:
+                if close_face(head):
+                    arrange(v, item[-1], todo)
+                    for d in faces.pop():
+                        claimed[d] = -1
+            elif single and (not backs) != (not backs_of[head]):
+                grown = into_n(start, a, head)
+                if grown is not None:
+                    end = end_of[head]
+                    end_of[start] = end
+                    start_of[end] = start
+                    backs_of[start] = backs + backs_of[head]
+                    arrange(v, item[-1], todo)
+                    backs_of[start] = backs
+                    end_of[start] = a
+                    start_of[end] = head
+                    for d in grown:
+                        in_n[d] = False
+            else:
                 both = backs + backs_of[head]
                 if both <= limit:
                     end = end_of[head]
@@ -739,10 +801,6 @@ def _run_walk_engine(
                     backs_of[start] = backs
                     end_of[start] = a
                     start_of[end] = head
-            elif close_face(head):
-                arrange(v, item[-1], todo)
-                for d in faces.pop():
-                    claimed[d] = -1
             todo.insert(i, item)
         if degree[v] >= last:
             return
@@ -765,6 +823,8 @@ def _run_walk_engine(
             succ[tail] = d
             end_of[start] = d
             start_of[d] = start
+            if single:
+                in_n[d] = backs > 0  # written at each allocation, so never undone
             arrange(v, d, todo)
             end_of[start] = a
             start_of[d] = d

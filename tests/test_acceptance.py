@@ -2,9 +2,7 @@
 
 Each criterion prints ``CRITERION n: PASS`` (or FAIL) on the real stdout so
 the lines survive pytest's capture, then asserts.  Budgeted searches report
-exhaustion honestly instead of faking certification; for the two searches
-whose full spaces exceed any practical in-suite budget, exhaustion with a
-node count is the documented, accepted outcome.
+exhaustion honestly instead of faking certification.
 """
 
 import itertools
@@ -108,12 +106,10 @@ def test_criterion_1_remark24_certifications():
     for c in report.cases:
         if c.holds is False:
             failures.append(f"case {c.case} FAILS: {c.detail}")
-        elif c.status == "exhausted" and c.nodes == 0:
-            failures.append(f"case {c.case} exhausted without work")
     certified = [c.case for c in report.cases if c.status == "certified"]
     exhausted = [c.case for c in report.cases if c.status == "exhausted"]
-    # the fast cases must certify outright, within the 10-minute tolerance
-    for label in ("i", "ii", "iii", "iv", "v", "vi", "vii", "ix"):
+    # every case must certify outright within the default budget
+    for label in ("i", "ii", "iii", "iv", "v", "vi", "vii", "viii", "ix", "x"):
         if label not in certified:
             failures.append(f"case {label} did not certify")
     for c in report.cases:
