@@ -1101,11 +1101,30 @@ def _run_glue_engine(rules: _GlueRules, clock: _Clock, accept) -> None:
     exactly when ``start_of[tail] == head``, and only then is the rotation
     walked and checked.  Two unmatched darts are always the open ends of
     two different chains.  Like ``succ`` there, ``snext`` is never cleared.
+
+    ``spare`` is the degree that may still go above ``min_degree``.  A
+    connected simple completion has at least ``least`` vertices, the low
+    end of ``_vertex_range`` (the size of ``spanning_block`` when that is
+    larger), so its degrees above ``min_degree`` sum to at most n -
+    ``min_degree`` * ``least``, and ``spare`` starts there.  A chain of L
+    darts spends ``over[L]`` = max(0, L - ``min_degree``) of it, and more
+    than there is once L passes ``max_degree``; joining chains of ls and lh
+    darts spends ``cost[ls][lh]`` = over[ls + lh] - over[ls] - over[lh]
+    more.  Each open chain ends up inside exactly one vertex, and a
+    vertex's excess is at least the sum of its chains' excesses, so the
+    final excess is at least what the chains have spent.  A join that
+    costs more than ``spare`` therefore has no connected completion below
+    it and is refused; this one test is also the degree cap.  It cuts only
+    disconnected completions, which ``_finished_map`` drops anyway, so the
+    connected ones and their order stay the same.  A vertex close spends
+    nothing: its chain is already counted.
+
     ``room`` and the list change only once both links hold, so a branch
-    that dies at a link, mostly at the degree cap, undoes only the links.
-    Most die at the first link's open-chain test, which reads only
-    ``start_of[d0]``, fixed over d0's loop, and ``h1``; ``step`` repeats
-    that test before calling ``link``, and such a node still ticks.
+    that dies at a link, mostly at the degree budget, undoes only the links;
+    ``step`` gives back what they spent by restoring ``spare``.  Most die at
+    the first link's open-chain test, which reads only ``start_of[d0]`` and
+    ``spare``, both fixed over d0's loop, and ``h1``; ``step`` repeats that
+    test before calling ``link``, and such a node still ticks.
     """
     sizes = rules.sizes
     n = sum(sizes)
@@ -1137,6 +1156,14 @@ def _run_glue_engine(rules: _GlueRules, clock: _Clock, accept) -> None:
     spanning = rules.spanning_block
     min_degree, max_degree = rules.min_degree, rules.max_degree
     max_vertices = rules.max_vertices
+    least = _vertex_range(
+        n // 2, nb, min_degree, max_vertices, 0 if spanning is None else sizes[spanning]
+    )[0]
+    spare = n - min_degree * least
+    # chains start at one dart and never pass max_degree darts, nor n
+    top = min(max(max_degree, 1), n)
+    over = [max(0, k - min_degree) if k <= max_degree else n + 1 for k in range(2 * top + 1)]
+    cost = [[over[a + b] - over[a] - over[b] for b in range(top + 1)] for a in range(top + 1)]
     tick = clock.tick
 
     alpha = [-1] * n
@@ -1152,11 +1179,13 @@ def _run_glue_engine(rules: _GlueRules, clock: _Clock, accept) -> None:
 
     def link(tail: int, head: int) -> bool:
         """Set ``snext[tail] = head``; False kills the branch, leaving nothing to undo."""
+        nonlocal spare
         snext[tail] = head
         start = start_of[tail]
         if start != head:
-            if length[start] + length[head] > max_degree:
-                return False  # the rotation chain only ever grows
+            grow = cost[length[start]][length[head]]
+            if grow > spare:
+                return False  # what the chains spend only ever grows
             if spans[start] + spans[head] > 1:
                 return False  # two corners of the spanning block at one vertex
             end = end_of[head]
@@ -1164,6 +1193,7 @@ def _run_glue_engine(rules: _GlueRules, clock: _Clock, accept) -> None:
             start_of[end] = start
             length[start] += length[head]
             spans[start] += spans[head]
+            spare -= grow
             return True
         # the rotation closes into a new vertex
         if length[head] < min_degree or len(vertices) >= max_vertices:
@@ -1196,7 +1226,7 @@ def _run_glue_engine(rules: _GlueRules, clock: _Clock, accept) -> None:
         return False
 
     def unlink(tail: int, head: int) -> None:
-        """Undo a link that ``link`` accepted."""
+        """Undo a link that ``link`` accepted, but for what it spent."""
         if vertex_id[head] >= 0:
             for d in vertices.pop():
                 vertex_id[d] = -1
@@ -1214,6 +1244,7 @@ def _run_glue_engine(rules: _GlueRules, clock: _Clock, accept) -> None:
             accept(m)
 
     def step() -> None:
+        nonlocal spare
         d0 = nxt[n]
         if d0 == n:
             completion()
@@ -1222,6 +1253,8 @@ def _run_glue_engine(rules: _GlueRules, clock: _Clock, accept) -> None:
         row = b0 * nb
         h0 = phi[d0]
         start0 = start_of[d0]
+        cost0 = cost[length[start0]]
+        spare0 = spare
         after = nxt[d0]
         nxt[n] = after
         prv[after] = n
@@ -1240,9 +1273,9 @@ def _run_glue_engine(rules: _GlueRules, clock: _Clock, accept) -> None:
             if room[pair]:
                 tick()
                 h1 = phi[d1]
-                # link(d0, h1)'s open-chain test, repeated to spare the call
+                # link(d0, h1)'s open-chain test, repeated to save the call
                 if h1 != start0 and (
-                    length[start0] + length[h1] > max_degree or spans[start0] + spans[h1] > 1
+                    cost0[length[h1]] > spare0 or spans[start0] + spans[h1] > 1
                 ):
                     d1 = skip
                     continue
@@ -1263,6 +1296,7 @@ def _run_glue_engine(rules: _GlueRules, clock: _Clock, accept) -> None:
                         room[mirror] += 1
                         unlink(d1, h0)
                     unlink(d0, h1)
+                    spare = spare0  # give back what the links spent
                 alpha[d1] = -1
             d1 = skip
         nxt[n] = d0
@@ -1321,33 +1355,38 @@ def _has_face_pair(m: Map, demand: str, sizes: tuple[int, int]) -> bool:
     for fa in m.faces:
         if fa.size != a:
             continue
+        va = set(walk_vertices(m, fa.darts))
         for fb in m.faces:
             if fb.index == fa.index or fb.size != b:
                 continue
             if demand == "shares-two-vertices":
-                va = set(walk_vertices(m, fa.darts))
-                vb = set(walk_vertices(m, fb.darts))
-                if len(va & vb) >= 2:
+                if len(va.intersection(walk_vertices(m, fb.darts))) >= 2:
                     return True
             elif doubly_intersecting(m, fa, fb):
                 return True
     return False
 
 
-def _witness_vertex_cap(edges: int, faces: int, connectivity: int, max_vertices: int) -> int | None:
-    """The most vertices a witness with these edge and face counts can have.
+def _vertex_range(
+    edges: int, faces: int, min_degree: int, max_vertices: int, least: int = 0
+) -> tuple[int, int]:
+    """The fewest and the most vertices of a connected simple map of these counts.
 
-    A witness is a connected, simple, orientable map of minimum degree c =
-    ``connectivity``, so its vertex count V obeys V <= ``max_vertices``,
-    c V <= 2E and c + 1 <= V; simplicity gives V(V-1)/2 >= E; and Euler's
-    formula V - E + F = 2 - 2g with g >= 0 gives V <= E - F + 2 and V = E + F
-    (mod 2).  None when no V passes all of these.
+    The map is orientable, with minimum degree c = ``min_degree`` and at
+    least ``least`` and at most ``max_vertices`` vertices.  Its vertex count
+    V obeys c + 1 <= V and c V <= 2E; simplicity gives V(V-1)/2 >= E; and
+    Euler's formula V - E + F = 2 - 2g with g >= 0 gives V <= E - F + 2 and
+    V = E + F (mod 2).  Every V of that parity between the two ends passes
+    all of these, and the range is empty (the first end is the larger) when
+    no V does.
     """
-    v = min(max_vertices, 2 * edges // connectivity, edges - faces + 2)
-    v -= (v + edges + faces) % 2
-    if v < connectivity + 1 or v * (v - 1) // 2 < edges:
-        return None
-    return v
+    low = max(min_degree + 1, least)
+    while low * (low - 1) // 2 < edges:
+        low += 1
+    low += (low + edges + faces) % 2
+    high = min(max_vertices, 2 * edges // min_degree, edges - faces + 2)
+    high -= (high + edges + faces) % 2
+    return low, high
 
 
 def search_witness(spec: WitnessSpec, budget: SearchBudget | None = None) -> WitnessOutcome:
@@ -1361,10 +1400,11 @@ def search_witness(spec: WitnessSpec, budget: SearchBudget | None = None) -> Wit
     A sweep is ``infeasible``, and is skipped, when no vertex count V is
     admissible for its E edges and F = t + 2 faces: c + 1 <= V <=
     min(max-vertices, 2E / c), V(V-1)/2 >= E, V <= E - F + 2 and V = E + F
-    (mod 2), the last two from Euler's formula (``_witness_vertex_cap``).
-    Every other sweep runs with the largest admissible V as its vertex cap
-    and V - 1 as its degree cap; what that cuts off could only have closed
-    into disconnected maps, which are no witnesses.
+    (mod 2), the last two from Euler's formula (``_vertex_range``).  Every
+    other sweep runs with the largest admissible V as its vertex cap and
+    V - 1 as its degree cap, and the engine holds the degree above c to
+    what the least admissible V leaves; what that cuts off could only have
+    closed into disconnected maps, which are no witnesses.
     """
     clock = _Clock(budget)
     swept: list[str] = []
@@ -1383,8 +1423,8 @@ def search_witness(spec: WitnessSpec, budget: SearchBudget | None = None) -> Wit
     combos.sort()
 
     for edges, a, b, t in combos:
-        max_v = _witness_vertex_cap(edges, t + 2, spec.connectivity, spec.max_vertices)
-        if max_v is None:
+        least, max_v = _vertex_range(edges, t + 2, spec.connectivity, spec.max_vertices)
+        if least > max_v:
             swept.append(f"pair=({a},{b}) triangles={t}: infeasible")
             continue
         sizes = tuple(sorted((a, b) + (3,) * t, reverse=True))

@@ -23,8 +23,8 @@ from ormaps.search import (
     _finished_map,
     _run_glue_engine,
     _shape_group,
+    _vertex_range,
     _walk_shapes,
-    _witness_vertex_cap,
     empty_map_problems,
     enumerate_connected_maps,
     enumerate_empty,
@@ -468,48 +468,55 @@ def _complete_graph_rules(n: int) -> _GlueRules:
 # Fingerprints of the face-gluing engine, captured from the union-find
 # engine: (label, rules, node budget, nodes, result, completions, sha1 of
 # the repr of every completion as (nodes so far, vertex_of,
-# next_in_rotation, reverse)).  The result is True when the engine returns
-# (its space is exhausted) and ``_Stop`` when the budget stops it;
-# ``accept`` only records, so each run does one or the other.
+# next_in_rotation, reverse), sha1 of the same without the nodes so far).
+# The result is True when the engine returns (its space is exhausted) and
+# ``_Stop`` when the budget stops it; ``accept`` only records, so each run
+# does one or the other.  The last digest pins the completions and their
+# order alone, so a prune that only cuts dead branches leaves it as it is.
 GLUE_GOLDEN = [
     ("pair-4-4", _GlueRules(sizes=(4, 4) + (3,) * 6, max_degree=6, max_vertices=7),
-     None, 77019, True, 264, "b27441b5276ed0a1e4d6364ad9e4c37900a9bf71"),
+     None, 38920, True, 264, "fad1a658074deddc87ef2c7f859097ec597d4a87",
+     "915478ad34ea7ac396b48aa2a71dd72a9eacd5a8"),
     ("spanning-7",
      _GlueRules(sizes=(7,) + (3,) * 9, max_degree=6, max_vertices=7, spanning_block=0),
-     None, 43321, True, 56, "690da9703b23a4b5c07db5ab7ab0d6033cc67f0f"),
+     None, 43321, True, 56, "690da9703b23a4b5c07db5ab7ab0d6033cc67f0f",
+     "fd35e2bbe58acb2aafe9d31f83b1cb4b90ea1bc6"),
     ("nine-cycle",
      _GlueRules(sizes=_NINE_SIZES, exempt_block=1, forced_target=((1, 0),),
                 max_degree=8, max_vertices=9, spanning_block=1),
-     100_000, 100_001, _Stop, 0, "97d170e1550eee4afc0af065b78cda302a97674c"),
+     100_000, 100_001, _Stop, 0, "97d170e1550eee4afc0af065b78cda302a97674c",
+     "97d170e1550eee4afc0af065b78cda302a97674c"),
     ("k4", _complete_graph_rules(4), None, 10, True, 1,
-     "9ab3c0180e7cca1c875a15300305cb79f60b199a"),
+     "9ab3c0180e7cca1c875a15300305cb79f60b199a", "5c88403b7b79fc7cc5b961e381175a975da50e67"),
     ("k7", _complete_graph_rules(7), None, 3093, True, 2,
-     "0c453bc21b0c0144c016266809da69ca869040b2"),
+     "0c453bc21b0c0144c016266809da69ca869040b2", "34d42fce7089e8105c360e58669834fef4934069"),
     ("loose-4-4",
      _GlueRules(sizes=(4, 4) + (3,) * 4, dual_simple=False, min_degree=3, max_degree=5,
                 max_vertices=6),
-     None, 5678, True, 16, "649250aa6575d9bc6f28878dc9d580128bced6e0"),
+     None, 1523, True, 16, "dd5dcca4b44db44d08508c3c4a26ae0487b72aca",
+     "4c345043e296d9435ef539e9e25bf4fd02404675"),
     ("forced-6-3",
      _GlueRules(sizes=(6, 3) + (3,) * 5, exempt_block=1, forced_target=((1, 0),),
                 max_degree=6, max_vertices=7),
-     None, 875, True, 9, "e9e784d727eae7a379d4b77d6b82584d94cd0962"),
+     None, 647, True, 9, "9dde22c16a84579e14c08ac20d8645052c0d8792",
+     "7fbd5b244b020e0a4a208fd32ef1811f0e6390ff"),
 ]
 
 # search_witness on top of the engine: (spec, node budget, nodes, complete,
 # swept, sha1 of the found map's canonical code or None)
 GLUE_WITNESS_GOLDEN = [
     ("c=2; pair-sum=7; dual=simple,has-2-cut; pair=shares-two-vertices; "
-     "max-vertices=6; max-edges=15", None, 274, True,
+     "max-vertices=6; max-edges=15", None, 246, True,
      ("pair=(3,4) triangles=1: done", "pair=(3,4) triangles=3: done",
       "pair=(3,4) triangles=5: hit"),
      "c0f505fd31b2a759233d9a8ee673177d2d39b26f"),
     ("c=2; pair-sum=7; dual=simple,has-2-cut; pair=doubly-intersecting; "
-     "max-vertices=6; max-edges=15", None, 274, True,
+     "max-vertices=6; max-edges=15", None, 246, True,
      ("pair=(3,4) triangles=1: done", "pair=(3,4) triangles=3: done",
       "pair=(3,4) triangles=5: hit"),
      "c0f505fd31b2a759233d9a8ee673177d2d39b26f"),
     ("c=2; pair-sum=6; dual=simple,has-2-cut; pair=shares-two-vertices; "
-     "max-vertices=6; max-edges=15", None, 678, True,
+     "max-vertices=6; max-edges=15", None, 667, True,
      tuple(f"pair=(3,3) triangles={t}: {'infeasible' if t == 8 else 'done'}"
            for t in (0, 2, 4, 6, 8)), None),
     ("c=2; pair-sum=9; dual=simple,has-1-cut; pair=none; max-vertices=8; max-edges=18",
@@ -520,7 +527,7 @@ GLUE_WITNESS_GOLDEN = [
       "pair=(3,6) triangles=7: done", "budget exhausted"),
      None),
     ("c=3; pair-sum=8; dual=simple,has-2-cut; pair=shares-two-vertices; "
-     "max-vertices=7; max-edges=18", None, 84389, True,
+     "max-vertices=7; max-edges=18", None, 21596, True,
      tuple(f"pair={pair} triangles={t}: {'done' if t in (4, 6) else 'infeasible'}"
            for t in (0, 2, 4, 6, 8) for pair in ("(3,5)", "(4,4)")),
      None),
@@ -528,32 +535,104 @@ GLUE_WITNESS_GOLDEN = [
 
 # The caller's early stop: ``accept`` records every completion and raises
 # ``_Stop`` once ``stop_after`` are recorded.  (label, rules, stop_after,
-# nodes, result, completions, sha1 as in GLUE_GOLDEN); the result is True
-# when the engine returns and False when ``accept`` stopped it.  k7 has two
-# completions in all, so stop_after=3 walks the whole space.
+# nodes, result, completions, both sha1s as in GLUE_GOLDEN); the result is
+# True when the engine returns and False when ``accept`` stopped it.  k7 has
+# two completions in all, so stop_after=3 walks the whole space.
 GLUE_STOP_GOLDEN = [
-    ("pair-4-4-stop-1", GLUE_GOLDEN[0][1], 1, 2641, False, 1,
-     "4cc9b4d70425732d74664d46fc8e020fbc3f2b1f"),
-    ("pair-4-4-stop-3", GLUE_GOLDEN[0][1], 3, 2793, False, 3,
-     "e250f3ec159799a32324205352063152900fbc81"),
+    ("pair-4-4-stop-1", GLUE_GOLDEN[0][1], 1, 1623, False, 1,
+     "2bde06205acc3ab74c8790af9981967db1a2df79", "f52c446dbe828fd13ddca3c2a9b63da292538c65"),
+    ("pair-4-4-stop-3", GLUE_GOLDEN[0][1], 3, 1738, False, 3,
+     "60cc0c339091bb1e8c629339f7b5ab2ba22907bd", "8e790f655abdd33c2331459350e1ad8bacd57c9d"),
     ("k7-stop-1", _complete_graph_rules(7), 1, 3011, False, 1,
-     "4cf4bb160e14557e348edf621d0d086110f0732d"),
+     "4cf4bb160e14557e348edf621d0d086110f0732d", "2439c1fb2c0af890c87d05fa28ea540b6660d621"),
     ("k7-stop-2", _complete_graph_rules(7), 2, 3049, False, 2,
-     "0c453bc21b0c0144c016266809da69ca869040b2"),
+     "0c453bc21b0c0144c016266809da69ca869040b2", "34d42fce7089e8105c360e58669834fef4934069"),
     ("k7-stop-3", _complete_graph_rules(7), 3, 3093, True, 2,
-     "0c453bc21b0c0144c016266809da69ca869040b2"),
+     "0c453bc21b0c0144c016266809da69ca869040b2", "34d42fce7089e8105c360e58669834fef4934069"),
 ]
+
+
+def _digests(seen) -> tuple[str, str]:
+    """The sha1s of ``(nodes so far, *completion)`` records with and without the nodes."""
+    forms = [record[1:] for record in seen]
+    return tuple(hashlib.sha1(repr(x).encode()).hexdigest() for x in (seen, forms))
+
+
+def _witness_sweeps(spec, swept):
+    """(label, swept line, E, t, face sizes) of each sweep a witness search
+    reached; "budget exhausted" takes the place of the line of the sweep it
+    stops."""
+    sweeps = sorted(
+        ((a + b + 3 * t) // 2, a, b, t)
+        for a in range(3, spec.pair_sum // 2 + 1)
+        for b in [spec.pair_sum - a]
+        for t in range((a + b) % 2, 2 * spec.max_edges, 2)
+        if (a + b + 3 * t) // 2 <= spec.max_edges
+    )
+    for (edges, a, b, t), line in zip(sweeps, swept):
+        label = f"pair=({a},{b}) triangles={t}"
+        assert line.startswith((label, "budget exhausted"))
+        yield label, line, edges, t, tuple(sorted((a, b) + (3,) * t, reverse=True))
+
+
+def _witness_rules(spec, sizes, cap: int) -> _GlueRules:
+    return _GlueRules(
+        sizes=sizes,
+        dual_simple="simple" in spec.dual_demands,
+        min_degree=spec.connectivity,
+        max_degree=cap - 1,
+        max_vertices=cap,
+    )
+
+
+def _glue_run(rules: _GlueRules, max_nodes: int | None):
+    """(whether the engine returned, its completions, its nodes)."""
+    clock = _Clock(SearchBudget(max_nodes=max_nodes) if max_nodes else None)
+    seen = []
+    try:
+        _run_glue_engine(
+            rules, clock, lambda m: seen.append((m.vertex_of, m.next_in_rotation, m.reverse))
+        )
+    except _Stop:
+        return False, seen, clock.nodes
+    return True, seen, clock.nodes
+
+
+def _assert_prunes_only_dead_branches(loose, tight, label: str) -> None:
+    """The tight search tree is the loose one with dead branches cut, so
+    under one node budget it gets at least as far, and it never takes more
+    nodes."""
+    loose_done, loose_seen, loose_nodes = loose
+    tight_done, tight_seen, tight_nodes = tight
+    assert tight_seen[: len(loose_seen)] == loose_seen, label
+    if loose_done:
+        assert (tight_done, tight_seen) == (True, loose_seen), label
+    assert tight_nodes <= loose_nodes, label
+
+
+def _floor_cases():
+    """Each GLUE_GOLDEN rule set, then each sweep a GLUE_WITNESS_GOLDEN row
+    reaches, at the caps ``search_witness`` gives it, with its node budget."""
+    cases = {(rules, max_nodes): label for label, rules, max_nodes, *_ in GLUE_GOLDEN}
+    for text, max_nodes, _, _, swept, _ in GLUE_WITNESS_GOLDEN:
+        spec = parse_witness_spec(text)
+        for label, _, edges, t, sizes in _witness_sweeps(spec, swept):
+            low, high = _vertex_range(edges, t + 2, spec.connectivity, spec.max_vertices)
+            if low <= high:
+                key = (_witness_rules(spec, sizes, high), max_nodes)
+                cases.setdefault(key, f"c={spec.connectivity} {label} budget={max_nodes}")
+    return [pytest.param(*key, id=label) for key, label in cases.items()]
 
 
 @pytest.mark.golden
 class TestGlueGolden:
     @pytest.mark.parametrize(
-        "rules, max_nodes, nodes, result, completions, digest",
+        "rules, max_nodes, nodes, result, completions, digest, forms",
         [row[1:] for row in GLUE_GOLDEN],
         ids=[row[0] for row in GLUE_GOLDEN],
     )
     def test_engine_matches_its_fingerprint(
-        self, rules, max_nodes, nodes, result, completions, digest
+        self, rules, max_nodes, nodes, result, completions, digest, forms
     ):
         clock = _Clock(SearchBudget(max_nodes=max_nodes) if max_nodes else None)
         seen = []
@@ -567,15 +646,15 @@ class TestGlueGolden:
         except _Stop:
             got = _Stop
         assert (clock.nodes, got, len(seen)) == (nodes, result, completions)
-        assert hashlib.sha1(repr(seen).encode()).hexdigest() == digest
+        assert _digests(seen) == (digest, forms)
 
     @pytest.mark.parametrize(
-        "rules, stop_after, nodes, result, completions, digest",
+        "rules, stop_after, nodes, result, completions, digest, forms",
         [row[1:] for row in GLUE_STOP_GOLDEN],
         ids=[row[0] for row in GLUE_STOP_GOLDEN],
     )
     def test_early_stop_matches_its_fingerprint(
-        self, rules, stop_after, nodes, result, completions, digest
+        self, rules, stop_after, nodes, result, completions, digest, forms
     ):
         clock = _Clock(None)
         seen = []
@@ -591,7 +670,7 @@ class TestGlueGolden:
         except _Stop:
             got = False
         assert (clock.nodes, got, len(seen)) == (nodes, result, completions)
-        assert hashlib.sha1(repr(seen).encode()).hexdigest() == digest
+        assert _digests(seen) == (digest, forms)
 
     @pytest.mark.parametrize(
         "text, max_nodes, nodes, complete, swept, digest", GLUE_WITNESS_GOLDEN
@@ -610,59 +689,34 @@ class TestGlueGolden:
     )
     def test_euler_caps_keep_every_connected_completion(self, text, max_nodes, swept):
         """Each sweep a witness search reaches, run at the caps used before
-        Euler's formula bounded them and at ``_witness_vertex_cap``: the
-        tighter caps drop no connected completion and reorder none, and a
-        sweep they call infeasible had none to give."""
+        Euler's formula bounded them and at the top of ``_vertex_range``:
+        the tighter caps drop no connected completion and reorder none, and
+        a sweep they call infeasible had none to give."""
         spec = parse_witness_spec(text)
         c = spec.connectivity
-        sweeps = sorted(
-            ((a + b + 3 * t) // 2, a, b, t)
-            for a in range(3, spec.pair_sum // 2 + 1)
-            for b in [spec.pair_sum - a]
-            for t in range((a + b) % 2, 2 * spec.max_edges, 2)
-            if (a + b + 3 * t) // 2 <= spec.max_edges
-        )
-
-        def completions(sizes, cap):
-            rules = _GlueRules(
-                sizes=sizes,
-                dual_simple="simple" in spec.dual_demands,
-                min_degree=c,
-                max_degree=cap - 1,
-                max_vertices=cap,
-            )
-            seen = []
-            try:
-                _run_glue_engine(
-                    rules,
-                    _Clock(SearchBudget(max_nodes=max_nodes) if max_nodes else None),
-                    lambda m: seen.append((m.vertex_of, m.next_in_rotation, m.reverse)),
-                )
-            except _Stop:
-                return False, seen
-            return True, seen
-
-        # "budget exhausted" takes the place of the line of the sweep it stops
-        for (edges, a, b, t), line in zip(sweeps, swept):
-            label = f"pair=({a},{b}) triangles={t}"
-            assert line.startswith((label, "budget exhausted"))
+        for label, line, edges, t, sizes in _witness_sweeps(spec, swept):
             old_v = min(spec.max_vertices, 2 * edges // c)
-            new_v = _witness_vertex_cap(edges, t + 2, c, spec.max_vertices)
+            low, new_v = _vertex_range(edges, t + 2, c, spec.max_vertices)
             if old_v * (old_v - 1) // 2 < edges or old_v < c + 1:
-                assert new_v is None
+                assert low > new_v
                 continue
-            sizes = tuple(sorted((a, b) + (3,) * t, reverse=True))
-            old_done, old_seen = completions(sizes, old_v)
-            if new_v is None:
+            old_run = _glue_run(_witness_rules(spec, sizes, old_v), max_nodes)
+            if low > new_v:
                 assert line == f"{label}: infeasible"
-                assert (old_done, old_seen) == (True, []), label
+                assert old_run[:2] == (True, []), label
                 continue
-            new_done, new_seen = completions(sizes, new_v)
-            # the new search tree is the old one with dead branches cut, so
-            # under one node budget it gets at least as far
-            assert new_seen[: len(old_seen)] == old_seen, label
-            if old_done:
-                assert (new_done, new_seen) == (True, old_seen), label
+            new_run = _glue_run(_witness_rules(spec, sizes, new_v), max_nodes)
+            _assert_prunes_only_dead_branches(old_run, new_run, label)
+
+    @pytest.mark.parametrize("rules, max_nodes", _floor_cases())
+    def test_vertex_floor_keeps_every_connected_completion(self, monkeypatch, rules, max_nodes):
+        """Each rule set run with the engine's vertex floor and with a floor
+        of one vertex, under which the degree budget never binds below the
+        degree cap: the floor drops no connected completion, reorders none
+        and costs no node."""
+        floored = _glue_run(rules, max_nodes)
+        monkeypatch.setattr(search, "_vertex_range", lambda *args: (1, args[3]))
+        _assert_prunes_only_dead_branches(_glue_run(rules, max_nodes), floored, "")
 
 
 def _check_glue_guarantees(rules: _GlueRules, m) -> None:
@@ -927,7 +981,38 @@ class TestWitnessSearch:
         ],
     )
     def test_vertex_cap_by_hand(self, edges, faces, c, max_vertices, cap):
-        assert _witness_vertex_cap(edges, faces, c, max_vertices) == cap
+        low, high = _vertex_range(edges, faces, c, max_vertices)
+        assert (high if low <= high else None) == cap
+
+    @pytest.mark.parametrize(
+        "edges, faces, c, max_vertices, low, high",
+        [
+            (10, 6, 3, 7, 6, 6),  # C(5, 2) = 10 >= E, but V is even
+            (13, 8, 3, 7, 7, 7),  # C(6, 2) = 15 >= E, but V is odd
+            (21, 14, 6, 7, 7, 7),  # K7 on the torus
+            (5, 3, 2, 5, 4, 4),  # C(4, 2) = 6 >= E, and V is even
+        ],
+    )
+    def test_vertex_floor_by_hand(self, edges, faces, c, max_vertices, low, high):
+        assert _vertex_range(edges, faces, c, max_vertices) == (low, high)
+
+    def test_spanning_block_raises_the_floor(self):
+        # the nine-cycle search: E = 21 and F = 8 allow V = 7, its 9-gon demands 9
+        assert _vertex_range(21, 8, 2, 9) == (7, 9)
+        assert _vertex_range(21, 8, 2, 9, 9) == (9, 9)
+
+    @given(st.integers(1, 60), st.integers(1, 30), st.integers(1, 8), st.integers(1, 20))
+    def test_vertex_range_is_empty_where_no_cap_was(self, edges, faces, c, max_vertices):
+        # the top end as the cap-only helper computed it, None when it found no V
+        v = min(max_vertices, 2 * edges // c, edges - faces + 2)
+        v -= (v + edges + faces) % 2
+        cap = None if v < c + 1 or v * (v - 1) // 2 < edges else v
+        low, high = _vertex_range(edges, faces, c, max_vertices)
+        assert (low > high) == (cap is None)
+        if cap is not None:
+            assert high == cap
+        for v in range(low, high + 1, 2):
+            assert v >= c + 1 and v * (v - 1) // 2 >= edges
 
     @given(
         st.integers(3, 6),
@@ -961,9 +1046,37 @@ class TestWitnessSearch:
             )
         except _Stop:
             pass
-        cap = _witness_vertex_cap(edges, faces, c, max_vertices)
+        low, high = _vertex_range(edges, faces, c, max_vertices)
         for v in counts:
-            assert cap is not None and v <= cap and (cap - v) % 2 == 0
+            assert low <= v <= high and (high - v) % 2 == 0
+
+    @given(
+        st.integers(3, 6),
+        st.integers(3, 6),
+        st.integers(0, 5),
+        st.integers(1, 3),
+        st.integers(3, 8),
+        st.booleans(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_vertex_floor_admits_every_connected_completion(
+        self, a, b, t, c, max_vertices, dual_simple
+    ):
+        t += (a + b + t) % 2  # 2E = a + b + 3t is even
+        edges = (a + b + 3 * t) // 2
+        cap = min(max_vertices, 2 * edges // c)
+        rules = _GlueRules(
+            sizes=tuple(sorted((a, b) + (3,) * t, reverse=True)),
+            dual_simple=dual_simple,
+            min_degree=c,
+            max_degree=cap - 1,
+            max_vertices=cap,
+        )
+        floored = _glue_run(rules, 20_000)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(search, "_vertex_range", lambda *args: (1, args[3]))
+            unfloored = _glue_run(rules, 20_000)
+        _assert_prunes_only_dead_branches(unfloored, floored, "")
 
 
 @pytest.fixture(scope="module")
