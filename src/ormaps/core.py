@@ -501,38 +501,67 @@ def _root_code(
     arrays.  The words are the number of darts reached, then, for each dart
     in breadth-first visit order, the new ids of its rotation successor and
     its reverse.  Each word is final once emitted, so with a ``best`` word
-    list the traversal compares as it goes: the root is dropped (None) at its
-    first word above ``best``.  After its first smaller word it finishes
-    without comparing.  A root that ties ``best`` to the end returns
-    ``best`` itself, the same list object, with its own visit order; the
-    caller tells a tie from a win by that identity.  The word count is not
-    compared; it is the same for every root of a connected map.
+    list the traversal runs in two phases.  While the root ties ``best`` it
+    compares each word with ``best``'s word at the same place and keeps no
+    words of its own: they are ``best``'s.  At its first larger word the
+    root is dropped (None).  At its first smaller word the root has won: it
+    copies ``best``'s words up to the dart being visited and finishes the
+    traversal without comparing.  Without ``best`` only the finishing phase
+    runs.  A root that ties ``best`` to the end returns ``best`` itself, the
+    same list object, with its own visit order; the caller tells a tie from
+    a win by that identity.  The word count is not compared; it is the same
+    for every root of a connected map.
 
     ``newid`` is scratch space of one entry per dart, all -1; the darts this
     root touched are reset before returning, so one array serves every root.
     """
     newid[root] = 0
     order = [root]
-    words = [0]
-    tied = best is not None
+    append = order.append
+    start = 0
     try:
-        for d in order:  # grows while it is read: a breadth-first visit
-            for e in (sigma[d], alpha[d]):
+        if best is not None:
+            j = 0  # best[j] is the word just compared
+            for d in order:  # grows while it is read: a breadth-first visit
+                e = sigma[d]
                 w = newid[e]
                 if w < 0:
                     w = newid[e] = len(order)
-                    order.append(e)
-                if tied:
-                    b = best[len(words)]
-                    if w > b:
-                        return None
-                    tied = w == b
-                words.append(w)
+                    append(e)
+                j += 1
+                if w != best[j]:
+                    break
+                e = alpha[d]
+                w = newid[e]
+                if w < 0:
+                    w = newid[e] = len(order)
+                    append(e)
+                j += 1
+                if w != best[j]:
+                    break
+            else:
+                return best, order
+            if w > best[j]:
+                return None
+            start = (j - 1) // 2  # d is order[start]; visit it again below
+        words = [0] if best is None else best[: 2 * start + 1]
+        emit = words.append
+        for d in itertools.islice(order, start, None):
+            e = sigma[d]
+            w = newid[e]
+            if w < 0:
+                w = newid[e] = len(order)
+                append(e)
+            emit(w)
+            e = alpha[d]
+            w = newid[e]
+            if w < 0:
+                w = newid[e] = len(order)
+                append(e)
+            emit(w)
     finally:
         for d in order:
             newid[d] = -1
-    if tied:
-        return best, order
     words[0] = len(order)
     return words, order
 
@@ -619,15 +648,12 @@ def _renumber(seq: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple([table[v] for v in seq]), tuple(perm)
 
 
-def _relabel(
-    vertex_of: Sequence[int], sigma: Sequence[int], alpha: Sequence[int], order: list[int]
-) -> Map:
-    """The map with dart ``order[i]`` renamed i and vertices numbered by first visit."""
-    pos = {d: i for i, d in enumerate(order)}
+def _relabel(vertex_of: Sequence[int], words: list[int], order: list[int]) -> Map:
+    """The map with dart ``order[i]`` renamed i and vertices numbered by first
+    visit; ``words`` and ``order`` are one root's traversal (``_root_code``),
+    whose words are the new map's rotation and reverse arrays."""
     return Map(
-        _renumber([vertex_of[d] for d in order])[0],
-        tuple(pos[sigma[d]] for d in order),
-        tuple(pos[alpha[d]] for d in order),
+        _renumber([vertex_of[d] for d in order])[0], tuple(words[1::2]), tuple(words[2::2])
     )
 
 
@@ -648,9 +674,10 @@ def canonical(m: Map) -> tuple[bytes, Map]:
     rotations.  A map and its mirror may get different codes; compare
     against ``canonical(m.mirror())`` to test equivalence up to orientation
     reversal.  The form is the map relabeled in the visit order of a root
-    that attains the code.  The code fixes the form:
-    the form's rotation and reverse arrays are the code's words, and its
-    vertices are numbered by first visit.
+    that attains the code.  The code fixes the form: the form's rotation
+    and reverse arrays are the code's words (``words[1::2]`` and
+    ``words[2::2]``), and its vertices are numbered by first visit, so
+    ``_relabel`` builds it from the words and the visit order.
 
     The map must be connected; ValueError otherwise.  Then every root
     reaches all D darts, every root's code has 2D + 1 words of one width,
@@ -658,7 +685,8 @@ def canonical(m: Map) -> tuple[bytes, Map]:
     bytes.  So each root is compared with the best root so far while it is
     traversed (``_root_code``).  At its first word above the best, its code
     is larger whatever follows, and it is dropped; at its first word below,
-    its code is smaller and it becomes the best.  What is left is the
+    its code is smaller whatever follows, so it becomes the best and the
+    rest of its traversal is not compared.  What is left is the
     minimum over every root, and a tie keeps the earlier root, as ``min``
     does.  ``_least_root`` traverses only the roots whose first words can
     be least and skips roots that an automorphism found on an earlier tie
@@ -671,7 +699,7 @@ def canonical(m: Map) -> tuple[bytes, Map]:
     """
     sigma, alpha = m.next_in_rotation, m.reverse
     best, order = _least_root(sigma, alpha)
-    return _pack(best), _relabel(m.vertex_of, sigma, alpha, order)
+    return _pack(best), _relabel(m.vertex_of, best, order)
 
 
 def canonical_code(m: Map) -> bytes:

@@ -1536,6 +1536,53 @@ def triangular_complete_map(n: int) -> Map:
 # -- the small-map corpus --------------------------------------------------------------------
 
 
+def _join_pairs(m: Map) -> list[tuple[int, int]]:
+    """The vertex pairs u < w whose join children the corpus build keeps.
+
+    u and w are not adjacent, every leaf of m is u or w, so the child has
+    no leaf, and no edge of the child that is not a bridge outranks the new
+    edge uw; a tie does not (``enumerate_connected_maps`` has the proof).
+    An edge's rank is the child degrees of its two endpoints, larger first.
+    Degrees and bridges belong to the graph, not the rotations, so one test
+    covers all deg(u)·deg(w) children of the pair.  An edge xy of m is a
+    bridge of the child when it is a bridge of m and u and w lie on the
+    same side of it.
+    """
+    adjacency = m.adjacency
+    degree = [len(r) for r in m.rotations]
+    leaves = {x for x, k in enumerate(degree) if k == 1}
+    if len(leaves) > 2:
+        return []
+    V = len(degree)
+    edges = []  # (x, y, x's side of xy if xy is a bridge of m, else None)
+    for x in range(V):
+        for y in adjacency[x]:
+            if y < x:
+                continue
+            side, stack = {x}, [x]
+            while stack:
+                a = stack.pop()
+                for b in adjacency[a]:
+                    if b not in side and (a, b) != (x, y):
+                        side.add(b)
+                        stack.append(b)
+            edges.append((x, y, None if y in side else side))
+    pairs = []
+    for u in range(V):
+        for w in range(u + 1, V):
+            if w in adjacency[u] or not leaves <= {u, w}:
+                continue
+            deg = [k + (x == u or x == w) for x, k in enumerate(degree)]  # in the child
+            top = (max(deg[u], deg[w]), min(deg[u], deg[w]))
+            if not any(
+                (max(deg[x], deg[y]), min(deg[x], deg[y])) > top
+                and (side is None or (u in side) != (w in side))
+                for x, y, side in edges
+            ):
+                pairs.append((u, w))
+    return pairs
+
+
 def enumerate_connected_maps(max_edges: int) -> tuple[Map, ...]:
     """Every connected simple map with 1..max_edges edges, one per class.
 
@@ -1546,19 +1593,25 @@ def enumerate_connected_maps(max_edges: int) -> tuple[Map, ...]:
     Only children whose new edge a canonical deletion could remove are
     built (McKay's canonical construction path).  A leaf is a degree-1
     vertex and its anchor is its one neighbour.  A leaf child at u is kept
-    when no leaf edge of the child has an anchor of larger degree than u's;
-    a join child is kept when it has no leaf.  Every class is still
-    reached.  If a map M with E+1 edges has a leaf, deleting the leaf edge
-    whose anchor has the largest degree leaves a connected map, isomorphic
-    to some parent, and the leaf child that puts the edge back passes.  If
-    M has no leaf, M has a cycle; deleting one of its edges leaves a
-    connected map, and the join child that puts it back has no leaf.
+    when no leaf edge of the child has an anchor of larger degree than u's.
+    A join child is kept when it has no leaf and no edge of the child that
+    is not a bridge outranks the new edge, an edge's rank being the child
+    degrees of its two endpoints, larger first (``_join_pairs``, once per
+    pair of vertices).  Every class is still reached.  If a map M with E+1
+    edges has a leaf, deleting the leaf edge whose anchor has the largest
+    degree leaves a connected map, isomorphic to some parent, and the leaf
+    child that puts the edge back passes.  If M has no leaf, M has a cycle,
+    so an edge that is not a bridge.  Deleting a highest-ranked such edge e
+    leaves a connected map, isomorphic to some parent, and the join child
+    that puts e back passes: it is M up to isomorphism, which keeps degrees
+    and bridges, so it has no leaf and no edge that is not a bridge ranks
+    above e.
 
     Children are grown on the parent's dart arrays: the new edge is darts D
     and D + 1, with D inserted after a dart d of u in u's rotation and D + 1
     after a dart e of w, or alone at a new vertex for a leaf.  Each child
-    gets only its least-root words; a child's relabelled form is built only
-    when its code is new.  The code fixes the form, so which child of a
+    gets only its least-root words; a child's form is built from those
+    words (``_relabel``) only when its code is new.  The code fixes the form, so which child of a
     class comes first, or which children are skipped, does not matter.
     Output is by edge count, then code.
     """
@@ -1574,7 +1627,7 @@ def enumerate_connected_maps(max_edges: int) -> tuple[Map, ...]:
             vertex_of, sigma = m.vertex_of, m.next_in_rotation
             D, V = m.dart_count, m.vertex_count
             alpha = (*m.reverse, D + 1, D)
-            rotations, adjacency = m.rotations, m.adjacency
+            rotations = m.rotations
             degree = [len(r) for r in rotations]
             anchor = {x: vertex_of[alpha[r[0]]] for x, r in enumerate(rotations) if len(r) == 1}
             children = []  # (child sigma, vertex of D, vertex of D + 1)
@@ -1585,20 +1638,17 @@ def enumerate_connected_maps(max_edges: int) -> tuple[Map, ...]:
                     child = [*sigma, sigma[d], D + 1]
                     child[d] = D
                     children.append((child, u, V))
-            for u in range(V) if len(anchor) < 3 else ():
-                for w in range(u + 1, V):
-                    if w in adjacency[u] or not anchor.keys() <= {u, w}:
-                        continue
-                    for d in rotations[u]:
-                        for e in rotations[w]:
-                            child = [*sigma, sigma[d], sigma[e]]
-                            child[d] = D
-                            child[e] = D + 1
-                            children.append((child, u, w))
+            for u, w in _join_pairs(m):
+                for d in rotations[u]:
+                    for e in rotations[w]:
+                        child = [*sigma, sigma[d], sigma[e]]
+                        child[d] = D
+                        child[e] = D + 1
+                        children.append((child, u, w))
             for child, u, w in children:
                 words, order = _least_root(child, alpha)
                 code = _pack(words)
                 if code not in grown:
-                    grown[code] = _relabel((*vertex_of, u, w), child, alpha, order)
+                    grown[code] = _relabel((*vertex_of, u, w), words, order)
         levels.append(grown)
     return tuple(level[code] for level in levels for code in sorted(level))

@@ -406,6 +406,87 @@ class TestCanonicalMatchesFullScan:
         assert struct.unpack_from(">3H", code)[1:] == (1, 1)
 
 
+def one_loop_root_code(sigma, alpha, root, newid, best=None):
+    """Reference: the traversal ``_root_code`` made before its two phases, one
+    loop that tests a tie flag and builds a (sigma, alpha) pair at every dart."""
+    newid[root] = 0
+    order = [root]
+    words = [0]
+    tied = best is not None
+    try:
+        for d in order:
+            for e in (sigma[d], alpha[d]):
+                w = newid[e]
+                if w < 0:
+                    w = newid[e] = len(order)
+                    order.append(e)
+                if tied:
+                    b = best[len(words)]
+                    if w > b:
+                        return None
+                    tied = w == b
+                words.append(w)
+    finally:
+        for d in order:
+            newid[d] = -1
+    if tied:
+        return best, order
+    words[0] = len(order)
+    return words, order
+
+
+def chorded_cycle(n: int) -> Map:
+    """The n-cycle with the chord 0 - n/2."""
+    rotations = [[(i - 1) % n, (i + 1) % n] for i in range(n)]
+    rotations[0].append(n // 2)
+    rotations[n // 2].append(0)
+    return from_rotations(rotations)
+
+
+def assert_two_phase_root_code_matches_one_loop(m: Map, against: int | None = None) -> None:
+    """Every root without ``best`` and with ``best`` the words of each other
+    root (of ``against`` other roots, evenly spaced, when given): the same
+    None, words and order as the one-loop traversal, and a tie returns
+    ``best`` itself."""
+    sigma, alpha = m.next_in_rotation, m.reverse
+    D = m.dart_count
+    newid, ids = [-1] * D, [-1] * D
+    words = []
+    for r in range(D):
+        got = _root_code(sigma, alpha, r, newid)
+        assert got == one_loop_root_code(sigma, alpha, r, ids)
+        words.append(got[0])
+    for r in range(D):
+        others = range(D) if against is None else range(r + 1, r + 1 + D, D // against)
+        for s in others:
+            best = words[s % D]
+            if best is words[r]:
+                continue
+            got = _root_code(sigma, alpha, r, newid, best)
+            want = one_loop_root_code(sigma, alpha, r, ids, best)
+            assert got == want
+            if want is not None:
+                assert (got[0] is best) == (want[0] is best)
+    assert newid == [-1] * D
+
+
+class TestTwoPhaseRootCode:
+    """``_root_code`` compares only while it ties, as the one-loop traversal did."""
+
+    def test_small_map_corpus_and_mirrors(self):
+        for m in enumerate_connected_maps(7):
+            for x in (m, m.mirror()):
+                assert_two_phase_root_code_matches_one_loop(x)
+
+    @pytest.mark.parametrize("n", range(10, 41))
+    def test_stacked_triangulations(self, n):
+        assert_two_phase_root_code_matches_one_loop(stacked_triangulation(n), against=16)
+
+    def test_cycle_with_one_chord(self):
+        # long near-ties: a root runs far before its first differing word
+        assert_two_phase_root_code_matches_one_loop(chorded_cycle(200), against=16)
+
+
 def test_canonical_rejects_a_disconnected_map():
     # an edge and a disjoint triangle: the old scan coded the edge alone
     m = from_rotations([[1], [0], [3, 4], [2, 4], [2, 3]])

@@ -21,6 +21,7 @@ from ormaps.search import (
     _GlueRules,
     _Stop,
     _finished_map,
+    _join_pairs,
     _run_glue_engine,
     _shape_group,
     _vertex_range,
@@ -1179,7 +1180,7 @@ def _unfiltered_connected_maps(max_edges):
                 words, order = _least_root(child, alpha)
                 code = _pack(words)
                 if code not in grown:
-                    grown[code] = _relabel((*vertex_of, u, w), child, alpha, order)
+                    grown[code] = _relabel((*vertex_of, u, w), words, order)
         levels.append(grown)
     return tuple(level[code] for level in levels for code in sorted(level))
 
@@ -1227,6 +1228,15 @@ class TestConnectedMapCorpus:
         assert hashlib.sha1(codes).hexdigest() == "39ef29fbdf8a1f4c2d1d7e61ea136c2f243bb400"
 
     @pytest.mark.golden
+    def test_nine_edge_codes_and_order_match_their_fingerprint(self):
+        # captured from the build that compared every word of a winning root
+        # and canonicalised every leafless join child
+        corpus = enumerate_connected_maps(9)
+        codes = b"".join(canonical_code(m) for m in corpus)
+        assert len(corpus) == 14653
+        assert hashlib.sha1(codes).hexdigest() == "5faae7ebbec1269f28b96a4e34d3ee9a9926953d"
+
+    @pytest.mark.golden
     @pytest.mark.parametrize(
         "edges, digest",
         [
@@ -1248,9 +1258,14 @@ class TestConnectedMapCorpus:
         assert [canonical_code(m) for m in pair_corpus] == [canonical_code(m) for m in reference]
         assert pair_corpus == reference
 
-    @pytest.mark.parametrize("edges, children", [(7, 1092), (8, 5537)])
+    @pytest.mark.parametrize("edges, children", [(7, 942), (8, 4412), (9, 26869)])
     def test_canonicalises_only_the_children_a_deletion_keeps(self, monkeypatch, edges, children):
-        # the unfiltered build canonicalises 2,658 and 16,554 children
+        # the unfiltered build canonicalises 2,658 and 16,554 children at 7
+        # and 8 edges, the build without the join rank rule 1,092, 5,537 and
+        # 36,194.  Any rank that isomorphisms keep is a correct rule, so only
+        # these counts tell the ranks apart: with the smaller degree first
+        # the build makes the same choices up to 8 edges and canonicalises
+        # 26,865 children at 9
         calls = []
 
         def counted(sigma, alpha):
@@ -1260,6 +1275,31 @@ class TestConnectedMapCorpus:
         monkeypatch.setattr(search, "_least_root", counted)
         enumerate_connected_maps(edges)
         assert len(calls) == children
+
+    def test_a_bridge_of_higher_rank_does_not_block_a_join(self, pair_corpus):
+        # a triangle 3-4-5 with the path 3-2-1-0: joining 0 and 2 makes the
+        # triangle 0-1-2, and the bridge 2-3, of rank (3, 3), outranks the
+        # new edge, of rank (3, 2); every edge that is not a bridge ranks at
+        # most (3, 2), so two triangles joined by an edge are reached only
+        # through joins the bridge must not block
+        parent = ormaps.from_rotations([[1], [0, 2], [1, 3], [2, 4, 5], [3, 5], [4, 3]])
+        assert (0, 2) in _join_pairs(parent)
+        triangles = ormaps.from_rotations([[1, 2], [2, 0], [0, 1, 3], [2, 4, 5], [3, 5], [4, 3]])
+        assert canonical_code(triangles) in {canonical_code(m) for m in pair_corpus}
+
+    def test_a_join_that_ties_the_top_rank_is_kept(self):
+        # closing the path 0-1-2-3 into a 4-cycle: every edge ranks (2, 2)
+        path = ormaps.from_rotations([[1], [0, 2], [1, 3], [2]])
+        assert _join_pairs(path) == [(0, 3)]
+
+    def test_a_join_outranked_by_an_edge_on_a_cycle_is_skipped(self):
+        # a triangle 0-1-2 with the leaf 3 at 2: joining 3 to 0 or 1 gives a
+        # diamond whose new edge ranks (3, 2) under the chord's (3, 3); the
+        # diamond comes from the 4-cycle by putting its chord back instead
+        parent = ormaps.from_rotations([[1, 2], [2, 0], [0, 1, 3], [2]])
+        assert _join_pairs(parent) == []
+        cycle = ormaps.from_rotations([[3, 1], [0, 2], [1, 3], [2, 0]])
+        assert _join_pairs(cycle) == [(0, 2), (1, 3)]
 
     def test_every_member_is_its_own_canonical_form(self, pair_corpus):
         # forms are built on first sight of a code; they must be what the
