@@ -174,10 +174,10 @@ class WitnessSpec:
 
 
 def _check_not_negative(**bounds: float | None) -> None:
-    """Reject a negative size bound, naming it by its spec key; 0 is allowed."""
+    """Reject a negative or NaN bound, naming it by its spec key; 0 is allowed."""
     for name, value in bounds.items():
-        if value is not None and value < 0:
-            raise SearchError(f"{name.replace('_', '-')} must not be negative, got {value}")
+        if value is not None and not value >= 0:  # NaN fails every comparison
+            raise SearchError(f"{name.replace('_', '-')} must not be negative or NaN, got {value}")
 
 
 def _parse_kv(text: str) -> dict[str, str]:
@@ -420,7 +420,7 @@ def _walk_shapes(spec: EmptyCircuitSpec) -> list[tuple[tuple[int, ...], ...]]:
             edges = {(a, b) if a < b else (b, a) for w in walks for a, b in zip(w[-1:] + w, w)}
             if len(edges) < spec.k:
                 continue
-            if walks == min(t[0] for t in _shape_transforms(walks)):
+            if not any(t[0] < walks for t in _shape_transforms(walks)):
                 shapes.append(walks)
     return sorted(shapes)
 
@@ -515,10 +515,10 @@ def _run_walk_engine(
     compares the code positions now decided on both sides and cuts the
     branch as soon as an image is smaller.  The elements still tied are
     kept per depth: v's close reads ``tied[v]`` and writes ``tied[v + 1]``.
-    Each comparison's verdict is memoised per code position p, keyed by
-    the element and the code of the vertex it maps onto p, and the memo of
-    p is replaced when p closes again.  So this state, like ``succ``, is
-    overwritten and never undone, and it holds at most one memo per vertex.
+    The image of a vertex rotation code under an element depends on
+    nothing else, so each element memoises its images for the whole shape
+    run, and codes and images are interned in one dict per shape.  So this
+    state, like ``succ``, is overwritten or only grows, and is never undone.
     Chiral twins fold together, so the caller restores mirror images after
     a complete run.
     """
@@ -569,13 +569,13 @@ def _run_walk_engine(
     top = k2
     # lex-leader state, see least_so_far
     code: list[tuple[int, ...]] = [()] * V
-    verdicts: list[dict[tuple, int]] = [{} for _ in range(V)]
+    intern = {}.setdefault  # one tuple per distinct code or image of this shape
     tied: list[list[tuple]] = [[] for _ in range(V + 1)]
     identity = tuple(range(V))
-    for j, (perm, rev) in enumerate(_shape_group(walks)):
+    for perm, rev in _shape_group(walks):
         if perm != identity:
             inverse = tuple(sorted(range(V), key=perm.__getitem__))
-            tied[0].append((inverse[0], j, perm, inverse, rev, 0))
+            tied[0].append((inverse[0], {}, perm, inverse, rev, 0))
 
     def close_face(head: int) -> bool:
         """Walk and check the face that the link ``succ[tail] = head`` closes.
@@ -648,20 +648,20 @@ def _run_walk_engine(
         element the image rotation at perm[x] is perm applied to x's
         rotation, reversed when the element reverses orientation.
         ``tied[v]`` holds the elements that agree with the completion so
-        far, each as (w, j, perm, inverse, reverses, p): j is the element's
-        index in the stabiliser, the element agrees before position p, and
-        w = max(p, inverse[p]) is the vertex whose close decides position p
-        on both sides.  Elements with w = v are advanced, and the survivors
-        are written to ``tied[v + 1]``; an element whose image turns out
-        larger is left out.
+        far, each as (w, images, perm, inverse, reverses, p): the element
+        agrees before position p, and w = max(p, inverse[p]) is the vertex
+        whose close decides position p on both sides.  Elements with w = v
+        are advanced, and the survivors are written to ``tied[v + 1]``; an
+        element whose image turns out larger is left out.
 
-        A comparison at position p depends only on ``code[p]``, the element
-        and the decider's code ``code[inverse[p]]``, so ``verdicts[p]`` maps
-        (j, decider's code) to the sign of image minus ``code[p]``; only a
-        miss builds and normalises the image.  ``code[v]``, ``verdicts[v]``
-        and ``tied[v + 1]`` are written again whenever v closes with an
-        element still tied, so nothing is undone.  False prunes the branch:
-        an image is already smaller.
+        The image at position p depends only on the element and the
+        decider's code ``code[inverse[p]]``, so each element's ``images``
+        maps a rotation code to its normalised image for the whole shape
+        run, and only a miss builds one.  Codes and images are interned, so
+        equal ones are the same tuple and the memo entries share them.
+        ``code[v]`` and ``tied[v + 1]`` are written again whenever v closes
+        with an element still tied, and the memos are never undone.  False
+        prunes the branch: an image is already smaller.
         """
         elements = tied[v]
         if not elements:
@@ -675,20 +675,18 @@ def _run_walk_engine(
             if d == first:
                 break
         i = nbrs.index(min(nbrs))
-        code[v] = tuple(nbrs[i:] + nbrs[:i])
-        verdicts[v] = {}
+        mine = tuple(nbrs[i:] + nbrs[:i])
+        code[v] = intern(mine, mine)
         survivors = []
         for element in elements:
-            w, j, perm, inverse, rev, p = element
-            if w > v:
-                survivors.append(element)
+            if element[0] > v:
+                survivors.append(element)  # not yet due
                 continue
+            _, images, perm, inverse, rev, p = element
             while True:
                 decider = code[inverse[p]]
-                known = verdicts[p]
-                key = (j, decider)
-                sign = known.get(key)
-                if sign is None:
+                image = images.get(decider)
+                if image is None:
                     # the decider's code is a cyclic shift of its rotation,
                     # which renormalising undoes; a vertex meets at least two
                     # walk edges, so the getter always returns a tuple
@@ -698,10 +696,10 @@ def _run_walk_engine(
                     i = image.index(min(image))
                     if i:
                         image = image[i:] + image[:i]
-                    mine = code[p]
-                    sign = known[key] = (image > mine) - (image < mine)
-                if sign:
-                    if sign < 0:
+                    image = images[decider] = intern(image, image)
+                mine = code[p]
+                if image is not mine:  # both interned, so equal means identical
+                    if image < mine:
                         return False
                     break
                 p += 1
@@ -709,7 +707,7 @@ def _run_walk_engine(
                     break  # the element is an automorphism of the completion
                 w = max(p, inverse[p])
                 if w > v:
-                    survivors.append((w, j, perm, inverse, rev, p))
+                    survivors.append((w, images, perm, inverse, rev, p))
                     break
         tied[v + 1] = survivors
         return True

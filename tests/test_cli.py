@@ -189,6 +189,14 @@ class TestExitCodes:
         assert key in err and "negative" in err
         assert "complete" not in out
 
+    def test_nan_seconds_is_invalid(self, capsys):
+        code, out, err = run_cli(
+            capsys, "search", "empty", "--spec", "k=3; mode=circuit", "--max-seconds", "nan"
+        )
+        assert code == 2
+        assert "max-seconds" in err and "NaN" in err
+        assert "complete" not in out
+
     def test_budget_exhaustion_is_exit_three(self, capsys):
         code, out, _ = run_cli(
             capsys, "search", "remark24", "--case", "viii", "--max-nodes", "2000"

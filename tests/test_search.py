@@ -12,6 +12,7 @@ from ormaps import canonical, canonical_code, dual, genus, search, vertex_connec
 from ormaps.core import _least_root, _pack, _relabel, maps_isomorphic_bruteforce
 from ormaps.search import (
     _NINE_SIZES,
+    _REMARK_CASES,
     CASE_LABELS,
     EmptyCircuitSpec,
     SearchBudget,
@@ -24,6 +25,7 @@ from ormaps.search import (
     _join_pairs,
     _run_glue_engine,
     _shape_group,
+    _shape_transforms,
     _vertex_range,
     _walk_shapes,
     empty_map_problems,
@@ -187,6 +189,14 @@ class TestSpecGrammar:
     def test_negative_budget_rejected(self, kwargs, key):
         with pytest.raises(SearchError, match=key):
             SearchBudget(**kwargs)
+
+    def test_nan_seconds_rejected(self):
+        # NaN compares false with everything, so a deadline of NaN never passes
+        with pytest.raises(SearchError, match="max-seconds"):
+            SearchBudget(max_seconds=float("nan"))
+
+    def test_infinite_seconds_stay_allowed(self):
+        assert SearchBudget(max_seconds=float("inf")).max_seconds == float("inf")
 
 
 class TestSmallOracle:
@@ -418,6 +428,21 @@ class TestShapeGolden:
         assert hashlib.sha1(repr(shapes).encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "mode, k, sizes, min_v, max_v", [row[:5] for row in SHAPE_GOLDEN if row[1] <= 7]
+)
+def test_each_shape_is_the_least_of_its_class(mode, k, sizes, min_v, max_v):
+    # _walk_shapes stops at the first smaller image; the shapes it keeps must
+    # be exactly the least images, one per class
+    spec = EmptyCircuitSpec(k, mode, sizes, min_vertices=min_v, max_vertices=max_v)
+    classes = []
+    for shape in _walk_shapes(spec):
+        images = {t[0] for t in _shape_transforms(shape)}
+        assert shape == min(images)
+        classes.append(images)
+    assert len(set().union(*classes)) == sum(map(len, classes))
+
+
 class TestShapeStabiliser:
     """The walk engine prunes by the stabiliser of each shape, so that group
     must be exactly the relabellings that map the walks onto themselves."""
@@ -450,6 +475,26 @@ class TestShapeStabiliser:
                 for image in images
             ]
             assert sorted(targets) == list(range(len(walks)))
+
+    @pytest.mark.parametrize(
+        "spec",
+        [spec for label in ("i", "ii", "iii", "iv", "v", "vi") for spec in _REMARK_CASES[label][1]]
+        + [
+            parse_empty_spec("k=6; mode=pair; max-edges=9"),
+            parse_empty_spec("k=5; mode=circuit; constraints=single-neighbor"),
+        ],
+    )
+    def test_lex_leader_prune_keeps_one_completion_per_orbit(self, monkeypatch, spec):
+        # with no symmetry to break, every completion is kept; the pruned run
+        # must find the same classes in the same order, in no more nodes
+        pruned = enumerate_empty(spec)
+        monkeypatch.setattr(search, "_shape_group", lambda walks: [])
+        unpruned = enumerate_empty(spec)
+        assert pruned.complete and unpruned.complete
+        assert [canonical_code(m) for m in pruned.maps] == [
+            canonical_code(m) for m in unpruned.maps
+        ]
+        assert unpruned.nodes >= pruned.nodes
 
     @pytest.mark.parametrize("text", ["k=6; mode=circuit", "k=6; mode=pair; max-edges=9"])
     def test_complete_runs_are_closed_under_mirrors(self, text):
