@@ -311,7 +311,7 @@ def validate(m: Map) -> ValidationReport:
     if D % 2:
         problems.append("odd number of darts")
     elif rotation_ok and involution_ok:
-        chi = vmax + 1 - D // 2 + len(facial_walks(m))
+        chi = vmax + 1 - D // 2 + len(m.faces)
         if chi % 2:
             problems.append(f"Euler characteristic {chi} is odd")
         elif chi > 2:

@@ -1084,6 +1084,27 @@ def _run_glue_engine(rules: _GlueRules, clock: _Clock, accept) -> None:
     previous block of its size (starting at ``peer``) is matched or is d0's.
     ``alpha`` is -1 exactly on the unmatched darts.
 
+    A block B is ``cold`` when d0 is its start, so none of its sides is
+    matched yet.  Its darts are then the least unmatched ones, so the nodes
+    below match its sides one after another as d0, and each later side is
+    tried only with partners above x, the partner of B's start.  This keeps
+    the first completion of each isomorphism class.  The DFS visits
+    completions in lexicographic order of ``alpha``, and each is a
+    labelling that the rules above admit.  Take such a labelling L in which
+    a side of a cold B has a partner y < x.  Rotate B so that the side with
+    the least partner is its start, and relabel the blocks that were fresh
+    when B was entered by the rules above: each becomes the least fresh
+    block of its size when first reached, rotated so that the reaching dart
+    is its start.  Every dart below B's start keeps its partner, and the new
+    start's partner is at most y: y keeps its label unless its block was
+    fresh, and then it lands on the start of the least fresh block of its
+    size.  So this isomorphic labelling is lexicographically smaller than
+    L, and the least labelling of a class passes the rule at every cold
+    block.  The completions are thus a subsequence of those without the
+    rule that keeps each class's first.  Block 0 is cold too, but its first
+    side can only meet the least fresh block of a size, so with one block
+    size all of block 0's rotations remain.
+
     ``room[b0 * nb + b1]`` is how many more edges blocks b0 and b1 may
     share.  It starts at their cap: 0 when b0 == b1 (one face on both sides
     of an edge is a dual loop) or when the pair breaks ``forced_target``;
@@ -1174,6 +1195,7 @@ def _run_glue_engine(rules: _GlueRules, clock: _Clock, accept) -> None:
     spans = [int(block_of[d] == spanning) for d in range(n)]
     vertex_id = [-1] * n
     vertices: list[list[int]] = []
+    cold = [False] * nb
 
     def link(tail: int, head: int) -> bool:
         """Set ``snext[tail] = head``; False kills the branch, leaving nothing to undo."""
@@ -1257,6 +1279,16 @@ def _run_glue_engine(rules: _GlueRules, clock: _Clock, accept) -> None:
         nxt[n] = after
         prv[after] = n
         d1 = after
+        first = block_start[b0]
+        fresh = d0 == first
+        if fresh:
+            cold[b0] = True
+        elif cold[b0]:
+            # no fresh block straddles the matched alpha[first], so this stops
+            # on a fresh block's start or on a dart of an entered block
+            lower = alpha[first]
+            while d1 <= lower:  # the sentinel n is above every dart
+                d1 = nxt[d1]
         while d1 != n:
             b1 = block_of[d1]
             if d1 == block_start[b1]:
@@ -1297,6 +1329,8 @@ def _run_glue_engine(rules: _GlueRules, clock: _Clock, accept) -> None:
                     spare = spare0  # give back what the links spent
                 alpha[d1] = -1
             d1 = skip
+        if fresh:
+            cold[b0] = False
         nxt[n] = d0
         prv[after] = d0
         alpha[d0] = -1

@@ -233,6 +233,20 @@ def test_face_walks_are_normalized(tetrahedron, cube):
         assert [f.index for f in faces] == list(range(len(faces)))
 
 
+def test_validate_walks_the_faces_once(monkeypatch):
+    """``validate`` counts faces through ``m.faces``, so what reads them
+    next walks nothing."""
+    from ormaps import core
+
+    calls = []
+    walk = core.facial_walks
+    monkeypatch.setattr(core, "facial_walks", lambda m: calls.append(m) or walk(m))
+    m = parse(TETRA_TEXT)
+    assert validate(m).ok
+    assert len(m.faces) == 4
+    assert calls == [m]
+
+
 def test_genus_raises_on_inconsistent_input():
     # self-paired dart breaks the orbit count; chi comes out odd
     m = parse("vertices: 2\n1: 2 2\n2: 1\n")

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import ormaps
 from ormaps import canonical, canonical_code, dual, genus, search, vertex_connectivity
-from ormaps.core import _least_root, _pack, _relabel, maps_isomorphic_bruteforce
+from ormaps.core import Map, _least_root, _pack, _relabel, maps_isomorphic_bruteforce
 from ormaps.search import (
     _NINE_SIZES,
     _REMARK_CASES,
@@ -519,10 +519,12 @@ def _complete_graph_rules(n: int) -> _GlueRules:
 # ``_Stop`` when the budget stops it; ``accept`` only records, so each run
 # does one or the other.  The last digest pins the completions and their
 # order alone, so a prune that only cuts dead branches leaves it as it is.
+# pair-4-4 and loose-4-4 were re-pinned when the engine began trying each
+# cold polygon at one rotation; GLUE_FIRST_OF_CLASS pins what that keeps.
 GLUE_GOLDEN = [
     ("pair-4-4", _GlueRules(sizes=(4, 4) + (3,) * 6, max_degree=6, max_vertices=7),
-     None, 38920, True, 264, "fad1a658074deddc87ef2c7f859097ec597d4a87",
-     "915478ad34ea7ac396b48aa2a71dd72a9eacd5a8"),
+     None, 9653, True, 66, "9b0fa87aa866fdc29833989a5f84b327ececa8fd",
+     "fd34195c2d27e64d7bbb8526739c7a7482b0a367"),
     ("spanning-7",
      _GlueRules(sizes=(7,) + (3,) * 9, max_degree=6, max_vertices=7, spanning_block=0),
      None, 43321, True, 56, "690da9703b23a4b5c07db5ab7ab0d6033cc67f0f",
@@ -539,14 +541,28 @@ GLUE_GOLDEN = [
     ("loose-4-4",
      _GlueRules(sizes=(4, 4) + (3,) * 4, dual_simple=False, min_degree=3, max_degree=5,
                 max_vertices=6),
-     None, 1523, True, 16, "dd5dcca4b44db44d08508c3c4a26ae0487b72aca",
-     "4c345043e296d9435ef539e9e25bf4fd02404675"),
+     None, 579, True, 4, "1d2746f0de480e2b21f4615029f21d21bc3bf1cb",
+     "e7f1e1c24551ce79e2a7db77d5693ab8868b582e"),
     ("forced-6-3",
      _GlueRules(sizes=(6, 3) + (3,) * 5, exempt_block=1, forced_target=((1, 0),),
                 max_degree=6, max_vertices=7),
      None, 647, True, 9, "9dde22c16a84579e14c08ac20d8645052c0d8792",
      "7fbd5b244b020e0a4a208fd32ef1811f0e6390ff"),
 ]
+
+# sha1 of the repr of each GLUE_GOLDEN row's first completion of every
+# class, in engine order, one per canonical code, as (vertex_of,
+# next_in_rotation, reverse).  Captured before the cold-polygon rotation cut,
+# which drops only later completions of a class, so every row keeps it.
+GLUE_FIRST_OF_CLASS = {
+    "pair-4-4": (21, "c8bf23261e5dc16270b4c54811df8f9814acae8d"),
+    "spanning-7": (8, "39c9ec56b3c1cdaa22dbbc9d5065bcf516dd1e2d"),
+    "nine-cycle": (0, "97d170e1550eee4afc0af065b78cda302a97674c"),
+    "k4": (1, "5c88403b7b79fc7cc5b961e381175a975da50e67"),
+    "k7": (2, "34d42fce7089e8105c360e58669834fef4934069"),
+    "loose-4-4": (3, "da086f2d50ef3732594e9cab20d5e476d2644554"),
+    "forced-6-3": (3, "0f5c13336c55b26a3ca4e7a6ef87d6343b0d51a2"),
+}
 
 # search_witness on top of the engine: (spec, node budget, nodes, complete,
 # swept, sha1 of the found map's canonical code or None)
@@ -573,10 +589,18 @@ GLUE_WITNESS_GOLDEN = [
       "pair=(3,6) triangles=7: done", "budget exhausted"),
      None),
     ("c=3; pair-sum=8; dual=simple,has-2-cut; pair=shares-two-vertices; "
-     "max-vertices=7; max-edges=18", None, 21596, True,
+     "max-vertices=7; max-edges=18", None, 6556, True,
      tuple(f"pair={pair} triangles={t}: {'done' if t in (4, 6) else 'infeasible'}"
            for t in (0, 2, 4, 6, 8) for pair in ("(3,5)", "(4,4)")),
      None),
+    ("c=3; pair-sum=10; dual=simple,has-2-cut; pair=doubly-intersecting; "
+     "max-vertices=8; max-edges=20", None, 128654, True,
+     tuple(f"pair={pair} triangles={t}: infeasible"
+           for t in (0, 2) for pair in ("(3,7)", "(4,6)", "(5,5)"))
+     + tuple(f"pair={pair} triangles={t}: done"
+             for t in (4, 6) for pair in ("(3,7)", "(4,6)", "(5,5)"))
+     + ("pair=(3,7) triangles=8: hit",),
+     "3446bc5995cba57a91301b2bd765eed93f1c5e0b"),
 ]
 
 # The caller's early stop: ``accept`` records every completion and raises
@@ -693,6 +717,18 @@ class TestGlueGolden:
             got = _Stop
         assert (clock.nodes, got, len(seen)) == (nodes, result, completions)
         assert _digests(seen) == (digest, forms)
+
+    @pytest.mark.parametrize(
+        "label, rules, max_nodes",
+        [row[:3] for row in GLUE_GOLDEN],
+        ids=[row[0] for row in GLUE_GOLDEN],
+    )
+    def test_first_of_each_class_matches_its_fingerprint(self, label, rules, max_nodes):
+        firsts = {}
+        for form in _glue_run(rules, max_nodes)[1]:
+            firsts.setdefault(canonical_code(Map(*form)), form)
+        got = (len(firsts), hashlib.sha1(repr(list(firsts.values())).encode()).hexdigest())
+        assert got == GLUE_FIRST_OF_CLASS[label]
 
     @pytest.mark.parametrize(
         "rules, stop_after, nodes, result, completions, digest, forms",
@@ -817,6 +853,37 @@ class TestGlueGuarantees:
         monkeypatch.setattr(search, "_run_glue_engine", checked_engine)
         triangular_complete_map(7)
         assert len(seen) == 2
+
+
+def test_glue_engine_matches_the_corpus_oracle():
+    """For every face multiset of the 8-edge corpus with no face below 3,
+    the engine's classes, with ``dual_simple`` on and off, are exactly the
+    corpus maps of that multiset whose dual has no loop (and, with it on,
+    no two faces sharing two edges)."""
+    by_sizes: dict[tuple[int, ...], list] = {}
+    for m in enumerate_connected_maps(8):
+        sizes = tuple(sorted((f.size for f in m.faces), reverse=True))
+        if sizes[-1] >= 3:
+            by_sizes.setdefault(sizes, []).append(m)
+    assert len(by_sizes) == 54
+    wrong = []
+    for sizes, maps in by_sizes.items():
+        reports = [(canonical_code(m), dual(m)) for m in maps]
+        for dual_simple in (False, True):
+            want = {
+                code
+                for code, rep in reports
+                if not rep.loops and (rep.simple or not dual_simple)
+            }
+            got = set()
+            _run_glue_engine(
+                _GlueRules(sizes=sizes, dual_simple=dual_simple),
+                _Clock(None),
+                lambda m: got.add(canonical_code(m)),
+            )
+            if got != want:
+                wrong.append((sizes, dual_simple))
+    assert wrong == []
 
 
 class TestFinishedMap:
