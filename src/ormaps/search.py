@@ -485,11 +485,21 @@ def _run_walk_engine(
     while its dart is interior, so undoing links in reverse order restores
     every end exactly.  Here the chain edge of ``succ[tail] = head`` is
     ``alpha[tail] -> head``, so the link closes a face exactly when
-    ``start_of[alpha[tail]] == head``.  Any other link is four writes and
-    its undo three, done in place by ``arrange``; under
-    ``distinct-neighbors`` a join that would put two back darts on one
-    chain is not taken, since that chain can only close into a forbidden
-    face.  Under ``single-neighbor``, ``close_face`` rejects a face with
+    ``start_of[alpha[tail]] == head``.
+
+    ``arrange`` tries each link from ``tail`` as one step: each block item
+    of ``todo``, and the wrap back to v's first block, the last link of the
+    rotation and the only one tried once ``todo`` is empty.  A closing link
+    calls ``close_face``, which walks the face; any other joins two chains
+    in four writes, undone in three.  One test refuses a join: ``limit``
+    under ``distinct-neighbors``, as two back darts on one chain can only
+    close into a forbidden face, or ``into_n``, the one place a join reads
+    ``single``.  The wrap goes on through ``shut`` in ``arrange``'s place,
+    not a further ``arrange`` frame: on a 2-core x86_64 VM that frame per
+    vertex close, crossing a CPython 3.11 frame-stack chunk boundary, took
+    viii at a 400k-node budget from 0.6 s to 0.9 s, mostly system time.
+
+    Under ``single-neighbor``, ``close_face`` rejects a face with
     some but not all k back darts, so in every completion they lie on one
     face N, and every chain that carries a back dart is a piece of N from
     the moment it forms.  ``in_n`` marks the darts of those chains: the
@@ -501,8 +511,7 @@ def _run_walk_engine(
     state has no completion, so the finds and their order stay the same.
     The join's undo unmarks what it marked.  A fresh dart's reverse sits
     alone in ``pending``, so a fresh link is never refused, and its mark
-    is written at each allocation.  Only a closing link calls
-    ``close_face``, which walks the face.  A link to a fresh dart never
+    is written at each allocation.  A link to a fresh dart never
     closes and adds no back dart.  ``succ`` is never cleared, because only
     closed orbits and the finished map read it.
 
@@ -549,6 +558,7 @@ def _run_walk_engine(
     blocks: list[list[tuple[int, int]]] = [[] for _ in range(V)]
     for p in range(k):
         blocks[seq[next_pos[p]]].append((k + p, next_pos[p]))
+    wraps = [[b[0]] for b in blocks]  # each vertex's wrap link, as a one-item todo
     tick = clock.tick
 
     vertex_of = [0] * size
@@ -712,18 +722,17 @@ def _run_walk_engine(
         tied[v + 1] = survivors
         return True
 
-    def shut(v: int) -> None:
-        """Go past v, whose rotation just closed, unless an image is smaller."""
+    def shut(v: int, tail: int, todo: list[tuple[int, ...]]) -> None:
+        """Go past v, whose rotation the wrap just closed, unless an image is
+        smaller; it stands in for ``arrange``, so it ignores tail and todo."""
         if least_so_far(v):
             if v == last:
                 finish()
             else:
-                place(v + 1)
-
-    def place(v: int) -> None:
-        rest: list[tuple[int, ...]] = blocks[v][1:]
-        rest.extend(pending[v])
-        arrange(v, blocks[v][0][1], rest)
+                v += 1
+                rest: list[tuple[int, ...]] = blocks[v][1:]
+                rest.extend(pending[v])
+                arrange(v, blocks[v][0][1], rest)
 
     def arrange(v: int, tail: int, todo: list[tuple[int, ...]]) -> None:
         """Every way to go on from ``tail``, the last dart of v's rotation so far."""
@@ -732,74 +741,40 @@ def _run_walk_engine(
         a = alpha[tail]
         start = start_of[a]  # fixed over this call, since every branch is undone
         backs = backs_of[start]
-        if not todo:
-            # wrap the rotation shut and move to the next vertex
-            head = blocks[v][0][0]
-            succ[tail] = head
-            if start == head:
-                if close_face(head):
-                    shut(v)
-                    for d in faces.pop():
-                        claimed[d] = -1
-            elif single and (not backs) != (not backs_of[head]):
-                grown = into_n(start, a, head)
-                if grown is not None:
-                    end = end_of[head]
-                    end_of[start] = end
-                    start_of[end] = start
-                    backs_of[start] = backs + backs_of[head]
-                    shut(v)
-                    backs_of[start] = backs
-                    end_of[start] = a
-                    start_of[end] = head
-                    for d in grown:
-                        in_n[d] = False
-            else:
-                both = backs + backs_of[head]
-                if both <= limit:
-                    end = end_of[head]
-                    end_of[start] = end
-                    start_of[end] = start
-                    backs_of[start] = both
-                    shut(v)
-                    backs_of[start] = backs
-                    end_of[start] = a
-                    start_of[end] = head
-        for i in range(len(todo)):
-            item = todo.pop(i)
+        if todo:
+            links = todo
+            go = arrange
+        else:
+            links = wraps[v]  # the wrap back to v's first block shuts the rotation
+            go = shut
+        for i in range(len(links)):
+            item = links[i]
+            del links[i]
             head = item[0]
             succ[tail] = head
             # a corner block carries its own fixed inner link
             if start == head:
                 if close_face(head):
-                    arrange(v, item[-1], todo)
+                    go(v, item[-1], todo)
                     for d in faces.pop():
                         claimed[d] = -1
-            elif single and (not backs) != (not backs_of[head]):
-                grown = into_n(start, a, head)
-                if grown is not None:
-                    end = end_of[head]
-                    end_of[start] = end
-                    start_of[end] = start
-                    backs_of[start] = backs + backs_of[head]
-                    arrange(v, item[-1], todo)
-                    backs_of[start] = backs
-                    end_of[start] = a
-                    start_of[end] = head
-                    for d in grown:
-                        in_n[d] = False
             else:
-                both = backs + backs_of[head]
-                if both <= limit:
+                hb = backs_of[head]
+                # the darts into_n marks, None when it refuses, False when none are due
+                grown = single and (not backs) != (not hb) and into_n(start, a, head)
+                if grown is not None and backs + hb <= limit:
                     end = end_of[head]
                     end_of[start] = end
                     start_of[end] = start
-                    backs_of[start] = both
-                    arrange(v, item[-1], todo)
+                    backs_of[start] = backs + hb
+                    go(v, item[-1], todo)
                     backs_of[start] = backs
                     end_of[start] = a
                     start_of[end] = head
-            todo.insert(i, item)
+                    if grown:
+                        for d in grown:
+                            in_n[d] = False
+            links.insert(i, item)
         if degree[v] >= last:
             return
         if top >= max_top:
@@ -821,8 +796,7 @@ def _run_walk_engine(
             succ[tail] = d
             end_of[start] = d
             start_of[d] = start
-            if single:
-                in_n[d] = backs > 0  # written at each allocation, so never undone
+            in_n[d] = backs > 0  # written at each allocation, so never undone
             arrange(v, d, todo)
             end_of[start] = a
             start_of[d] = d
@@ -832,7 +806,7 @@ def _run_walk_engine(
             pending[u].pop()
             top = d
 
-    place(0)
+    arrange(0, blocks[0][0][1], blocks[0][1:])  # no fresh edge ends at vertex 0
 
 
 # -- empty enumeration ----------------------------------------------------------------

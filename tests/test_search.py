@@ -24,6 +24,7 @@ from ormaps.search import (
     _finished_map,
     _join_pairs,
     _run_glue_engine,
+    _run_walk_engine,
     _shape_group,
     _shape_transforms,
     _vertex_range,
@@ -368,9 +369,60 @@ ENGINE_GOLDEN = [
 ]
 
 
+# The spanning-walk engine's DFS order, which ENGINE_GOLDEN cannot see
+# since it sorts finds by canonical code: (spec, node budget, nodes, raw
+# completions, sha1 of the repr of each completion's ``rotations`` in the
+# order the engine hands them to its sink, before any deduplication).
+# Captured before the chain joins of ``arrange`` were written as one step.
+WALK_ORDER_GOLDEN = [
+    ("k=5; mode=circuit; constraints=single-neighbor", None, 57, 1,
+     "8d3ae610ed98cb1d6b16ed0a061d2f7cbd82303a"),
+    ("k=6; mode=circuit; constraints=single-neighbor", None, 2125, 1,
+     "a7de699f67bb54956e820d92601e613793d57fa9"),
+    ("k=6; mode=pair; constraints=single-neighbor", None, 1225, 1,
+     "6073478d86ead2174273e4da755322f9f93460ec"),
+    ("k=7; mode=circuit; constraints=single-neighbor", 100_000, 100_001, 2,
+     "0724f5db370b879262ccb2398ba3b877954659c1"),
+    ("k=7; mode=pair; constraints=single-neighbor", 100_000, 100_001, 1,
+     "e8d2749b9c48c8a6b7e60fe81788e0ac20bf8ae0"),
+    ("k=8; mode=circuit; constraints=single-neighbor", 100_000, 100_001, 2,
+     "4e10b6b55da6aee3fb36b7daaa486dcaea0b68ef"),
+    ("k=6; mode=circuit; constraints=distinct-neighbors", None, 4767, 6,
+     "47801b042c02dbd4d5aff79725db3511ec9f5c96"),
+    ("k=6; mode=pair; constraints=distinct-neighbors", None, 2915, 3,
+     "233971eb4420f3f648b6968c316365303f3c9bd7"),
+    ("k=7; mode=circuit; constraints=distinct-neighbors", 100_000, 100_001, 63,
+     "4e7904399b653e73204a7347a9c62b139cd1f88b"),
+    ("k=6; mode=circuit; constraints=detached-face", None, 73930, 49,
+     "c50ecd1551e0e63d5c6945e2c3d9018fbcf93d30"),
+    ("k=6; mode=circuit; constraints=detached-face,distinct-neighbors", None, 4767, 2,
+     "e75348ecd2ab07773c6ee4bab81425cc98ab98ad"),
+    ("k=7; mode=circuit; constraints=detached-face; max-edges=11", None, 10500, 11,
+     "6a0d946c5111f37a46318289680931e600b5fe60"),
+    ("k=5; mode=circuit", None, 233, 4, "ae8efee21df8bc78ff00db8fbb53a3c729e2dd0d"),
+    ("k=6; mode=circuit", None, 73930, 107, "0c8bfab9f53b5af1456bc90430b05962eb6d372f"),
+    ("k=6; mode=pair", None, 25123, 40, "0b2327d0c51a5332794f06524d66a220bb889dc6"),
+    ("k=6; mode=circuit; max-edges=9", None, 524, 13,
+     "8769541c89f69336999446207a1cb93172caae62"),
+    ("k=6; mode=pair; max-edges=9", None, 342, 12, "66b1ec2071cee7359134069d104f4da65590db7e"),
+    ("k=7; mode=pair; max-edges=11", None, 6394, 104,
+     "12a245696c370d44ce7b8b414f96272499cc93d5"),
+]
+
+
+def _spec_ids(rows) -> list[str]:
+    """Test ids from each row's spec text and node budget, so that
+    re-pinning a count or digest keeps the test's name."""
+    return [text if max_nodes is None else f"{text} budget={max_nodes}"
+            for text, max_nodes, *_ in rows]
+
+
 @pytest.mark.golden
 class TestEngineGolden:
-    @pytest.mark.parametrize("text, max_nodes, unpruned, nodes, finds, digest", ENGINE_GOLDEN)
+    @pytest.mark.parametrize(
+        "text, max_nodes, unpruned, nodes, finds, digest", ENGINE_GOLDEN,
+        ids=_spec_ids(ENGINE_GOLDEN),
+    )
     def test_engine_matches_its_fingerprint(
         self, text, max_nodes, unpruned, nodes, finds, digest
     ):
@@ -381,6 +433,25 @@ class TestEngineGolden:
         assert len(out.maps) == finds
         codes = b"".join(canonical_code(m) for m in out.maps)
         assert hashlib.sha1(codes).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "text, max_nodes, nodes, completions, digest", WALK_ORDER_GOLDEN,
+        ids=_spec_ids(WALK_ORDER_GOLDEN),
+    )
+    def test_sink_order_matches_its_fingerprint(
+        self, text, max_nodes, nodes, completions, digest
+    ):
+        spec = parse_empty_spec(text)
+        clock = _Clock(SearchBudget(max_nodes=max_nodes) if max_nodes else None)
+        seen = []
+        try:
+            for walks in _walk_shapes(spec):
+                _run_walk_engine(walks, spec, clock, lambda m: seen.append(m.rotations))
+            stopped = False
+        except _Stop:
+            stopped = True
+        assert (stopped, clock.nodes, len(seen)) == (max_nodes is not None, nodes, completions)
+        assert hashlib.sha1(repr(seen).encode()).hexdigest() == digest
 
 
 def _is_rotation_of(seq: tuple[int, ...], walk: tuple[int, ...]) -> bool:
@@ -755,7 +826,8 @@ class TestGlueGolden:
         assert _digests(seen) == (digest, forms)
 
     @pytest.mark.parametrize(
-        "text, max_nodes, nodes, complete, swept, digest", GLUE_WITNESS_GOLDEN
+        "text, max_nodes, nodes, complete, swept, digest", GLUE_WITNESS_GOLDEN,
+        ids=_spec_ids(GLUE_WITNESS_GOLDEN),
     )
     def test_witness_search_matches_its_fingerprint(
         self, text, max_nodes, nodes, complete, swept, digest
