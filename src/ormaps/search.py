@@ -1035,6 +1035,24 @@ class _GlueRules:
     spanning_block: int | None = None
 
 
+def _block_swaps(rules: _GlueRules) -> dict[int, tuple[int, ...]]:
+    """For each block, the blocks that a relabelling may put in its place.
+
+    These are the blocks of its size.  A block that the rules name
+    (``exempt_block``, ``forced_target`` or ``spanning_block``) must keep
+    its place, and a block that is alone in its size does.  So where a
+    named block shares its size with other blocks, each block of that size
+    keeps its own place; it may still turn.  ``_run_glue_engine`` prunes by
+    the relabellings these allow, and with none it keeps every completion.
+    """
+    named = {rules.exempt_block, rules.spanning_block, *itertools.chain(*rules.forced_target)}
+    swaps = {}
+    for b, s in enumerate(rules.sizes):
+        peers = tuple(c for c, t in enumerate(rules.sizes) if t == s)
+        swaps[b] = (b,) if named.intersection(peers) else peers
+    return swaps
+
+
 def _run_glue_engine(rules: _GlueRules, clock: _Clock, accept) -> None:
     """Match polygon sides into maps, passing each completion to ``accept``.
 
@@ -1058,26 +1076,42 @@ def _run_glue_engine(rules: _GlueRules, clock: _Clock, accept) -> None:
     previous block of its size (starting at ``peer``) is matched or is d0's.
     ``alpha`` is -1 exactly on the unmatched darts.
 
-    A block B is ``cold`` when d0 is its start, so none of its sides is
-    matched yet.  Its darts are then the least unmatched ones, so the nodes
-    below match its sides one after another as d0, and each later side is
-    tried only with partners above x, the partner of B's start.  This keeps
-    the first completion of each isomorphism class.  The DFS visits
-    completions in lexicographic order of ``alpha``, and each is a
-    labelling that the rules above admit.  Take such a labelling L in which
-    a side of a cold B has a partner y < x.  Rotate B so that the side with
-    the least partner is its start, and relabel the blocks that were fresh
-    when B was entered by the rules above: each becomes the least fresh
-    block of its size when first reached, rotated so that the reaching dart
-    is its start.  Every dart below B's start keeps its partner, and the new
-    start's partner is at most y: y keeps its label unless its block was
-    fresh, and then it lands on the start of the least fresh block of its
-    size.  So this isomorphic labelling is lexicographically smaller than
-    L, and the least labelling of a class passes the rule at every cold
-    block.  The completions are thus a subsequence of those without the
-    rule that keeps each class's first.  Block 0 is cold too, but its first
-    side can only meet the least fresh block of a size, so with one block
-    size all of block 0's rotations remain.
+    Each isomorphism class reaches ``accept`` once, by lex-leader pruning
+    (McKay, J. Algorithms 26, 1998).  The DFS visits completions in
+    lexicographic order of ``alpha``, so a class's first completion is its
+    least labelling, and the engine keeps only a labelling that no
+    relabelling of its polygons makes smaller.  A relabelling is built the
+    way the DFS builds a labelling.  A block is cold when the least
+    unmatched dart is its start, so none of its sides is matched yet; block
+    0 is cold at the root.  At a cold block b the relabelling picks a block
+    that ``_block_swaps`` lets take b's place and is still unreached, and a
+    rotation of it; every other block takes the label that the rules above
+    give it when first reached: the least fresh block of its size, with the
+    reaching dart as its start.  Every relabelling is an isomorphism that
+    keeps the named blocks and meets the rules above, and the least
+    labelling of a class is one of them, since entering a fresh block
+    otherwise gives a larger ``alpha`` at the entering dart.  So the least
+    labelling is never cut, and every other labelling of its class is,
+    unless ``_block_swaps`` forbids the relabelling that maps it there.
+    Every check above is invariant under a relabelling that keeps the named
+    blocks, so the completions are a subsequence of those without the
+    check, and the maps, their order and every verdict stay the same.
+
+    A candidate is one relabelling, as an image that agrees with the
+    labelling so far before position p, where the image's next match is
+    decided.  ``tie`` advances it while both sides of position p are
+    decided: x, the dart moved to p, and p itself are matched.  It cuts the
+    branch when the image is smaller there, drops the candidate when it is
+    larger or is an automorphism, and branches it at each cold block of
+    the image.  A candidate that must wait sits in ``waiting`` under the
+    dart it waits on, and only a match of that dart advances it.  Each
+    node puts back what its candidates added (``hooks``), so the state of
+    a node depends only on its labelling.  The candidates of a cold block
+    of the labelling itself are made when d0 reaches it, with the blocks
+    reached so far kept in place.  Those that keep b0 in place but turn it
+    would cut any later side of b0 whose partner is below x = ``alpha`` of
+    b0's start at once, as their image is smaller at b0's start; the rest
+    wait on darts of fresh blocks.
 
     ``room[b0 * nb + b1]`` is how many more edges blocks b0 and b1 may
     share.  It starts at their cap: 0 when b0 == b1 (one face on both sides
@@ -1128,6 +1162,8 @@ def _run_glue_engine(rules: _GlueRules, clock: _Clock, accept) -> None:
     block_last = []
     peer = []
     last_start_of_size: dict[int, int] = {}
+    turn = []  # turn[d][i] is phi^i(d)
+    offset = []  # offset[d] is d minus its block's start
     pos = 0
     for b, s in enumerate(sizes):
         block_start.append(pos)
@@ -1137,7 +1173,15 @@ def _run_glue_engine(rules: _GlueRules, clock: _Clock, accept) -> None:
         for i in range(s):
             phi[pos + i] = pos + (i + 1) % s
             block_of[pos + i] = b
+            turn.append([pos + (i + k) % s for k in range(s)])
+            offset.append(i)
         pos += s
+    swaps = _block_swaps(rules)
+    same_size = [[c for c, t in enumerate(sizes) if t == s] for s in sizes]
+    # an image holds, after two entries per block, how many blocks of each
+    # size it has reached
+    classes = sorted(set(sizes))
+    klass = [2 * nb + classes.index(s) for s in sizes]
     forced = dict(rules.forced_target)
     room = [0] * (nb * nb)
     for b0 in range(nb):
@@ -1169,7 +1213,9 @@ def _run_glue_engine(rules: _GlueRules, clock: _Clock, accept) -> None:
     spans = [int(block_of[d] == spanning) for d in range(n)]
     vertex_id = [-1] * n
     vertices: list[list[int]] = []
-    cold = [False] * nb
+    # lex-leader state, see tie
+    waiting: list[list[tuple[int, int, list[int]]]] = [[] for _ in range(n)]
+    hooks: list[int] = []  # the dart of each candidate put into ``waiting``, in order
 
     def link(tail: int, head: int) -> bool:
         """Set ``snext[tail] = head``; False kills the branch, leaving nothing to undo."""
@@ -1237,6 +1283,69 @@ def _run_glue_engine(rules: _GlueRules, clock: _Clock, accept) -> None:
         if m is not None:
             accept(m)
 
+    def unwait(mark: int) -> None:
+        """Take out the candidates put into ``waiting`` since ``hooks`` was this long."""
+        while len(hooks) > mark:
+            waiting[hooks.pop()].pop()
+
+    def moved(image: list[int], c: int, b: int, y: int) -> list[int]:
+        """A copy of ``image`` that moves block c onto block b, y to b's start."""
+        image = image[:]
+        image[c] = turn[block_start[b]][-offset[y]]
+        image[nb + b] = y
+        image[klass[c]] += 1
+        return image
+
+    def fan(p: int, b: int, image: list[int], skip: int) -> bool:
+        """Branch an image at its cold block b, which starts at p: each block
+        that may go there, at each rotation, but for the dart ``skip``."""
+        return all(
+            tie(p, x, moved(image, c, b, x))
+            for c in swaps[b]
+            if image[c] < 0
+            for x in range(block_start[c], block_start[c] + sizes[b])
+            if x != skip
+        )
+
+    def tie(p: int, x: int, image: list[int]) -> bool:
+        """Compare an image with the labelling so far; False when it is smaller.
+
+        The image agrees before position p, and x is the dart it moves to
+        p.  ``image[c]`` is where block c's start goes, ``image[nb + b]``
+        the dart that goes to block b's start, both -1 while unreached, and
+        ``image[klass[c]]`` the number of blocks of c's size reached.  A
+        candidate that waits on a dart is put into ``waiting`` and listed in
+        ``hooks``.
+        """
+        while True:
+            y = alpha[x]
+            a = alpha[p]
+            if y < 0 or a < 0:
+                e = x if y < 0 else p
+                waiting[e].append((p, x, image))
+                hooks.append(e)
+                return True
+            c = block_of[y]
+            if image[c] < 0:
+                # y's block becomes the least fresh block of its size, with y
+                # at its start, if the rules let it
+                b = same_size[c][image[klass[c]]]
+                if c not in swaps[b]:
+                    return True
+                image = moved(image, c, b, y)
+            y = turn[image[c]][offset[y]]
+            if y != a:
+                return y > a
+            p += 1
+            while p < n and 0 <= alpha[p] < p:
+                p += 1  # matched to an earlier position on both sides
+            if p == n:
+                return True  # an automorphism
+            b = block_of[p]
+            if image[nb + b] < 0:
+                return fan(p, b, image, -1)
+            x = turn[image[nb + b]][offset[p]]
+
     def step() -> None:
         nonlocal spare
         d0 = nxt[n]
@@ -1254,15 +1363,14 @@ def _run_glue_engine(rules: _GlueRules, clock: _Clock, accept) -> None:
         prv[after] = n
         d1 = after
         first = block_start[b0]
-        fresh = d0 == first
-        if fresh:
-            cold[b0] = True
-        elif cold[b0]:
-            # no fresh block straddles the matched alpha[first], so this stops
-            # on a fresh block's start or on a dart of an entered block
-            lower = alpha[first]
-            while d1 <= lower:  # the sentinel n is above every dart
-                d1 = nxt[d1]
+        mark = len(hooks)
+        if d0 == first and b0 in swaps:
+            # the blocks reached so far stay, and every other block that may
+            # take b0's place, and b0 at every other rotation, is a candidate
+            image = [t if alpha[t] >= 0 else -1 for t in block_start] * 2 + [0] * len(classes)
+            for b, t in enumerate(block_start):
+                image[klass[b]] += alpha[t] >= 0
+            fan(d0, b0, image, d0)
         while d1 != n:
             b1 = block_of[d1]
             if d1 == block_start[b1]:
@@ -1293,7 +1401,13 @@ def _run_glue_engine(rules: _GlueRules, clock: _Clock, accept) -> None:
                         before, beyond = prv[d1], nxt[d1]
                         nxt[before] = beyond
                         prv[beyond] = before
-                        step()
+                        depth = len(hooks)
+                        for c in waiting[d0] + waiting[d1]:
+                            if not tie(*c):
+                                break  # an image is smaller
+                        else:
+                            step()
+                        unwait(depth)
                         nxt[before] = d1
                         prv[beyond] = d1
                         room[pair] += 1
@@ -1303,8 +1417,7 @@ def _run_glue_engine(rules: _GlueRules, clock: _Clock, accept) -> None:
                     spare = spare0  # give back what the links spent
                 alpha[d1] = -1
             d1 = skip
-        if fresh:
-            cold[b0] = False
+        unwait(mark)
         nxt[n] = d0
         prv[after] = d0
         alpha[d0] = -1

@@ -781,7 +781,7 @@ GOLDEN_DIGESTS = {
     "search empty budget": "97311fe2ff79e4738916446652c8d32a6a6a8fca",
     "search nine-cycle": "ee285789dbd7486b7edf42151a2c16d4c636ee6e",
     "search remark24 i": "526cba57cd16ea8206735043e768eca473b5f7ff",
-    "search witness": "802517343945638bf48423bc779cdd5ff12a69c9",
+    "search witness": "322ddb7729e4ccc211ca4d0e122d9d2a6aaa5f97",
     "validate broken": "f042b38bb05ce9e1e876379d49ec88663a1ac4b3",
     "validate cube": "79f397c96432f7b3052375052c405da2edbe0101",
     "validate k4wedge": "0c9091df24cedf1ce3e4dcadae99561efc556dba",

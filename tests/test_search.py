@@ -590,16 +590,19 @@ def _complete_graph_rules(n: int) -> _GlueRules:
 # ``_Stop`` when the budget stops it; ``accept`` only records, so each run
 # does one or the other.  The last digest pins the completions and their
 # order alone, so a prune that only cuts dead branches leaves it as it is.
-# pair-4-4 and loose-4-4 were re-pinned when the engine began trying each
-# cold polygon at one rotation; GLUE_FIRST_OF_CLASS pins what that keeps.
+# Every row but nine-cycle was re-pinned when the engine began to keep one
+# completion per isomorphism class (lex-leader pruning over polygon
+# relabellings); the forms digest of each row whose named blocks have a
+# size of their own is now its GLUE_FIRST_OF_CLASS digest, and forced-6-3,
+# whose named block 1 shares its size, happens to reach it too.
 GLUE_GOLDEN = [
     ("pair-4-4", _GlueRules(sizes=(4, 4) + (3,) * 6, max_degree=6, max_vertices=7),
-     None, 9653, True, 66, "9b0fa87aa866fdc29833989a5f84b327ececa8fd",
-     "fd34195c2d27e64d7bbb8526739c7a7482b0a367"),
+     None, 3483, True, 21, "69e93c2d2e1b22f2fc81b3791490d0ec4778549e",
+     "c8bf23261e5dc16270b4c54811df8f9814acae8d"),
     ("spanning-7",
      _GlueRules(sizes=(7,) + (3,) * 9, max_degree=6, max_vertices=7, spanning_block=0),
-     None, 43321, True, 56, "690da9703b23a4b5c07db5ab7ab0d6033cc67f0f",
-     "fd35e2bbe58acb2aafe9d31f83b1cb4b90ea1bc6"),
+     None, 8903, True, 8, "fb98a1b582a580c65e720637279d352da189c707",
+     "39c9ec56b3c1cdaa22dbbc9d5065bcf516dd1e2d"),
     ("nine-cycle",
      _GlueRules(sizes=_NINE_SIZES, exempt_block=1, forced_target=((1, 0),),
                 max_degree=8, max_vertices=9, spanning_block=1),
@@ -607,18 +610,18 @@ GLUE_GOLDEN = [
      "97d170e1550eee4afc0af065b78cda302a97674c"),
     ("k4", _complete_graph_rules(4), None, 10, True, 1,
      "9ab3c0180e7cca1c875a15300305cb79f60b199a", "5c88403b7b79fc7cc5b961e381175a975da50e67"),
-    ("k7", _complete_graph_rules(7), None, 3093, True, 2,
-     "0c453bc21b0c0144c016266809da69ca869040b2", "34d42fce7089e8105c360e58669834fef4934069"),
+    ("k7", _complete_graph_rules(7), None, 1212, True, 2,
+     "fd15c4356d24432594b2df00fffaa83dd0001c56", "34d42fce7089e8105c360e58669834fef4934069"),
     ("loose-4-4",
      _GlueRules(sizes=(4, 4) + (3,) * 4, dual_simple=False, min_degree=3, max_degree=5,
                 max_vertices=6),
-     None, 579, True, 4, "1d2746f0de480e2b21f4615029f21d21bc3bf1cb",
-     "e7f1e1c24551ce79e2a7db77d5693ab8868b582e"),
+     None, 396, True, 3, "d337854412e0ddea6952dacfd913d20de60b07bc",
+     "da086f2d50ef3732594e9cab20d5e476d2644554"),
     ("forced-6-3",
      _GlueRules(sizes=(6, 3) + (3,) * 5, exempt_block=1, forced_target=((1, 0),),
                 max_degree=6, max_vertices=7),
-     None, 647, True, 9, "9dde22c16a84579e14c08ac20d8645052c0d8792",
-     "7fbd5b244b020e0a4a208fd32ef1811f0e6390ff"),
+     None, 273, True, 3, "6ec4917c123ff6ae607414b0c195dc18f17aa5fb",
+     "0f5c13336c55b26a3ca4e7a6ef87d6343b0d51a2"),
 ]
 
 # sha1 of the repr of each GLUE_GOLDEN row's first completion of every
@@ -639,17 +642,17 @@ GLUE_FIRST_OF_CLASS = {
 # swept, sha1 of the found map's canonical code or None)
 GLUE_WITNESS_GOLDEN = [
     ("c=2; pair-sum=7; dual=simple,has-2-cut; pair=shares-two-vertices; "
-     "max-vertices=6; max-edges=15", None, 246, True,
+     "max-vertices=6; max-edges=15", None, 175, True,
      ("pair=(3,4) triangles=1: done", "pair=(3,4) triangles=3: done",
       "pair=(3,4) triangles=5: hit"),
      "c0f505fd31b2a759233d9a8ee673177d2d39b26f"),
     ("c=2; pair-sum=7; dual=simple,has-2-cut; pair=doubly-intersecting; "
-     "max-vertices=6; max-edges=15", None, 246, True,
+     "max-vertices=6; max-edges=15", None, 175, True,
      ("pair=(3,4) triangles=1: done", "pair=(3,4) triangles=3: done",
       "pair=(3,4) triangles=5: hit"),
      "c0f505fd31b2a759233d9a8ee673177d2d39b26f"),
     ("c=2; pair-sum=6; dual=simple,has-2-cut; pair=shares-two-vertices; "
-     "max-vertices=6; max-edges=15", None, 667, True,
+     "max-vertices=6; max-edges=15", None, 295, True,
      tuple(f"pair=(3,3) triangles={t}: {'infeasible' if t == 8 else 'done'}"
            for t in (0, 2, 4, 6, 8)), None),
     ("c=2; pair-sum=9; dual=simple,has-1-cut; pair=none; max-vertices=8; max-edges=18",
@@ -660,12 +663,12 @@ GLUE_WITNESS_GOLDEN = [
       "pair=(3,6) triangles=7: done", "budget exhausted"),
      None),
     ("c=3; pair-sum=8; dual=simple,has-2-cut; pair=shares-two-vertices; "
-     "max-vertices=7; max-edges=18", None, 6556, True,
+     "max-vertices=7; max-edges=18", None, 2802, True,
      tuple(f"pair={pair} triangles={t}: {'done' if t in (4, 6) else 'infeasible'}"
            for t in (0, 2, 4, 6, 8) for pair in ("(3,5)", "(4,4)")),
      None),
     ("c=3; pair-sum=10; dual=simple,has-2-cut; pair=doubly-intersecting; "
-     "max-vertices=8; max-edges=20", None, 128654, True,
+     "max-vertices=8; max-edges=20", None, 65975, True,
      tuple(f"pair={pair} triangles={t}: infeasible"
            for t in (0, 2) for pair in ("(3,7)", "(4,6)", "(5,5)"))
      + tuple(f"pair={pair} triangles={t}: done"
@@ -678,18 +681,21 @@ GLUE_WITNESS_GOLDEN = [
 # ``_Stop`` once ``stop_after`` are recorded.  (label, rules, stop_after,
 # nodes, result, completions, both sha1s as in GLUE_GOLDEN); the result is
 # True when the engine returns and False when ``accept`` stopped it.  k7 has
-# two completions in all, so stop_after=3 walks the whole space.
+# two completions in all, so stop_after=3 walks the whole space.  Since the
+# engine keeps one completion per class, pair-4-4-stop-3 records the first
+# three classes of pair-4-4, where its third record was a class's second
+# copy before.
 GLUE_STOP_GOLDEN = [
-    ("pair-4-4-stop-1", GLUE_GOLDEN[0][1], 1, 1623, False, 1,
-     "2bde06205acc3ab74c8790af9981967db1a2df79", "f52c446dbe828fd13ddca3c2a9b63da292538c65"),
-    ("pair-4-4-stop-3", GLUE_GOLDEN[0][1], 3, 1738, False, 3,
-     "60cc0c339091bb1e8c629339f7b5ab2ba22907bd", "8e790f655abdd33c2331459350e1ad8bacd57c9d"),
-    ("k7-stop-1", _complete_graph_rules(7), 1, 3011, False, 1,
-     "4cf4bb160e14557e348edf621d0d086110f0732d", "2439c1fb2c0af890c87d05fa28ea540b6660d621"),
-    ("k7-stop-2", _complete_graph_rules(7), 2, 3049, False, 2,
-     "0c453bc21b0c0144c016266809da69ca869040b2", "34d42fce7089e8105c360e58669834fef4934069"),
-    ("k7-stop-3", _complete_graph_rules(7), 3, 3093, True, 2,
-     "0c453bc21b0c0144c016266809da69ca869040b2", "34d42fce7089e8105c360e58669834fef4934069"),
+    ("pair-4-4-stop-1", GLUE_GOLDEN[0][1], 1, 1256, False, 1,
+     "d3c99fbe39f9777447f79f32da11232a8b5740b3", "f52c446dbe828fd13ddca3c2a9b63da292538c65"),
+    ("pair-4-4-stop-3", GLUE_GOLDEN[0][1], 3, 1360, False, 3,
+     "96f7749457ff2d408b6d47283a3ca4965135c6c8", "573897027e88c766647fdd9e1685f76f7fb83d28"),
+    ("k7-stop-1", _complete_graph_rules(7), 1, 1153, False, 1,
+     "5dd790e1498a44d9d7c75670998729737fda1373", "2439c1fb2c0af890c87d05fa28ea540b6660d621"),
+    ("k7-stop-2", _complete_graph_rules(7), 2, 1184, False, 2,
+     "fd15c4356d24432594b2df00fffaa83dd0001c56", "34d42fce7089e8105c360e58669834fef4934069"),
+    ("k7-stop-3", _complete_graph_rules(7), 3, 1212, True, 2,
+     "fd15c4356d24432594b2df00fffaa83dd0001c56", "34d42fce7089e8105c360e58669834fef4934069"),
 ]
 
 
@@ -795,11 +801,18 @@ class TestGlueGolden:
         ids=[row[0] for row in GLUE_GOLDEN],
     )
     def test_first_of_each_class_matches_its_fingerprint(self, label, rules, max_nodes):
+        seen = _glue_run(rules, max_nodes)[1]
         firsts = {}
-        for form in _glue_run(rules, max_nodes)[1]:
+        for form in seen:
             firsts.setdefault(canonical_code(Map(*form)), form)
         got = (len(firsts), hashlib.sha1(repr(list(firsts.values())).encode()).hexdigest())
         assert got == GLUE_FIRST_OF_CLASS[label]
+        # one completion per class where every named block has a size of its
+        # own; forced-6-3 names triangle 1, so its triangles are not relabelled
+        if label == "forced-6-3":
+            assert len(seen) <= 9
+        else:
+            assert len(seen) == GLUE_FIRST_OF_CLASS[label][0]
 
     @pytest.mark.parametrize(
         "rules, stop_after, nodes, result, completions, digest, forms",
@@ -925,6 +938,57 @@ class TestGlueGuarantees:
         monkeypatch.setattr(search, "_run_glue_engine", checked_engine)
         triangular_complete_map(7)
         assert len(seen) == 2
+
+
+def _face_multisets(darts: int, top: int):
+    """Every multiset of face sizes >= 3 with ``darts`` darts, largest first."""
+    if darts == 0:
+        yield ()
+    for size in range(min(darts, top), 2, -1):
+        for rest in _face_multisets(darts - size, size):
+            yield (size,) + rest
+
+
+class TestGlueLexLeader:
+    """The glue engine prunes by relabelling its polygons, so it must keep
+    exactly the first completion of each class, as an unpruned run meets
+    them."""
+
+    @pytest.mark.parametrize(
+        "rules",
+        [
+            _GlueRules(sizes=sizes, dual_simple=dual_simple, min_degree=min_degree)
+            for darts in range(6, 17, 2)
+            for sizes in _face_multisets(darts, darts)
+            for dual_simple in (True, False)
+            for min_degree in (2, 3)
+        ]
+        + [_GlueRules(sizes=(5, 3, 3, 3), max_vertices=5, spanning_block=0)],
+        ids=lambda r: f"{r.sizes}-simple={r.dual_simple}-c={r.min_degree}-span={r.spanning_block}",
+    )
+    def test_keeps_the_first_completion_of_each_class(self, monkeypatch, rules):
+        done, pruned, nodes = _glue_run(rules, None)
+        # with no relabelling to compare against, every completion is kept
+        monkeypatch.setattr(search, "_block_swaps", lambda rules: {})
+        unpruned_done, unpruned, unpruned_nodes = _glue_run(rules, None)
+        assert done and unpruned_done
+        firsts = {}
+        for form in unpruned:
+            firsts.setdefault(canonical_code(Map(*form)), form)
+        assert pruned == list(firsts.values())
+        assert unpruned_nodes >= nodes
+
+    @pytest.mark.parametrize(
+        "sizes, named, swaps",
+        [
+            ((4, 4, 3), {}, {0: (0, 1), 1: (0, 1), 2: (2,)}),
+            ((4, 4, 3, 3), {"spanning_block": 0}, {0: (0,), 1: (1,), 2: (2, 3), 3: (2, 3)}),
+            ((6, 3, 3), {"exempt_block": 1, "forced_target": ((1, 0),)},
+             {0: (0,), 1: (1,), 2: (2,)}),
+        ],
+    )
+    def test_named_blocks_keep_their_place(self, sizes, named, swaps):
+        assert search._block_swaps(_GlueRules(sizes=sizes, **named)) == swaps
 
 
 def test_glue_engine_matches_the_corpus_oracle():
@@ -1274,7 +1338,7 @@ class TestNineCycleSearch:
         out = nine_first_hit
         assert out.maps, "the target map exists and must be found"
         # no budget is set: stopping at the first find alone clears ``complete``
-        assert (len(out.maps), out.nodes, out.complete) == (1, 2_834_933, False)
+        assert (len(out.maps), out.nodes, out.complete) == (1, 1_430_020, False)
         m = out.maps[0]
         assert m.vertex_count == 9
         assert m.edge_count == 21
