@@ -2,13 +2,15 @@
 
 Two independent routes compute kappa: unit-capacity vertex-split max-flow,
 which ``vertex_connectivity`` uses at every size, and exhaustive subset
-deletion, kept as the oracle.  The lexicographically smallest minimum cut
-also comes from max-flow (``min_cut``).  Listing vertex subsets
-(``find_cutsets``) is kept only as the oracle the tests check the flow
-routes against.  Inputs may be Map instances or plain adjacency
-sequences; multiplicities and embeddings are irrelevant here, so
-everything is collapsed to neighbor sets first.  ``_components`` is the
-one component search of the package; the dual's cut checks use it too.
+deletion, kept as the oracle.  The flow route runs v0 of least degree
+against a vertex cover of its non-neighbours, then pairs of its neighbours.
+The lexicographically smallest minimum cut comes from flows and component
+searches (``min_cut``).  Listing vertex subsets (``find_cutsets``) is kept
+only as the oracle the tests check the flow routes against.  Inputs may be
+Map instances or adjacency sequences that list each edge at both ends;
+multiplicities and embeddings are irrelevant here, so everything is
+collapsed to neighbor sets first.  ``_components`` is the one component
+search of the package; the dual's cut checks use it too.
 """
 
 from __future__ import annotations
@@ -22,10 +24,18 @@ Adjacency = tuple[frozenset[int], ...]
 
 
 def adjacency_of(g: Map | Sequence[Iterable[int]]) -> Adjacency:
-    """Neighbor sets of a Map or of a raw adjacency sequence (loops dropped)."""
+    """Neighbor sets of a Map or of a raw adjacency sequence (loops dropped).
+
+    A sequence must list each edge at both ends, within 0..n-1.
+    """
     if isinstance(g, Map):
         return g.adjacency
-    return tuple(frozenset(w for w in nbrs if w != v) for v, nbrs in enumerate(g))
+    adj = tuple(frozenset(w for w in nbrs if w != v) for v, nbrs in enumerate(g))
+    for v, nbrs in enumerate(adj):
+        for w in nbrs:
+            if not (0 <= w < len(adj) and v in adj[w]):
+                raise ValueError(f"vertex {v} lists {w}, not a vertex that lists {v} back")
+    return adj
 
 
 def _components(
@@ -113,28 +123,41 @@ class _SplitNetwork:
         self.base = [1, 0] * (len(head) // 2)
 
 
-def _st_flow(net: _SplitNetwork, s: int, t: int, limit: int) -> int:
+def _search(net: _SplitNetwork, cap: list[int], source: int, sink: int) -> list[int]:
+    """BFS labels: the arc that first reached each node, or -1 if none did.
+
+    It stops once ``sink`` holds an arc, so with the source (label -2) as
+    sink it labels all it can reach.  Labels do not depend on where it stops.
+    """
+    head, arcs_from = net.head, net.arcs_from
+    via = [-1] * len(arcs_from)
+    via[source] = -2
+    queue = [source]
+    for u in queue:
+        for a in arcs_from[u]:
+            if cap[a] and via[head[a]] == -1:
+                via[head[a]] = a
+                queue.append(head[a])
+        if via[sink] >= 0:
+            break
+    return via
+
+
+def _st_flow(net: _SplitNetwork, s: int, t: int, limit: int, via: list[int] | None = None) -> int:
     """Internally disjoint s-t paths (s, t non-adjacent), counted up to ``limit``.
 
     Edmonds-Karp on unit capacities: each augmenting path is a BFS, and the
-    search stops as soon as ``limit`` paths are found.
+    search stops as soon as ``limit`` paths are found.  ``via``, if given,
+    labels a full search from s on the untouched network; it stands in for
+    the first BFS, which would label the same path.
     """
-    head, arcs_from = net.head, net.arcs_from
+    head = net.head
     cap = net.base[:]
     source, sink = 2 * s + 1, 2 * t
     flow = 0
     while flow < limit:
-        via = [-1] * len(arcs_from)  # arc that first reached each node
-        via[source] = -2
-        queue = [source]
-        for u in queue:
-            for a in arcs_from[u]:
-                if cap[a] and via[head[a]] == -1:
-                    via[head[a]] = a
-                    queue.append(head[a])
-            if via[sink] != -1:
-                break
-        else:
+        via = via or _search(net, cap, source, sink)
+        if via[sink] == -1:
             return flow
         node = sink
         while node != source:
@@ -142,19 +165,26 @@ def _st_flow(net: _SplitNetwork, s: int, t: int, limit: int) -> int:
             cap[a] -= 1
             cap[a ^ 1] += 1
             node = head[a ^ 1]
-        flow += 1
+        flow, via = flow + 1, None
     return flow
 
 
 def vertex_connectivity_flow(g) -> int:
     """kappa by max-flow.
 
-    A minimum cut either misses some fixed vertex v0, in which case v0 is
-    separated from a non-neighbor, or contains v0, in which case two of
-    v0's neighbors in different components are non-adjacent.  Both families
-    of flows run on one network, each capped at the best kappa so far, and
-    stop once it is 1, which a connected graph cannot go below; complete
-    graphs short-circuit to n-1.
+    A minimum cut either holds v0, a vertex of least degree d, and then
+    separates two non-adjacent neighbours of v0, or misses it.  For the
+    latter, v0 flows to a cover of the edges of G - N[v0]: scanning the
+    non-neighbours in ascending order, t is skipped when none of its
+    neighbours has been, so no two skipped vertices are adjacent.  Take a cut
+    S missing v0 with |S| < best <= d, and a component C of G - S without
+    v0.  C misses N[v0], as v0 is not in S.  Each c in C has d <= deg(c) <=
+    |C| - 1 + |S|, so |C| >= d - |S| + 1 >= 2, and C, being connected, holds
+    an edge of G - N[v0].  One end of it is tested, and that flow is <= |S|.
+
+    Every flow runs on one network, capped at the best kappa so far, and
+    none runs once it is 1, which a connected graph cannot go below.  The
+    v0 flows share one full first search.  Complete graphs give n-1.
     """
     adj = adjacency_of(g)
     _require_connected(adj)
@@ -166,9 +196,16 @@ def vertex_connectivity_flow(g) -> int:
     if best == 1:
         return 1
     net = _SplitNetwork(adj)
+    first = None
+    skipped: set[int] = set()
     for t in range(n):
-        if best > 1 and t != v0 and t not in adj[v0]:
-            best = _st_flow(net, v0, t, best)
+        if t == v0 or t in adj[v0]:
+            continue
+        if skipped.isdisjoint(adj[t]):
+            skipped.add(t)
+        elif best > 1:
+            first = first or _search(net, net.base, 2 * v0 + 1, 2 * v0 + 1)
+            best = _st_flow(net, v0, t, best, first)
     for x, y in itertools.combinations(sorted(adj[v0]), 2):
         if best > 1 and y not in adj[x]:
             best = _st_flow(net, x, y, best)
@@ -184,12 +221,15 @@ def _extends(net: _SplitNetwork, adj: Adjacency, prefix: list[int], v: int, room
     """Whether some minimum cut holds ``prefix`` + v; ``net`` has them deleted.
 
     That is whether H = G - prefix - v has a cut D of ``room`` vertices.
-    Every vertex of a minimum cut has neighbours in every component it
-    leaves.  So for any neighbour x of v in H: if x is outside D, D
-    separates x from another neighbour of v; if x is in D, D separates two
-    neighbours of x.  Conversely, any two vertices of H that ``room``
-    vertices separate give such a D.
+    With ``room`` 0 that is whether H is disconnected.  Otherwise: every
+    vertex of a minimum cut has neighbours in every component it leaves.
+    So for any neighbour x of v in H: if x is outside D, D separates x from
+    another neighbour of v; if x is in D, D separates two neighbours of x.
+    Conversely, any two vertices of H that ``room`` vertices separate give
+    such a D.
     """
+    if room == 0:
+        return _disconnects(adj, frozenset([*prefix, v]))
     nbrs = [w for w in adj[v] if w not in prefix]
     if not nbrs:
         return False
@@ -205,8 +245,9 @@ def min_cut(g) -> tuple[int, tuple[int, ...] | None]:
     The cut is None if g is complete.  kappa comes from max-flow.  Vertices
     are scanned in ascending order, and v joins the prefix when some
     minimum cut holds the prefix and v, which a few flows capped at the cut
-    vertices still to find decide.  The cut equals the smallest sorted cut
-    that ``find_cutsets(g, kappa)`` lists, without listing any subset.
+    vertices still to find decide (the last, a component search).  The
+    cut is the least sorted one ``find_cutsets(g, kappa)`` lists, found
+    without listing any subset.
     """
     adj = adjacency_of(g)
     kappa = vertex_connectivity_flow(adj)

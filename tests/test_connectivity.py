@@ -57,7 +57,41 @@ def two_cliques_through_a_hub():
     return adj
 
 
+def cover_must_hold_both_ends():
+    # K6 on 1..6; 0 sees 1, 2, 3; the edge 7-8 hangs off 5 and 6, so {5, 6}
+    # cuts off 7 and 8.  v0 = 0 and the scan of its non-neighbours skips 4
+    # and 7, so it must test 8: skipping both ends of 7-8 would miss the cut
+    adj = [set() for _ in range(9)]
+    edges = [(0, 1), (0, 2), (0, 3), (7, 8), (5, 7), (6, 7), (5, 8), (6, 8)]
+    edges += itertools.combinations(range(1, 7), 2)
+    for a, b in edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    return adj
+
+
 BOTH_ROUTES = [vertex_connectivity_bruteforce, vertex_connectivity_flow]
+ENTRY_POINTS = {
+    "bruteforce": vertex_connectivity_bruteforce,
+    "flow": vertex_connectivity_flow,
+    "vertex_connectivity": vertex_connectivity,
+    "min_cut": min_cut,
+    "find_cutsets": lambda g: find_cutsets(g, 1),
+}
+
+
+@pytest.fixture
+def flows(monkeypatch):
+    """The argument tuples of every ``_st_flow`` call made in the test."""
+    calls = []
+    st_flow = connectivity._st_flow
+
+    def counted(*args):
+        calls.append(args)
+        return st_flow(*args)
+
+    monkeypatch.setattr(connectivity, "_st_flow", counted)
+    return calls
 
 
 class TestVertexConnectivity:
@@ -68,6 +102,7 @@ class TestVertexConnectivity:
         assert kappa_fn(path_graph(4)) == 1
         assert kappa_fn(petersen_graph()) == 3
         assert kappa_fn(two_cliques_through_a_hub()) == 2
+        assert kappa_fn(cover_must_hold_both_ends()) == 2
 
     @pytest.mark.parametrize("kappa_fn", BOTH_ROUTES)
     def test_complete_graph_convention(self, kappa_fn):
@@ -95,16 +130,8 @@ class TestVertexConnectivity:
     def test_flow_equals_bruteforce(self, m):
         assert vertex_connectivity_flow(m) == vertex_connectivity_bruteforce(m)
 
-    def test_a_leaf_decides_kappa_without_a_flow(self, monkeypatch):
+    def test_a_leaf_decides_kappa_without_a_flow(self, flows):
         # a degree-1 vertex makes kappa 1, and no flow can go below that
-        flows = []
-        st_flow = connectivity._st_flow
-
-        def counted(*args):
-            flows.append(args)
-            return st_flow(*args)
-
-        monkeypatch.setattr(connectivity, "_st_flow", counted)
         spider = [{1, 2, 3}, {0, 4}, {0, 5}, {0}, {1}, {2, 6}, {5}]
         leafy = [
             m
@@ -115,6 +142,19 @@ class TestVertexConnectivity:
         for g in [path_graph(6), spider, *leafy]:
             assert vertex_connectivity_flow(g) == vertex_connectivity_bruteforce(g) == 1
         assert flows == []
+
+    def test_flow_equals_bruteforce_on_random_graphs(self):
+        # unlike the small maps, these often have kappa below the least degree
+        for g in random_connected_graphs(300):
+            assert vertex_connectivity_flow(g) == vertex_connectivity_bruteforce(g), g
+
+    def test_flow_count_on_a_dual(self, flows):
+        # the dual of a 40-vertex stacked triangulation has 76 vertices and
+        # kappa 3: v0 = 0 flows to the 47 of its 72 non-neighbours that cover
+        # the edges among them, and its neighbours take 2 more
+        # (a flow to every non-neighbour would make 74)
+        assert vertex_connectivity_flow(dual(stacked_triangulation(40)).dual) == 3
+        assert len(flows) == 49
 
     @given(connected_simple_maps(max_vertices=7, max_extra_edges=6))
     @settings(max_examples=60, deadline=None)
@@ -208,10 +248,17 @@ class TestMinCut:
         assert min_cut(cycle_graph(6)) == (2, (0, 2))
         assert min_cut(petersen_graph()) == (3, (0, 2, 6))  # the neighbours of 1
         assert min_cut(two_cliques_through_a_hub()) == (2, (0, 5))
+        assert min_cut(cover_must_hold_both_ends()) == (2, (5, 6))
 
     def test_disconnected_rejected(self):
         with pytest.raises(ValueError, match="disconnected"):
             min_cut([{1}, {0}, {3}, {2}])
+
+    def test_flow_count_on_a_dual(self, flows):
+        # kappa's 49 flows, then 2 for the first two cut vertices; the last
+        # one is found by component searches alone
+        assert min_cut(dual(stacked_triangulation(40)).dual) == (3, (0, 1, 55))
+        assert len(flows) == 51
 
 
 class TestIsSeparatingCycle:
@@ -236,3 +283,14 @@ class TestIsSeparatingCycle:
 def test_adjacency_of_drops_loops():
     adj = adjacency_of([{0, 1}, {0}])
     assert adj == (frozenset({1}), frozenset({0}))
+
+
+@pytest.mark.parametrize("entry_point", ENTRY_POINTS)
+@pytest.mark.parametrize(
+    "g, bad",
+    [([[1], [2], []], 1), ([[1, 5], [0]], 5), ([[1, -1], [0]], -1)],
+    ids=["path-listed-one-way", "past-the-end", "negative"],
+)
+def test_non_graphs_rejected(entry_point, g, bad):
+    with pytest.raises(ValueError, match=f"vertex 0 lists {bad}, not a vertex that lists 0 back"):
+        ENTRY_POINTS[entry_point](g)
