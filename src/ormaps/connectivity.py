@@ -293,8 +293,8 @@ def is_separating_cycle(m: Map, cycle) -> bool:
     """Whether the cycle's vertex set is a cut-set of the map's graph.
 
     ``cycle`` is a vertex sequence or a Face whose walk visits distinct
-    vertices.  Consecutive vertices must be adjacent (closing edge
-    included); anything else is rejected, not coerced.
+    vertices of the map.  Consecutive vertices must be adjacent (closing
+    edge included); anything else is rejected, not coerced.
     """
     if isinstance(cycle, Face):
         verts = [m.vertex_of[d] for d in cycle.darts]
@@ -304,6 +304,9 @@ def is_separating_cycle(m: Map, cycle) -> bool:
         raise ValueError("a cycle needs at least 3 vertices")
     if len(set(verts)) != len(verts):
         raise ValueError("walk repeats a vertex; not a cycle")
+    for v in verts:
+        if not 0 <= v < m.vertex_count:
+            raise ValueError(f"vertex {v} is not a vertex of the map")
     adj = m.adjacency
     for a, b in zip(verts, verts[1:] + verts[:1]):
         if b not in adj[a]:

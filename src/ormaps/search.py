@@ -5,14 +5,13 @@ boundary walk of a distinguished face first and then grows the rotation
 system vertex by vertex; it powers ``enumerate_empty`` and the ten-case
 certification report.  The face-gluing engine matches polygon sides when
 the complete face multiset is known in advance; it powers the witness
-searches, the spanning-9-gon search, and the torus embedding of the
-complete graph.  Both engines pass each completion through one check
-(``_finished_map``) and stop on one signal (``_Stop``), which the budget
-raises, or a caller that has what it wanted.  Every find is re-checked by
-predicates built only from the core and dual primitives, so generation
-and verification share no code path.  Budgets count DFS nodes and
-wall-clock time, and exhaustion is always reported, never silently
-turned into a verdict.
+searches and the spanning-9-gon search.  Both engines pass each
+completion through one check (``_finished_map``) and stop on one signal
+(``_Stop``), which the budget raises, or a caller that has what it
+wanted.  Every find is re-checked by predicates built only from the core
+and dual primitives, so generation and verification share no code path.
+Budgets count DFS nodes and wall-clock time, and exhaustion is always
+reported, never silently turned into a verdict.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ from operator import itemgetter
 from .connectivity import vertex_connectivity
 from .core import (
     Map,
-    _invariant,
     _least_root,
     _pack,
     _relabel,
@@ -33,7 +31,6 @@ from .core import (
     canonical,
     canonical_form,
     from_rotations,
-    genus,
     validate,
     walk_vertices,
 )
@@ -1001,8 +998,11 @@ def verify_remark24(cases=None, budget: SearchBudget | None = None) -> Remark24R
     because simplicity bounds the rest of the range.  A budget stop
     downgrades a case to "exhausted" with its node count, never to a
     verdict.  Each distinct label runs once, in first-occurrence order; an
-    unknown label is rejected before any case runs.
+    unknown label, or a bare string in place of a sequence of labels, is
+    rejected before any case runs.
     """
+    if isinstance(cases, str):
+        raise SearchError(f"cases must be a sequence of labels, not the string {cases!r}")
     wanted = dict.fromkeys(cases) if cases is not None else CASE_LABELS
     for label in wanted:
         if label not in _REMARK_CASES:
@@ -1018,19 +1018,18 @@ class _GlueRules:
     """Structural constraints the side-matching DFS enforces.
 
     The engine only builds maps whose underlying graph is simple and whose
-    dual is loop-free (a block is never matched to itself).  Under
-    ``dual_simple``, two blocks may share at most one edge, except pairs
-    containing ``exempt_block``.  ``forced_target`` sends every dart of one
-    block into another block; ``spanning_block`` demands every vertex carry
-    exactly one corner of that block.
+    dual is loop-free (a block is never matched to itself), so no vertex
+    has degree above ``max_vertices`` - 1.  Under ``dual_simple``, two
+    blocks may share at most one edge.  ``forced_block`` sends every side
+    of its block into block 0, and those two blocks may share any number of
+    edges; ``spanning_block`` demands every vertex carry exactly one corner
+    of that block.
     """
 
     sizes: tuple[int, ...]
     dual_simple: bool = True
-    exempt_block: int | None = None
-    forced_target: tuple[tuple[int, int], ...] = ()
+    forced_block: int | None = None
     min_degree: int = 2
-    max_degree: int = 64
     max_vertices: int = 64
     spanning_block: int | None = None
 
@@ -1038,14 +1037,16 @@ class _GlueRules:
 def _block_swaps(rules: _GlueRules) -> dict[int, tuple[int, ...]]:
     """For each block, the blocks that a relabelling may put in its place.
 
-    These are the blocks of its size.  A block that the rules name
-    (``exempt_block``, ``forced_target`` or ``spanning_block``) must keep
-    its place, and a block that is alone in its size does.  So where a
+    These are the blocks of its size.  A block that the rules name (block
+    0 and ``forced_block`` when that is set, and ``spanning_block``) must
+    keep its place, and a block that is alone in its size does.  So where a
     named block shares its size with other blocks, each block of that size
     keeps its own place; it may still turn.  ``_run_glue_engine`` prunes by
     the relabellings these allow, and with none it keeps every completion.
     """
-    named = {rules.exempt_block, rules.spanning_block, *itertools.chain(*rules.forced_target)}
+    named = {rules.spanning_block}
+    if rules.forced_block is not None:
+        named |= {0, rules.forced_block}
     swaps = {}
     for b, s in enumerate(rules.sizes):
         peers = tuple(c for c, t in enumerate(rules.sizes) if t == s)
@@ -1115,9 +1116,10 @@ def _run_glue_engine(rules: _GlueRules, clock: _Clock, accept) -> None:
 
     ``room[b0 * nb + b1]`` is how many more edges blocks b0 and b1 may
     share.  It starts at their cap: 0 when b0 == b1 (one face on both sides
-    of an edge is a dual loop) or when the pair breaks ``forced_target``;
-    1 under ``dual_simple`` unless one of them is ``exempt_block``; n,
-    which never binds, otherwise.  Each match between the two takes one.
+    of an edge is a dual loop) or when one of them is ``forced_block`` and
+    the other is not block 0; n, which never binds, for ``forced_block``
+    and block 0, and for any pair without ``dual_simple``; 1 otherwise.
+    Each match between the two takes one.
 
     The rotation is snext(d) = phi(alpha(d)), so matching d0 with d1 adds
     the two links ``snext[d0] = phi[d1]`` and ``snext[d1] = phi[d0]``.
@@ -1130,21 +1132,21 @@ def _run_glue_engine(rules: _GlueRules, clock: _Clock, accept) -> None:
     two different chains.  Like ``succ`` there, ``snext`` is never cleared.
 
     ``spare`` is the degree that may still go above ``min_degree``.  A
-    connected simple completion has at least ``least`` vertices, the low
-    end of ``_vertex_range`` (the size of ``spanning_block`` when that is
+    connected simple completion has at least ``least`` vertices, the low end
+    of ``_vertex_range`` (the size of ``spanning_block`` when that is
     larger), so its degrees above ``min_degree`` sum to at most n -
     ``min_degree`` * ``least``, and ``spare`` starts there.  A chain of L
     darts spends ``over[L]`` = max(0, L - ``min_degree``) of it, and more
-    than there is once L passes ``max_degree``; joining chains of ls and lh
-    darts spends ``cost[ls][lh]`` = over[ls + lh] - over[ls] - over[lh]
-    more.  Each open chain ends up inside exactly one vertex, and a
-    vertex's excess is at least the sum of its chains' excesses, so the
-    final excess is at least what the chains have spent.  A join that
-    costs more than ``spare`` therefore has no connected completion below
-    it and is refused; this one test is also the degree cap.  It cuts only
-    disconnected completions, which ``_finished_map`` drops anyway, so the
-    connected ones and their order stay the same.  A vertex close spends
-    nothing: its chain is already counted.
+    than there is once L passes the degree cap, ``max_vertices`` - 1;
+    joining chains of ls and lh darts spends ``cost[ls][lh]`` = over[ls+lh]
+    - over[ls] - over[lh] more.  Each open chain ends up inside exactly one
+    vertex, and a vertex's excess is at least the sum of its chains'
+    excesses, so the final excess is at least what the chains have spent.  A
+    join that costs more than ``spare`` therefore has no connected
+    completion below it and is refused; this one test is also the degree
+    cap.  It cuts only disconnected completions, which ``_finished_map``
+    drops anyway, so the connected ones and their order stay the same.  A
+    vertex close spends nothing: its chain is already counted.
 
     ``room`` and the list change only once both links hold, so a branch
     that dies at a link, mostly at the degree budget, undoes only the links;
@@ -1182,24 +1184,22 @@ def _run_glue_engine(rules: _GlueRules, clock: _Clock, accept) -> None:
     # size it has reached
     classes = sorted(set(sizes))
     klass = [2 * nb + classes.index(s) for s in sizes]
-    forced = dict(rules.forced_target)
+    forced = rules.forced_block
     room = [0] * (nb * nb)
-    for b0 in range(nb):
-        for b1 in range(nb):
-            if b0 == b1 or forced.get(b0, b1) != b1 or forced.get(b1, b0) != b0:
-                continue
-            bounded = rules.dual_simple and rules.exempt_block not in (b0, b1)
-            room[b0 * nb + b1] = 1 if bounded else n
+    for b0, b1 in itertools.permutations(range(nb), 2):
+        if forced in (b0, b1):
+            room[b0 * nb + b1] = n if 0 in (b0, b1) else 0
+        else:
+            room[b0 * nb + b1] = 1 if rules.dual_simple else n
     spanning = rules.spanning_block
-    min_degree, max_degree = rules.min_degree, rules.max_degree
-    max_vertices = rules.max_vertices
+    min_degree, max_vertices = rules.min_degree, rules.max_vertices
     least = _vertex_range(
         n // 2, nb, min_degree, max_vertices, 0 if spanning is None else sizes[spanning]
     )[0]
     spare = n - min_degree * least
-    # chains start at one dart and never pass max_degree darts, nor n
-    top = min(max(max_degree, 1), n)
-    over = [max(0, k - min_degree) if k <= max_degree else n + 1 for k in range(2 * top + 1)]
+    # chains start at one dart and never pass max_vertices - 1 darts, nor n
+    top = min(max(max_vertices - 1, 1), n)
+    over = [max(0, k - min_degree) if k < max_vertices else n + 1 for k in range(2 * top + 1)]
     cost = [[over[a + b] - over[a] - over[b] for b in range(top + 1)] for a in range(top + 1)]
     tick = clock.tick
 
@@ -1551,7 +1551,6 @@ def search_witness(spec: WitnessSpec, budget: SearchBudget | None = None) -> Wit
             sizes=sizes,
             dual_simple="simple" in spec.dual_demands,
             min_degree=spec.connectivity,
-            max_degree=max_v - 1,
             max_vertices=max_v,
         )
 
@@ -1599,10 +1598,8 @@ def search_empty_9_cycle(
     rules = _GlueRules(
         sizes=_NINE_SIZES,
         dual_simple=True,
-        exempt_block=1,
-        forced_target=((1, 0),),
+        forced_block=1,
         min_degree=2,
-        max_degree=8,
         max_vertices=9,
         spanning_block=1,
     )
@@ -1628,28 +1625,18 @@ def triangular_complete_map(n: int) -> Map:
 
     Euler counting admits one only for n = 4 (the sphere) and n = 7 (the
     torus) in this range: n = 5 gives a fractional face count and n = 6 an
-    odd Euler characteristic.  The result is canonical, so every call
+    odd Euler characteristic.  K7 is Heawood's torus triangulation, with
+    vertex i turning through i+1, i+3, i+2, i+6, i+4, i+5 (mod 7); its
+    mirror is not isomorphic to it.  The result is canonical, so every call
     returns the same map.
     """
-    if n not in (4, 7):
-        raise SearchError(f"no all-triangle embedding of the complete graph on {n} vertices")
-    edges = n * (n - 1) // 2
-    degree = n - 1
-    rules = _GlueRules(
-        sizes=(3,) * (2 * edges // 3),
-        min_degree=degree,
-        max_degree=degree,
-        max_vertices=n,
-    )
-    # no loop or parallel edge closes, and V(n - 1) = 2E = n(n - 1): each completion is K_n
-    candidates: list[Map] = []
-    _run_glue_engine(rules, _Clock(None), candidates.append)
-    if not candidates:
-        raise RuntimeError(f"found no all-triangle embedding for n={n}")
-    _, best = min((canonical(m) for m in candidates), key=lambda t: t[0])
-    _invariant(genus(best) == (0 if n == 4 else 1), f"K{n} landed on the wrong genus")
-    _invariant(vertex_connectivity(best) == degree, f"K{n} lost its connectivity")
-    return best
+    if n == 4:
+        return canonical_form(from_rotations([[1, 2, 3], [0, 3, 2], [0, 1, 3], [0, 2, 1]]))
+    if n == 7:
+        return canonical_form(
+            from_rotations([[(i + s) % 7 for s in (1, 3, 2, 6, 4, 5)] for i in range(7)])
+        )
+    raise SearchError(f"no all-triangle embedding of the complete graph on {n} vertices")
 
 
 # -- the small-map corpus --------------------------------------------------------------------

@@ -18,7 +18,7 @@ from ormaps.connectivity import (
 )
 from ormaps.dual import dual
 from ormaps.search import enumerate_connected_maps
-from ormaps.surgery import stacked_triangulation
+from ormaps.surgery import stacked_triangulation, wheel
 from test_dual import make_bowtie, make_dumbbell, make_octahedron
 
 
@@ -278,6 +278,10 @@ class TestIsSeparatingCycle:
             is_separating_cycle(tetrahedron, [0, 1, 0, 2])
         with pytest.raises(ValueError, match="not adjacent"):
             is_separating_cycle(make_bowtie(), [1, 2, 3])
+        # wheel(4) has vertices 0..4; -1 would otherwise be read as rim vertex 4
+        for cycle in ([99, 0, 1], [-1, 0, 1]):
+            with pytest.raises(ValueError, match="not a vertex of the map"):
+                is_separating_cycle(wheel(4), cycle)
 
 
 def test_adjacency_of_drops_loops():

@@ -577,9 +577,7 @@ class TestShapeStabiliser:
 
 def _complete_graph_rules(n: int) -> _GlueRules:
     edges = n * (n - 1) // 2
-    return _GlueRules(
-        sizes=(3,) * (2 * edges // 3), min_degree=n - 1, max_degree=n - 1, max_vertices=n
-    )
+    return _GlueRules(sizes=(3,) * (2 * edges // 3), min_degree=n - 1, max_vertices=n)
 
 
 # Fingerprints of the face-gluing engine, captured from the union-find
@@ -596,16 +594,15 @@ def _complete_graph_rules(n: int) -> _GlueRules:
 # size of their own is now its GLUE_FIRST_OF_CLASS digest, and forced-6-3,
 # whose named block 1 shares its size, happens to reach it too.
 GLUE_GOLDEN = [
-    ("pair-4-4", _GlueRules(sizes=(4, 4) + (3,) * 6, max_degree=6, max_vertices=7),
+    ("pair-4-4", _GlueRules(sizes=(4, 4) + (3,) * 6, max_vertices=7),
      None, 3483, True, 21, "69e93c2d2e1b22f2fc81b3791490d0ec4778549e",
      "c8bf23261e5dc16270b4c54811df8f9814acae8d"),
     ("spanning-7",
-     _GlueRules(sizes=(7,) + (3,) * 9, max_degree=6, max_vertices=7, spanning_block=0),
+     _GlueRules(sizes=(7,) + (3,) * 9, max_vertices=7, spanning_block=0),
      None, 8903, True, 8, "fb98a1b582a580c65e720637279d352da189c707",
      "39c9ec56b3c1cdaa22dbbc9d5065bcf516dd1e2d"),
     ("nine-cycle",
-     _GlueRules(sizes=_NINE_SIZES, exempt_block=1, forced_target=((1, 0),),
-                max_degree=8, max_vertices=9, spanning_block=1),
+     _GlueRules(sizes=_NINE_SIZES, forced_block=1, max_vertices=9, spanning_block=1),
      100_000, 100_001, _Stop, 0, "97d170e1550eee4afc0af065b78cda302a97674c",
      "97d170e1550eee4afc0af065b78cda302a97674c"),
     ("k4", _complete_graph_rules(4), None, 10, True, 1,
@@ -613,13 +610,11 @@ GLUE_GOLDEN = [
     ("k7", _complete_graph_rules(7), None, 1212, True, 2,
      "fd15c4356d24432594b2df00fffaa83dd0001c56", "34d42fce7089e8105c360e58669834fef4934069"),
     ("loose-4-4",
-     _GlueRules(sizes=(4, 4) + (3,) * 4, dual_simple=False, min_degree=3, max_degree=5,
-                max_vertices=6),
+     _GlueRules(sizes=(4, 4) + (3,) * 4, dual_simple=False, min_degree=3, max_vertices=6),
      None, 396, True, 3, "d337854412e0ddea6952dacfd913d20de60b07bc",
      "da086f2d50ef3732594e9cab20d5e476d2644554"),
     ("forced-6-3",
-     _GlueRules(sizes=(6, 3) + (3,) * 5, exempt_block=1, forced_target=((1, 0),),
-                max_degree=6, max_vertices=7),
+     _GlueRules(sizes=(6, 3) + (3,) * 5, forced_block=1, max_vertices=7),
      None, 273, True, 3, "6ec4917c123ff6ae607414b0c195dc18f17aa5fb",
      "0f5c13336c55b26a3ca4e7a6ef87d6343b0d51a2"),
 ]
@@ -727,7 +722,6 @@ def _witness_rules(spec, sizes, cap: int) -> _GlueRules:
         sizes=sizes,
         dual_simple="simple" in spec.dual_demands,
         min_degree=spec.connectivity,
-        max_degree=cap - 1,
         max_vertices=cap,
     )
 
@@ -891,7 +885,7 @@ def _check_glue_guarantees(rules: _GlueRules, m) -> None:
     assert m.is_simple_graph()
     rep = dual(m)
     assert not rep.loops
-    if rules.dual_simple and rules.exempt_block is None:
+    if rules.dual_simple and rules.forced_block is None:
         assert rep.simple
     if rules.spanning_block is not None:
         assert m.vertex_count == rules.sizes[rules.spanning_block]
@@ -919,25 +913,6 @@ class TestGlueGuarantees:
         except _Stop:
             pass
         assert len(seen) == completions
-
-    def test_complete_graph_completions_keep_the_rules(self, monkeypatch):
-        from ormaps import search
-
-        engine = search._run_glue_engine
-        seen = []
-
-        def checked_engine(rules, clock, accept):
-            def check(m):
-                _check_glue_guarantees(rules, m)
-                assert m.vertex_count == 7
-                seen.append(m)
-                accept(m)
-
-            engine(rules, clock, check)
-
-        monkeypatch.setattr(search, "_run_glue_engine", checked_engine)
-        triangular_complete_map(7)
-        assert len(seen) == 2
 
 
 def _face_multisets(darts: int, top: int):
@@ -983,8 +958,7 @@ class TestGlueLexLeader:
         [
             ((4, 4, 3), {}, {0: (0, 1), 1: (0, 1), 2: (2,)}),
             ((4, 4, 3, 3), {"spanning_block": 0}, {0: (0,), 1: (1,), 2: (2, 3), 3: (2, 3)}),
-            ((6, 3, 3), {"exempt_block": 1, "forced_target": ((1, 0),)},
-             {0: (0,), 1: (1,), 2: (2,)}),
+            ((6, 3, 3), {"forced_block": 1}, {0: (0,), 1: (1,), 2: (2,)}),
         ],
     )
     def test_named_blocks_keep_their_place(self, sizes, named, swaps):
@@ -1165,6 +1139,13 @@ class TestRemark24:
             ("exhausted", None, "partial: 2 found", 2, 2_001),
         ]
 
+    def test_bare_string_is_rejected_before_any_case_runs(self, monkeypatch):
+        ran = []
+        monkeypatch.setattr(search, "_run_case", lambda label, budget: ran.append(label))
+        with pytest.raises(SearchError, match="sequence of labels"):
+            verify_remark24(cases="viii")
+        assert ran == []
+
     def test_repeated_labels_run_once_in_first_occurrence_order(self):
         report = verify_remark24(("ii", "i", "ii"))
         assert tuple(c.case for c in report.cases) == ("ii", "i")
@@ -1283,7 +1264,6 @@ class TestWitnessSearch:
             sizes=tuple(sorted((a, b) + (3,) * t, reverse=True)),
             dual_simple=dual_simple,
             min_degree=c,
-            max_degree=old_v - 1,
             max_vertices=old_v,
         )
         counts = []
@@ -1318,7 +1298,6 @@ class TestWitnessSearch:
             sizes=tuple(sorted((a, b) + (3,) * t, reverse=True)),
             dual_simple=dual_simple,
             min_degree=c,
-            max_degree=cap - 1,
             max_vertices=cap,
         )
         floored = _glue_run(rules, 20_000)
@@ -1396,6 +1375,20 @@ class TestTriangularCompleteMaps:
     def test_unsupported_sizes_rejected(self):
         with pytest.raises(SearchError):
             triangular_complete_map(5)
+
+    @pytest.mark.parametrize("n", [4, 7])
+    def test_closed_form_is_the_least_glue_engine_completion(self, n):
+        # every completion of these rules is K_n: no loop or parallel edge
+        # closes, and V(n - 1) = 2E = n(n - 1)
+        completions = []
+        _run_glue_engine(_complete_graph_rules(n), _Clock(None), completions.append)
+        _, least = min((canonical(m) for m in completions), key=lambda t: t[0])
+        t = triangular_complete_map(n)
+        assert (least.vertex_of, least.next_in_rotation, least.reverse) == (
+            t.vertex_of,
+            t.next_in_rotation,
+            t.reverse,
+        )
 
 
 def _unfiltered_connected_maps(max_edges):
