@@ -9,7 +9,7 @@ hypotheses on concrete maps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import Map
 from .dual import doubly_intersecting, dual
@@ -59,8 +59,7 @@ def genus_lower_bound(c: int, v_x: int, f_x: int) -> int:
     return -(numerator // -12)
 
 
-@dataclass(frozen=True)
-class ExcessProfile:
+class ExcessProfile(NamedTuple):
     c: int
     v_plus: int  # vertices beyond the c+1 minimum
     f_plus: int  # walk steps beyond a triangulation, summed over faces
@@ -82,8 +81,7 @@ def excess_profile(m: Map, c: int) -> ExcessProfile:
     return ExcessProfile(c, v_plus, f_plus)
 
 
-@dataclass(frozen=True)
-class ThresholdVerdict:
+class ThresholdVerdict(NamedTuple):
     """Outcome of a guarantee hypothesis check.
 
     For the 2-cut checker, violations are (face, face) index pairs of
@@ -135,8 +133,7 @@ def check_one_cut_guarantee(m: Map, c: int) -> ThresholdVerdict:
     return ThresholdVerdict(threshold, violations)
 
 
-@dataclass(frozen=True)
-class TableEntry:
+class TableEntry(NamedTuple):
     status: str  # "exact" | "lower" | "upper"
     value: int
     provenance: str

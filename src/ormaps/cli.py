@@ -452,8 +452,9 @@ def _cmd_export(args, manifest) -> int:
     print(f"edges: {m.edge_count}")
     print(f"faces: {len(m.faces)}")
     print(f"genus: {genus(m)}")
-    for v in range(m.vertex_count):
-        neighbors = " ".join(str(m.vertex_of[m.reverse[d]]) for d in m.rotations[v])
+    vertex_of, alpha = m.vertex_of, m.reverse
+    for v, rotation in enumerate(m.rotations):
+        neighbors = " ".join(str(vertex_of[alpha[d]]) for d in rotation)
         print(f"vertex {v}: neighbors {neighbors}")
     for i, eid in enumerate(sorted(m.edge_ids)):
         u, w = m.endpoints(eid)

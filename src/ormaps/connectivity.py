@@ -297,7 +297,8 @@ def is_separating_cycle(m: Map, cycle) -> bool:
     edge included); anything else is rejected, not coerced.
     """
     if isinstance(cycle, Face):
-        verts = [m.vertex_of[d] for d in cycle.darts]
+        vertex_of = m.vertex_of
+        verts = [vertex_of[d] for d in cycle.darts]
     else:
         verts = list(cycle)
     if len(verts) < 3:

@@ -20,8 +20,8 @@ import re
 import struct
 from collections import Counter, deque
 from collections.abc import Hashable, Mapping, Sequence
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 
 class RotParseError(ValueError):
@@ -49,8 +49,7 @@ def _invariant(ok: bool, what: str) -> None:
         raise RuntimeError(what)
 
 
-@dataclass(frozen=True)
-class Face:
+class Face(NamedTuple):
     """One facial walk: ``darts`` in walk order, starting at the minimal dart."""
 
     index: int
@@ -72,8 +71,7 @@ def _face_of(m: Map, f: Face | int, error: type[ValueError] = ValueError) -> Fac
     return m.faces[f]
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     problems: tuple[str, ...]
 
     @property
@@ -81,17 +79,19 @@ class ValidationReport:
         return not self.problems
 
 
-@dataclass(frozen=True)
-class Map:
-    """An embedded (multi)graph as a rotation system over darts.
-
-    Instances are immutable; derived structure (rotations, faces, adjacency)
-    is computed lazily and cached.
-    """
-
+class _MapArrays(NamedTuple):
     vertex_of: tuple[int, ...]
     next_in_rotation: tuple[int, ...]
     reverse: tuple[int, ...]
+
+
+class Map(_MapArrays):
+    """An embedded (multi)graph as a rotation system over darts.
+
+    Instances are immutable; derived structure (rotations, faces, adjacency)
+    is computed lazily and cached in the instance ``__dict__``, which is why
+    this subclass of the three arrays' named tuple sets no ``__slots__``.
+    """
 
     # -- basic counts ------------------------------------------------------
 
@@ -116,15 +116,16 @@ class Map:
         for d, v in enumerate(self.vertex_of):
             if v not in first:
                 first[v] = d
+        sigma, D = self.next_in_rotation, self.dart_count
         rots = []
         for v in range(self.vertex_count):
             start = first[v]
             cyc = [start]
-            d = self.next_in_rotation[start]
+            d = sigma[start]
             # bounded walk so malformed rotations cannot loop forever
-            while d != start and len(cyc) <= self.dart_count:
+            while d != start and len(cyc) <= D:
                 cyc.append(d)
-                d = self.next_in_rotation[d]
+                d = sigma[d]
             rots.append(tuple(cyc))
         return tuple(rots)
 
@@ -135,9 +136,10 @@ class Map:
     def adjacency(self) -> tuple[frozenset[int], ...]:
         """Neighbor sets (multiplicities and loops collapsed)."""
         nbrs: list[set[int]] = [set() for _ in range(self.vertex_count)]
+        vertex_of, alpha = self.vertex_of, self.reverse
         for d in range(self.dart_count):
-            u = self.vertex_of[d]
-            w = self.vertex_of[self.reverse[d]]
+            u = vertex_of[d]
+            w = vertex_of[alpha[d]]
             if u != w:
                 nbrs[u].add(w)
         return tuple(frozenset(s) for s in nbrs)
@@ -149,7 +151,8 @@ class Map:
 
     @cached_property
     def edge_ids(self) -> tuple[int, ...]:
-        return tuple(d for d in range(self.dart_count) if d < self.reverse[d])
+        alpha = self.reverse
+        return tuple(d for d in range(self.dart_count) if d < alpha[d])
 
     def endpoints(self, e: int) -> tuple[int, int]:
         u, r = self.vertex_of[e], self.reverse[e]
@@ -159,8 +162,9 @@ class Map:
 
     def is_simple_graph(self) -> bool:
         seen = set()
-        for e in self.edge_ids:
-            u, w = self.endpoints(e)
+        vertex_of, alpha = self.vertex_of, self.reverse
+        for e in self.edge_ids:  # no dangling darts: e < alpha[e]
+            u, w = vertex_of[e], vertex_of[alpha[e]]
             if u == w:
                 return False
             key = (u, w) if u < w else (w, u)
@@ -179,8 +183,9 @@ class Map:
     def face_index_of(self) -> tuple[int, ...]:
         idx = [0] * self.dart_count
         for f in self.faces:
+            i = f.index
             for d in f.darts:
-                idx[d] = f.index
+                idx[d] = i
         return tuple(idx)
 
     # -- whole-map transforms -------------------------------------------------
@@ -213,7 +218,8 @@ def facial_walks(m: Map) -> tuple[Face, ...]:
 
 
 def walk_vertices(m: Map, darts: Sequence[int]) -> tuple[int, ...]:
-    return tuple(m.vertex_of[d] for d in darts)
+    vertex_of = m.vertex_of
+    return tuple(vertex_of[d] for d in darts)
 
 
 def face_size_multiset(m: Map) -> tuple[int, ...]:
@@ -243,37 +249,38 @@ def genus(m: Map) -> int:
 def validate(m: Map) -> ValidationReport:
     """Check every structural invariant; never raises, reports instead."""
     problems: list[str] = []
-    D = m.dart_count
+    vertex_of, sigma, alpha = m.vertex_of, m.next_in_rotation, m.reverse
+    D = len(vertex_of)
     if D == 0:
         return ValidationReport(("map has no darts",))
-    if len(m.next_in_rotation) != D or len(m.reverse) != D:
+    if len(sigma) != D or len(alpha) != D:
         return ValidationReport(("dart arrays differ in length",))
 
-    vmax = max(m.vertex_of)
-    present = set(m.vertex_of)
+    vmax = max(vertex_of)
+    present = set(vertex_of)
     for v in range(vmax + 1):
         if v not in present:
             problems.append(f"vertex {v} has no darts")
 
     involution_ok = True
     for d in range(D):
-        r = m.reverse[d]
+        r = alpha[d]
         if not 0 <= r < D:
             problems.append(f"reverse of dart {d} out of range")
             involution_ok = False
         elif r == d:
-            problems.append(f"dart {d} at vertex {m.vertex_of[d]} is dangling (paired with itself)")
+            problems.append(f"dart {d} at vertex {vertex_of[d]} is dangling (paired with itself)")
             involution_ok = False
-        elif m.reverse[r] != d:
+        elif alpha[r] != d:
             problems.append(f"reverse is not an involution at dart {d}")
             involution_ok = False
 
-    rotation_ok = sorted(m.next_in_rotation) == list(range(D))
+    rotation_ok = sorted(sigma) == list(range(D))
     if not rotation_ok:
         problems.append("next_in_rotation is not a permutation of the darts")
     else:
         for d in range(D):
-            if m.vertex_of[m.next_in_rotation[d]] != m.vertex_of[d]:
+            if vertex_of[sigma[d]] != vertex_of[d]:
                 problems.append(f"rotation successor of dart {d} lies at a different vertex")
                 rotation_ok = False
                 break
@@ -283,11 +290,11 @@ def validate(m: Map) -> ValidationReport:
             for d0 in range(D):
                 if seen[d0]:
                     continue
-                cycles[m.vertex_of[d0]] += 1
+                cycles[vertex_of[d0]] += 1
                 d = d0
                 while not seen[d]:
                     seen[d] = True
-                    d = m.next_in_rotation[d]
+                    d = sigma[d]
             for v, k in sorted(cycles.items()):
                 if k > 1:
                     problems.append(f"vertex {v} has {k} rotation cycles instead of one")
@@ -300,7 +307,7 @@ def validate(m: Map) -> ValidationReport:
         reached = 1
         while stack:
             d = stack.pop()
-            for e in (m.next_in_rotation[d], m.reverse[d]):
+            for e in (sigma[d], alpha[d]):
                 if 0 <= e < D and not seen[e]:
                     seen[e] = True
                     reached += 1
@@ -474,10 +481,11 @@ def emit(m: Map) -> str:
     text = "\n".join(lines) + "\n"
 
     pos = {d: i for i, d in enumerate(order)}
+    vertex_of, sigma, alpha = m.vertex_of, m.next_in_rotation, m.reverse
     expected = (
-        tuple(m.vertex_of[d] for d in order),
-        tuple(pos[m.next_in_rotation[d]] for d in order),
-        tuple(pos[m.reverse[d]] for d in order),
+        tuple(vertex_of[d] for d in order),
+        tuple(pos[sigma[d]] for d in order),
+        tuple(pos[alpha[d]] for d in order),
     )
     back = parse(text)
     if (back.vertex_of, back.next_in_rotation, back.reverse) != expected:
@@ -723,13 +731,15 @@ def maps_isomorphic_bruteforce(a: Map, b: Map) -> bool:
     D = a.dart_count
     if D != b.dart_count or a.vertex_count != b.vertex_count:
         return False
+    sigma_a, alpha_a = a.next_in_rotation, a.reverse
+    sigma_b, alpha_b = b.next_in_rotation, b.reverse
     for image in range(D):
         h = {0: image}
         stack = [0]
         ok = True
         while stack and ok:
             d = stack.pop()
-            for fa, fb in ((a.next_in_rotation, b.next_in_rotation), (a.reverse, b.reverse)):
+            for fa, fb in ((sigma_a, sigma_b), (alpha_a, alpha_b)):
                 x, y = fa[d], fb[h[d]]
                 if x in h:
                     if h[x] != y:
@@ -741,8 +751,7 @@ def maps_isomorphic_bruteforce(a: Map, b: Map) -> bool:
         if not ok or len(h) != D or len(set(h.values())) != D:
             continue
         if all(
-            h[a.next_in_rotation[d]] == b.next_in_rotation[h[d]]
-            and h[a.reverse[d]] == b.reverse[h[d]]
+            h[sigma_a[d]] == sigma_b[h[d]] and h[alpha_a[d]] == alpha_b[h[d]]
             for d in range(D)
         ):
             return True

@@ -9,14 +9,13 @@ which makes the edge bijection the identity.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .connectivity import _components
 from .core import Face, Map, _face_of, _invariant
 
 
-@dataclass(frozen=True)
-class DualReport:
+class DualReport(NamedTuple):
     dual: Map
     loops: tuple[int, ...]  # edge ids with the same face on both sides
     multi_pairs: tuple[tuple[int, int], ...]  # face index pairs sharing >= 2 edges
@@ -34,8 +33,7 @@ class DualReport:
         return not self.loops and not self.multi_pairs
 
 
-@dataclass(frozen=True)
-class CutDecomposition:
+class CutDecomposition(NamedTuple):
     """A dual-separating edge set with one chosen side and its closed walks.
 
     ``walks`` lists the facial walks of the embedded subgraph formed by K,
@@ -56,13 +54,14 @@ def dual(m: Map) -> DualReport:
     need to know exactly which faces cause them.
     """
     fidx = m.face_index_of
-    sigma_star = tuple(m.next_in_rotation[m.reverse[d]] for d in range(m.dart_count))
-    dual_map = Map(fidx, sigma_star, m.reverse)
+    sigma, alpha = m.next_in_rotation, m.reverse
+    sigma_star = tuple(sigma[alpha[d]] for d in range(m.dart_count))
+    dual_map = Map(fidx, sigma_star, alpha)
 
     loops = []
     between = Counter()
     for e in m.edge_ids:
-        a, b = fidx[e], fidx[m.reverse[e]]
+        a, b = fidx[e], fidx[alpha[e]]
         if a == b:
             loops.append(e)
         else:
@@ -93,12 +92,13 @@ def is_dual_separating(m: Map, K, side: frozenset | set | None = None):
     # opposite ones on K.  The colouring exists unless some component holds
     # both copies of a face, and the dual is connected, so then face 0's.
     fidx = m.face_index_of
+    sigma, alpha = m.next_in_rotation, m.reverse
     face_count = len(m.faces)
     copies: list[list[int]] = [[] for _ in range(2 * face_count)]
     for e in m.edge_ids:
         flip = e in kset
         for c in (0, 1):
-            a, b = 2 * fidx[e] + c, 2 * fidx[m.reverse[e]] + (c ^ flip)
+            a, b = 2 * fidx[e] + c, 2 * fidx[alpha[e]] + (c ^ flip)
             copies[a].append(b)
             copies[b].append(a)
     colour_of_0 = _components(copies)[0]
@@ -117,13 +117,13 @@ def is_dual_separating(m: Map, K, side: frozenset | set | None = None):
     k_darts = set()
     for e in K:
         k_darts.add(e)
-        k_darts.add(m.reverse[e])
-    chosen = {e if fidx[e] in X_f else m.reverse[e] for e in K}
+        k_darts.add(alpha[e])
+    chosen = {e if fidx[e] in X_f else alpha[e] for e in K}
 
     def walk_successor(d: int) -> int:
-        x = m.next_in_rotation[m.reverse[d]]
+        x = sigma[alpha[d]]
         while x not in k_darts:
-            x = m.next_in_rotation[x]
+            x = sigma[x]
         return x
 
     walks = []
@@ -141,7 +141,8 @@ def is_dual_separating(m: Map, K, side: frozenset | set | None = None):
         _invariant(d == d0, "walk closed on a different dart")
         walks.append(tuple(walk))
 
-    v_of_k = frozenset(m.vertex_of[d] for d in k_darts)
+    vertex_of = m.vertex_of
+    v_of_k = frozenset(vertex_of[d] for d in k_darts)
 
     # separation property: with V(K) removed, no component of the primal
     # graph may touch faces on both sides of the bipartition
@@ -174,15 +175,12 @@ def cut_to_edge_cut(g: Map, cut_vertices) -> tuple[frozenset[int], tuple[int, ..
     if len(components) < 2:
         raise ValueError("vertex set is not a cut-set")
 
+    vertex_of, alpha = g.vertex_of, g.reverse
     best = None
     for part in components:
         for X in (C | part, vertices - part):
             K = tuple(
-                sorted(
-                    e
-                    for e in g.edge_ids
-                    if (g.vertex_of[e] in X) != (g.vertex_of[g.reverse[e]] in X)
-                )
+                sorted(e for e in g.edge_ids if (vertex_of[e] in X) != (vertex_of[alpha[e]] in X))
             )
             key = (len(K), len(X), tuple(sorted(X)))
             if best is None or key < best[0]:
@@ -190,7 +188,7 @@ def cut_to_edge_cut(g: Map, cut_vertices) -> tuple[frozenset[int], tuple[int, ..
 
     _, X, K = best
     _invariant(
-        all(g.vertex_of[e] in C or g.vertex_of[g.reverse[e]] in C for e in K),
+        all(vertex_of[e] in C or vertex_of[alpha[e]] in C for e in K),
         "a crossing edge misses the cut",
     )
     _invariant(
@@ -211,8 +209,9 @@ def doubly_intersecting(m: Map, f: Face | int, f2: Face | int) -> bool:
     fa, fb = _face_of(m, f), _face_of(m, f2)
     if fa.index == fb.index:
         raise ValueError("doubly_intersecting needs two distinct faces")
-    va = {m.vertex_of[d] for d in fa.darts}
-    vb = {m.vertex_of[d] for d in fb.darts}
-    hits_ab = sum(1 for d in fa.darts if m.vertex_of[d] in vb)
-    hits_ba = sum(1 for d in fb.darts if m.vertex_of[d] in va)
+    vertex_of = m.vertex_of
+    va = {vertex_of[d] for d in fa.darts}
+    vb = {vertex_of[d] for d in fb.darts}
+    hits_ab = sum(1 for d in fa.darts if vertex_of[d] in vb)
+    hits_ba = sum(1 for d in fb.darts if vertex_of[d] in va)
     return hits_ab >= 2 or hits_ba >= 2

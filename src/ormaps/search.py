@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass
 from operator import itemgetter
+from typing import NamedTuple
 
 from .connectivity import vertex_connectivity
 from .core import (
@@ -41,17 +41,42 @@ class SearchError(ValueError):
     """A search request that cannot be run as stated."""
 
 
+class _Checked:
+    """Runs the record's ``_check`` on every construction.
+
+    Put first among the bases of a named tuple's subclass.  A call goes
+    through ``__new__``; ``_make``, and so ``_replace``, builds the tuple
+    without it, so ``_make`` checks too.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        self._check()
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        self = super()._make(iterable)
+        self._check()
+        return self
+
+
 # -- budgets ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SearchBudget:
-    """Limits for one search run; ``None`` means unlimited."""
-
+class _SearchBudgetFields(NamedTuple):
     max_nodes: int | None = None
     max_seconds: float | None = None
 
-    def __post_init__(self) -> None:
+
+class SearchBudget(_Checked, _SearchBudgetFields):
+    """Limits for one search run; ``None`` means unlimited."""
+
+    __slots__ = ()
+
+    def _check(self) -> None:
         _check_not_negative(max_nodes=self.max_nodes, max_seconds=self.max_seconds)
 
 
@@ -91,8 +116,20 @@ class _Clock:
 # -- declarative specs -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EmptyCircuitSpec:
+class _EmptyCircuitFields(NamedTuple):
+    k: int
+    mode: str = "circuit"
+    pair_sizes: tuple[int, int] | None = None
+    distinct_neighbors: bool = False
+    single_neighbor: bool = False
+    detached_face: bool = False
+    min_faces: int = 0
+    min_vertices: int | None = None
+    max_vertices: int | None = None
+    max_edges: int | None = None
+
+
+class EmptyCircuitSpec(_Checked, _EmptyCircuitFields):
     """What to enumerate: maps on at most k vertices spanned by one face of
     size k (circuit mode) or by two edge-disjoint faces with sizes summing
     to k (pair mode), with a loop-free dual whose multi-edges all touch the
@@ -106,18 +143,10 @@ class EmptyCircuitSpec:
     sub-ranges for bounded emptiness sweeps.
     """
 
-    k: int
-    mode: str = "circuit"
-    pair_sizes: tuple[int, int] | None = None
-    distinct_neighbors: bool = False
-    single_neighbor: bool = False
-    detached_face: bool = False
-    min_faces: int = 0
-    min_vertices: int | None = None
-    max_vertices: int | None = None
-    max_edges: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
+        _check_integer(k=self.k)
         if self.k < 3:
             raise SearchError("spanning size must be at least 3")
         if self.mode not in ("circuit", "pair"):
@@ -129,6 +158,12 @@ class EmptyCircuitSpec:
         if self.pair_sizes is not None:
             if self.mode != "pair":
                 raise SearchError("pair_sizes needs pair mode")
+            if not isinstance(self.pair_sizes, tuple) or len(self.pair_sizes) != 2:
+                raise SearchError(
+                    f"pair_sizes must be a tuple of two sizes, got {self.pair_sizes!r}"
+                )
+            for size in self.pair_sizes:
+                _check_integer(pair_size=size)
             a, b = self.pair_sizes
             if a + b != self.k or min(a, b) < 3 or a > b:
                 raise SearchError("pair sizes must be >= 3, ordered, and sum to k")
@@ -140,13 +175,7 @@ class EmptyCircuitSpec:
         )
 
 
-@dataclass(frozen=True)
-class WitnessSpec:
-    """A connectivity witness to hunt for: a ``connectivity``-connected map
-    whose faces are a distinguished pair with sizes summing to ``pair_sum``
-    plus triangles, subject to dual and pair demands, inside a hard vertex
-    and edge budget."""
-
+class _WitnessFields(NamedTuple):
     connectivity: int
     pair_sum: int
     dual_demands: tuple[str, ...] = ("simple", "has-2-cut")
@@ -154,20 +183,41 @@ class WitnessSpec:
     max_vertices: int = 8
     max_edges: int = 21
 
+
+class WitnessSpec(_Checked, _WitnessFields):
+    """A connectivity witness to hunt for: a ``connectivity``-connected map
+    whose faces are a distinguished pair with sizes summing to ``pair_sum``
+    plus triangles, subject to dual and pair demands, inside a hard vertex
+    and edge budget."""
+
+    __slots__ = ()
+
     _DUAL = ("simple", "has-1-cut", "has-2-cut")
     _PAIR = ("shares-two-vertices", "doubly-intersecting", "none")
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
+        _check_integer(connectivity=self.connectivity, pair_sum=self.pair_sum)
         if self.connectivity < 1:
             raise SearchError("connectivity must be positive")
         if self.pair_sum < 6:
             raise SearchError("two faces cannot sum below 6")
+        if isinstance(self.dual_demands, str):
+            raise SearchError(
+                f"dual_demands must be a sequence of demands, not the string {self.dual_demands!r}"
+            )
         for demand in self.dual_demands:
             if demand not in self._DUAL:
                 raise SearchError(f"unknown dual demand {demand!r}")
         if self.pair_demand not in self._PAIR:
             raise SearchError(f"unknown pair demand {self.pair_demand!r}")
         _check_not_negative(max_vertices=self.max_vertices, max_edges=self.max_edges)
+
+
+def _check_integer(**values: object) -> None:
+    """Reject a value that is not an int (a bool is not one), naming it by its spec key."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise SearchError(f"{name.replace('_', '-')} must be an integer, got {value!r}")
 
 
 def _check_not_negative(**bounds: float | None) -> None:
@@ -331,12 +381,12 @@ def empty_map_problems(m: Map, spec: EmptyCircuitSpec) -> tuple[str, ...]:
     rep = dual(m)
     if rep.loops:
         return ("dual has a loop",)
-    fidx = m.face_index_of
+    fidx, alpha = m.face_index_of, m.reverse
     for cand in _spanning_candidates(m, spec):
         allowed = {f.index for f in cand}
         if any(not (set(pair) & allowed) for pair in rep.multi_pairs):
             continue
-        across = [fidx[m.reverse[d]] for f in cand for d in f.darts]
+        across = [fidx[alpha[d]] for f in cand for d in f.darts]
         if spec.distinct_neighbors and len(set(across)) != spec.k:
             continue
         if spec.single_neighbor and len(set(across)) != 1:
@@ -544,6 +594,7 @@ def _run_walk_engine(
     size = k2 + V * (V - 1)
     max_top = size if max_edges is None else 2 * max_edges  # top never reaches size
     single = spec.single_neighbor
+    min_faces, detached_face = spec.min_faces, spec.detached_face
     limit = 1 if spec.distinct_neighbors else k  # most back darts on one chain
     alpha = [*range(k, k2), *range(k), *(d ^ 1 for d in range(k2, size))]
     edges = {frozenset((seq[p], seq[next_pos[p]])) for p in range(k)}
@@ -639,9 +690,9 @@ def _run_walk_engine(
     def finish() -> None:
         if min(claimed[k:top]) < 0:
             raise RuntimeError("search invariant broken: unclaimed darts at completion")
-        if spec.min_faces and len(walks) + len(faces) < spec.min_faces:
+        if min_faces and len(walks) + len(faces) < min_faces:
             return
-        if spec.detached_face and all(min(face) < k2 for face in faces):
+        if detached_face and all(min(face) < k2 for face in faces):
             return  # every closed face holds a back dart
         m = _finished_map(vertex_of[:top], succ[:top], alpha[:top])
         if m is not None:
@@ -809,8 +860,7 @@ def _run_walk_engine(
 # -- empty enumeration ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EnumerationOutcome:
+class EnumerationOutcome(NamedTuple):
     """Everything one enumeration run produced: ``enumerate_empty`` and
     ``search_empty_9_cycle`` both return it.
 
@@ -886,8 +936,7 @@ def enumerate_empty(
 # -- the ten-case certification report -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CaseOutcome:
+class CaseOutcome(NamedTuple):
     """One certified (or merely exhausted) sub-case of the ten-case report."""
 
     case: str
@@ -903,8 +952,7 @@ class CaseOutcome:
         return "exhausted" if self.holds is None else "certified"
 
 
-@dataclass(frozen=True)
-class Remark24Report:
+class Remark24Report(NamedTuple):
     cases: tuple[CaseOutcome, ...]
 
     @property
@@ -1013,8 +1061,7 @@ def verify_remark24(cases=None, budget: SearchBudget | None = None) -> Remark24R
 # -- the face-gluing engine ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _GlueRules:
+class _GlueRules(NamedTuple):
     """Structural constraints the side-matching DFS enforces.
 
     The engine only builds maps whose underlying graph is simple and whose
@@ -1428,8 +1475,7 @@ def _run_glue_engine(rules: _GlueRules, clock: _Clock, accept) -> None:
 # -- witness search ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WitnessOutcome:
+class WitnessOutcome(NamedTuple):
     """Result of a witness hunt.
 
     ``map`` is the first find, already canonical, or None.  ``complete``

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .bounds import one_cut_size_threshold
 from .connectivity import _disconnects, vertex_connectivity
@@ -35,29 +35,25 @@ class SurgeryError(ValueError):
     """A surgery precondition failed or a construction missed its target."""
 
 
-@dataclass(frozen=True)
-class GlueResult:
+class GlueResult(NamedTuple):
     map: Map
     seam_edges: tuple[int, ...]
     vertex_map_a: dict[int, int]
     vertex_map_b: dict[int, int]
 
 
-@dataclass(frozen=True)
-class FillResult:
+class FillResult(NamedTuple):
     map: Map
     inner_face_index: int
 
 
-@dataclass(frozen=True)
-class InsertResult:
+class InsertResult(NamedTuple):
     map: Map
     big_face_index: int
     small_face_index: int
 
 
-@dataclass(frozen=True)
-class PipelineOutcome:
+class PipelineOutcome(NamedTuple):
     """A certified witness and its provenance as ``key: value`` lines."""
 
     map: Map
@@ -146,11 +142,8 @@ def delete_vertex(m: Map, v: int) -> Map:
     """
     if not 0 <= v < m.vertex_count:
         raise SurgeryError(f"no vertex {v}")
-    kept = {
-        d
-        for d in range(m.dart_count)
-        if m.vertex_of[d] != v and m.vertex_of[m.reverse[d]] != v
-    }
+    vertex_of, alpha = m.vertex_of, m.reverse
+    kept = {d for d in range(m.dart_count) if vertex_of[d] != v and vertex_of[alpha[d]] != v}
     rotations: dict[int, list] = {}
     for u in range(m.vertex_count):
         if u == v:
@@ -161,7 +154,7 @@ def delete_vertex(m: Map, v: int) -> Map:
         rotations[u - 1 if u > v else u] = rot
     if not rotations:
         raise SurgeryError("cannot delete the only vertex")
-    mate = {d: m.reverse[d] for d in kept}
+    mate = {d: alpha[d] for d in kept}
     out, _ = assemble(rotations, mate)
     if not validate(out).ok:
         raise SurgeryError(f"deleting vertex {v} disconnects the map")
@@ -272,8 +265,9 @@ def cycle_square_gadget(c: int) -> Map:
         out = subdivide_edges(out, [4 * i + 3 for i in range(3)])
     _invariant(face_size_multiset(out) == _GADGET_FACES[c], "gadget face sizes are off")
     big = max(out.faces, key=lambda f: f.size).index
+    fidx, alpha = out.face_index_of, out.reverse
     for e in out.edge_ids:
-        sides = {out.face_index_of[e], out.face_index_of[out.reverse[e]]}
+        sides = {fidx[e], fidx[alpha[e]]}
         _invariant(big in sides, "a satellite face touched something other than the core")
     return out
 
@@ -351,8 +345,9 @@ def _sew(m: Map, fa: Face, fb: Face, offset: int, g: int, require_simple: bool) 
     vertices disappear into fa's.  The result must come out with genus g.
     Both vertex maps of the GlueResult are the same map from m's vertices.
     """
-    ua = walk_vertices(m, fa.darts)
-    ub = walk_vertices(m, fb.darts)
+    darts_a, darts_b = fa.darts, fb.darts
+    ua = walk_vertices(m, darts_a)
+    ub = walk_vertices(m, darts_b)
     size = fa.size
     psi = [(offset - i) % size for i in range(size)]
 
@@ -366,17 +361,18 @@ def _sew(m: Map, fa: Face, fb: Face, offset: int, g: int, require_simple: bool) 
     on_a = set(ua)
     rotations = {newid[u]: list(m.rotations[u]) for u in kept if u not in on_a}
     for i in range(size):
-        rotations[newid[ua[i]]] = _rotation_from(m, fa.darts[i]) + _rotation_from(
-            m, fb.darts[psi[i]]
+        rotations[newid[ua[i]]] = _rotation_from(m, darts_a[i]) + _rotation_from(
+            m, darts_b[psi[i]]
         )
 
     # the faces' own darts sit in no rotation, so assemble never reads their
     # mates; the darts facing them across the boundary pair up along the seam
-    mate = dict(enumerate(m.reverse))
+    alpha = m.reverse
+    mate = dict(enumerate(alpha))
     seam_darts = []
     for i in range(size):
-        ra = m.reverse[fa.darts[i]]
-        rb = m.reverse[fb.darts[(psi[i] - 1) % size]]
+        ra = alpha[darts_a[i]]
+        rb = alpha[darts_b[(psi[i] - 1) % size]]
         mate[ra] = rb
         mate[rb] = ra
         seam_darts.append(ra)
@@ -462,7 +458,8 @@ def interior_fill(host: Map, face: Face | int, c: int, l: int, *, verify: bool =
     # the inner face stays chordless and meets each neighbor face just once
     inner_verts = walk_vertices(out, out.faces[inner].darts)
     _invariant(not _has_chord(out, inner_verts), "the filled face has a chord")
-    outside = [out.face_index_of[out.reverse[d]] for d in out.faces[inner].darts]
+    fidx, alpha = out.face_index_of, out.reverse
+    outside = [fidx[alpha[d]] for d in out.faces[inner].darts]
     _invariant(len(set(outside)) == l, "the filled face meets a neighbor face twice")
     if verify:
         _invariant(vertex_connectivity(out) >= c, "fill lost the connectivity it promised")
@@ -523,11 +520,9 @@ def insert_cycle_in_triangles(
         "cycle insertion face sizes are off",
     )
     _require_counts(out, m.vertex_count, m.edge_count + 6, len(m.faces) - 4, genus(m) + 5)
+    fidx, alpha = out.face_index_of, out.reverse
     for d in out.faces[small].darts:
-        _invariant(
-            out.face_index_of[out.reverse[d]] == big,
-            "the hexagon meets a face other than the 24-gon",
-        )
+        _invariant(fidx[alpha[d]] == big, "the hexagon meets a face other than the 24-gon")
     _invariant(validate(out).ok, "cycle insertion produced an invalid map")
     return InsertResult(out, big, small)
 
@@ -587,10 +582,8 @@ def find_disjoint_triangles(
     """
     tris = _simple_triangles(m)
     tri_verts = {f.index: walk_vertices(m, f.darts) for f in tris}
-    nbr_faces = {
-        f.index: frozenset(m.face_index_of[m.reverse[d]] for d in f.darts)
-        for f in tris
-    }
+    fidx, alpha = m.face_index_of, m.reverse
+    nbr_faces = {f.index: frozenset(fidx[alpha[d]] for d in f.darts) for f in tris}
 
     def assign_pivots(chosen: list[Face]) -> tuple[int, ...] | None:
         pivots: list[int] = []

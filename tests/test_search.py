@@ -81,6 +81,26 @@ class TestSpecConstruction:
         with pytest.raises(SearchError):
             EmptyCircuitSpec(k=6, mode="circuit", pair_sizes=(3, 3))
 
+    def test_pair_sizes_must_be_two(self):
+        with pytest.raises(SearchError, match="two sizes"):
+            EmptyCircuitSpec(6, mode="pair", pair_sizes=(3, 3, 0))
+
+    def test_rejects_fractional_k(self):
+        with pytest.raises(SearchError, match="k must be an integer"):
+            EmptyCircuitSpec(6.5)
+
+    def test_witness_rejects_bare_string_demands(self):
+        with pytest.raises(SearchError, match="not the string 'simple'"):
+            WitnessSpec(3, 8, dual_demands="simple")
+
+    def test_witness_rejects_fractional_pair_sum(self):
+        with pytest.raises(SearchError, match="pair-sum must be an integer"):
+            WitnessSpec(3, 8.5)
+
+    def test_witness_rejects_fractional_connectivity(self):
+        with pytest.raises(SearchError, match="connectivity must be an integer"):
+            WitnessSpec(3.0, 8)
+
 
 class TestSpecGrammar:
     def test_circuit_round_trip(self):
