@@ -77,6 +77,8 @@ class SearchBudget(_Checked, _SearchBudgetFields):
     __slots__ = ()
 
     def _check(self) -> None:
+        if self.max_nodes is not None:
+            _check_integer(max_nodes=self.max_nodes)
         _check_not_negative(max_nodes=self.max_nodes, max_seconds=self.max_seconds)
 
 
@@ -167,12 +169,13 @@ class EmptyCircuitSpec(_Checked, _EmptyCircuitFields):
             a, b = self.pair_sizes
             if a + b != self.k or min(a, b) < 3 or a > b:
                 raise SearchError("pair sizes must be >= 3, ordered, and sum to k")
-        _check_not_negative(
-            min_faces=self.min_faces,
-            min_vertices=self.min_vertices,
-            max_vertices=self.max_vertices,
-            max_edges=self.max_edges,
+        optional = dict(
+            min_vertices=self.min_vertices, max_vertices=self.max_vertices, max_edges=self.max_edges
         )
+        _check_integer(
+            min_faces=self.min_faces, **{key: v for key, v in optional.items() if v is not None}
+        )
+        _check_not_negative(min_faces=self.min_faces, **optional)
 
 
 class _WitnessFields(NamedTuple):
@@ -210,6 +213,7 @@ class WitnessSpec(_Checked, _WitnessFields):
                 raise SearchError(f"unknown dual demand {demand!r}")
         if self.pair_demand not in self._PAIR:
             raise SearchError(f"unknown pair demand {self.pair_demand!r}")
+        _check_integer(max_vertices=self.max_vertices, max_edges=self.max_edges)
         _check_not_negative(max_vertices=self.max_vertices, max_edges=self.max_edges)
 
 
@@ -1081,24 +1085,30 @@ class _GlueRules(NamedTuple):
     spanning_block: int | None = None
 
 
+def _block_classes(sizes: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Each block's class, the blocks held alike with it, in block order:
+    the blocks of its size.  Nothing else decides which blocks are alike."""
+    return [tuple(c for c, t in enumerate(sizes) if t == s) for s in sizes]
+
+
 def _block_swaps(rules: _GlueRules) -> dict[int, tuple[int, ...]]:
     """For each block, the blocks that a relabelling may put in its place.
 
-    These are the blocks of its size.  A block that the rules name (block
+    These are the blocks of its class.  A block that the rules name (block
     0 and ``forced_block`` when that is set, and ``spanning_block``) must
-    keep its place, and a block that is alone in its size does.  So where a
-    named block shares its size with other blocks, each block of that size
-    keeps its own place; it may still turn.  ``_run_glue_engine`` prunes by
-    the relabellings these allow, and with none it keeps every completion.
+    keep its place, and a block that is alone in its class does.  So where
+    a named block shares its class with other blocks, each block of that
+    class keeps its own place; it may still turn.  ``_run_glue_engine``
+    prunes by the relabellings these allow, and with none it keeps every
+    completion.
     """
     named = {rules.spanning_block}
     if rules.forced_block is not None:
         named |= {0, rules.forced_block}
-    swaps = {}
-    for b, s in enumerate(rules.sizes):
-        peers = tuple(c for c, t in enumerate(rules.sizes) if t == s)
-        swaps[b] = (b,) if named.intersection(peers) else peers
-    return swaps
+    return {
+        b: (b,) if named.intersection(peers) else peers
+        for b, peers in enumerate(_block_classes(rules.sizes))
+    }
 
 
 def _run_glue_engine(rules: _GlueRules, clock: _Clock, accept) -> None:
@@ -1119,27 +1129,29 @@ def _run_glue_engine(rules: _GlueRules, clock: _Clock, accept) -> None:
     its start, and d0 starts its block when that block is fresh, so a
     block is fresh exactly while its start is unmatched; its darts are
     then adjacent in the list, and the loop passes them as one.  Blocks of
-    one size are entered in block order, so the fresh ones are the last
-    blocks of that size, and a fresh block may be entered only when the
-    previous block of its size (starting at ``peer``) is matched or is d0's.
-    ``alpha`` is -1 exactly on the unmatched darts.
+    one class (``_block_classes``) are entered in block order, so the fresh
+    ones are the last blocks of that class, and a fresh block may be
+    entered only when the previous block of its class (starting at
+    ``peer``) is matched or is d0's.  ``alpha`` is -1 exactly on the
+    unmatched darts.
 
     Each isomorphism class reaches ``accept`` once, by lex-leader pruning
     (McKay, J. Algorithms 26, 1998).  The DFS visits completions in
-    lexicographic order of ``alpha``, so a class's first completion is its
-    least labelling, and the engine keeps only a labelling that no
-    relabelling of its polygons makes smaller.  A relabelling is built the
-    way the DFS builds a labelling.  A block is cold when the least
-    unmatched dart is its start, so none of its sides is matched yet; block
-    0 is cold at the root.  At a cold block b the relabelling picks a block
-    that ``_block_swaps`` lets take b's place and is still unreached, and a
-    rotation of it; every other block takes the label that the rules above
-    give it when first reached: the least fresh block of its size, with the
+    lexicographic order of ``alpha``, so an isomorphism class's first
+    completion is its least labelling, and the engine keeps only a
+    labelling that no relabelling of its polygons makes smaller.  A
+    relabelling is built the way the DFS builds a labelling.  A block is
+    cold when the least unmatched dart is its start, so none of its sides
+    is matched yet; block 0 is cold at the root.  At a cold block b the
+    relabelling picks a block that ``_block_swaps`` lets take b's place and
+    is still unreached, and a rotation of it; every other block takes the
+    label that the rules above give it when first reached: the least fresh
+    block of its class, the first that no block maps onto yet, with the
     reaching dart as its start.  Every relabelling is an isomorphism that
     keeps the named blocks and meets the rules above, and the least
-    labelling of a class is one of them, since entering a fresh block
-    otherwise gives a larger ``alpha`` at the entering dart.  So the least
-    labelling is never cut, and every other labelling of its class is,
+    labelling of an isomorphism class is one of them, since entering a
+    fresh block otherwise gives a larger ``alpha`` at the entering dart.
+    So the least labelling is never cut, and every other labelling is,
     unless ``_block_swaps`` forbids the relabelling that maps it there.
     Every check above is invariant under a relabelling that keeps the named
     blocks, so the completions are a subsequence of those without the
@@ -1209,28 +1221,22 @@ def _run_glue_engine(rules: _GlueRules, clock: _Clock, accept) -> None:
     block_of = [0] * n
     block_start = []
     block_last = []
-    peer = []
-    last_start_of_size: dict[int, int] = {}
     turn = []  # turn[d][i] is phi^i(d)
     offset = []  # offset[d] is d minus its block's start
     pos = 0
     for b, s in enumerate(sizes):
         block_start.append(pos)
         block_last.append(pos + s - 1)
-        peer.append(last_start_of_size.get(s, -1))
-        last_start_of_size[s] = pos
         for i in range(s):
             phi[pos + i] = pos + (i + 1) % s
             block_of[pos + i] = b
             turn.append([pos + (i + k) % s for k in range(s)])
             offset.append(i)
         pos += s
+    alike = _block_classes(sizes)
+    # the start of the block before b in b's class, -1 for the first
+    peer = [-1 if k[0] == b else block_start[k[k.index(b) - 1]] for b, k in enumerate(alike)]
     swaps = _block_swaps(rules)
-    same_size = [[c for c, t in enumerate(sizes) if t == s] for s in sizes]
-    # an image holds, after two entries per block, how many blocks of each
-    # size it has reached
-    classes = sorted(set(sizes))
-    klass = [2 * nb + classes.index(s) for s in sizes]
     forced = rules.forced_block
     room = [0] * (nb * nb)
     for b0, b1 in itertools.permutations(range(nb), 2):
@@ -1340,7 +1346,6 @@ def _run_glue_engine(rules: _GlueRules, clock: _Clock, accept) -> None:
         image = image[:]
         image[c] = turn[block_start[b]][-offset[y]]
         image[nb + b] = y
-        image[klass[c]] += 1
         return image
 
     def fan(p: int, b: int, image: list[int], skip: int) -> bool:
@@ -1358,9 +1363,8 @@ def _run_glue_engine(rules: _GlueRules, clock: _Clock, accept) -> None:
         """Compare an image with the labelling so far; False when it is smaller.
 
         The image agrees before position p, and x is the dart it moves to
-        p.  ``image[c]`` is where block c's start goes, ``image[nb + b]``
-        the dart that goes to block b's start, both -1 while unreached, and
-        ``image[klass[c]]`` the number of blocks of c's size reached.  A
+        p.  ``image[c]`` is where block c's start goes and ``image[nb + b]``
+        the dart that goes to block b's start, both -1 while unreached.  A
         candidate that waits on a dart is put into ``waiting`` and listed in
         ``hooks``.
         """
@@ -1374,9 +1378,11 @@ def _run_glue_engine(rules: _GlueRules, clock: _Clock, accept) -> None:
                 return True
             c = block_of[y]
             if image[c] < 0:
-                # y's block becomes the least fresh block of its size, with y
+                # y's block becomes the least fresh block of its class, with y
                 # at its start, if the rules let it
-                b = same_size[c][image[klass[c]]]
+                for b in alike[c]:
+                    if image[nb + b] < 0:
+                        break
                 if c not in swaps[b]:
                     return True
                 image = moved(image, c, b, y)
@@ -1414,9 +1420,7 @@ def _run_glue_engine(rules: _GlueRules, clock: _Clock, accept) -> None:
         if d0 == first and b0 in swaps:
             # the blocks reached so far stay, and every other block that may
             # take b0's place, and b0 at every other rotation, is a candidate
-            image = [t if alpha[t] >= 0 else -1 for t in block_start] * 2 + [0] * len(classes)
-            for b, t in enumerate(block_start):
-                image[klass[b]] += alpha[t] >= 0
+            image = [t if alpha[t] >= 0 else -1 for t in block_start] * 2
             fan(d0, b0, image, d0)
         while d1 != n:
             b1 = block_of[d1]

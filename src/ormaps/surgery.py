@@ -585,37 +585,20 @@ def find_disjoint_triangles(
     fidx, alpha = m.face_index_of, m.reverse
     nbr_faces = {f.index: frozenset(fidx[alpha[d]] for d in f.darts) for f in tris}
 
-    def assign_pivots(chosen: list[Face]) -> tuple[int, ...] | None:
-        pivots: list[int] = []
-
-        def clashes(p: int, i: int) -> bool:
-            if separated:
-                return any(p in m.adjacency[q] for q in pivots)
-            return bool(i) and p in m.adjacency[pivots[i - 1]]
-
-        def go(i: int) -> bool:
-            if i == _THREADED:
-                return separated or pivots[0] not in m.adjacency[pivots[-1]]
-            for p in tri_verts[chosen[i].index]:
-                if clashes(p, i):
-                    continue
-                pivots.append(p)
-                if go(i + 1):
-                    return True
-                pivots.pop()
-            return False
-
-        return tuple(pivots) if go(0) else None
-
+    # the pivots that must not be adjacent: consecutive ones, cyclically, or
+    # with ``separated`` every two
+    pairs = [(i - 1, i) for i in range(_THREADED)]
+    if separated:
+        pairs = list(itertools.combinations(range(_THREADED), 2))
     chosen: list[Face] = []
     used: set[int] = set()
     claimed: list[frozenset[int]] = []
 
     def pick(start: int) -> tuple[tuple[Face, ...], tuple[int, ...]] | None:
         if len(chosen) == _THREADED:
-            pivots = assign_pivots(chosen)
-            if pivots is not None:
-                return tuple(chosen), pivots
+            for pivots in itertools.product(*(tri_verts[f.index] for f in chosen)):
+                if not any(pivots[i] in m.adjacency[pivots[j]] for i, j in pairs):
+                    return tuple(chosen), pivots
             return None
         for idx in range(start, len(tris)):
             f = tris[idx]

@@ -106,8 +106,18 @@ def test_map_hash_and_cached_faces():
         (SearchBudget(), {"max_nodes": -1}),
         (EmptyCircuitSpec(3), {"k": 2}),
         (WitnessSpec(3, 8), {"pair_demand": "bogus"}),
+        (SearchBudget(), {"max_nodes": 2.5}),
+        (EmptyCircuitSpec(3), {"max_vertices": 4.5}),
+        (WitnessSpec(3, 8), {"max_edges": None}),
     ],
-    ids=["SearchBudget", "EmptyCircuitSpec", "WitnessSpec"],
+    ids=[
+        "SearchBudget",
+        "EmptyCircuitSpec",
+        "WitnessSpec",
+        "SearchBudget-integer",
+        "EmptyCircuitSpec-integer",
+        "WitnessSpec-integer",
+    ],
 )
 def test_replace_rechecks_specs(spec, change):
     with pytest.raises(SearchError):

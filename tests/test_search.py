@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import ormaps
 from ormaps import canonical, canonical_code, dual, genus, search, vertex_connectivity
-from ormaps.core import Map, _least_root, _pack, _relabel, maps_isomorphic_bruteforce
+from ormaps.core import Map, _least_root, _pack, _relabel, _root_code, maps_isomorphic_bruteforce
 from ormaps.search import (
     _NINE_SIZES,
     _REMARK_CASES,
@@ -100,6 +100,25 @@ class TestSpecConstruction:
     def test_witness_rejects_fractional_connectivity(self):
         with pytest.raises(SearchError, match="connectivity must be an integer"):
             WitnessSpec(3.0, 8)
+
+    @pytest.mark.parametrize(
+        "record, fields",
+        [
+            (EmptyCircuitSpec, {"k": 5, "max_vertices": 4.5}),
+            (EmptyCircuitSpec, {"k": 5, "min_faces": 2.5}),
+            (EmptyCircuitSpec, {"k": 5, "min_faces": None}),
+            (EmptyCircuitSpec, {"k": 5, "max_edges": True}),
+            (WitnessSpec, {"connectivity": 3, "pair_sum": 8, "max_vertices": 7.5}),
+            (WitnessSpec, {"connectivity": 3, "pair_sum": 8, "max_edges": None}),
+            (SearchBudget, {"max_nodes": True}),
+        ],
+    )
+    def test_size_bounds_must_be_integers(self, record, fields):
+        # the last field is the one at fault
+        key, value = list(fields.items())[-1]
+        message = f"{key.replace('_', '-')} must be an integer, got {value!r}"
+        with pytest.raises(SearchError, match=re.escape(message)):
+            record(**fields)
 
 
 class TestSpecGrammar:
@@ -944,6 +963,16 @@ def _face_multisets(darts: int, top: int):
             yield (size,) + rest
 
 
+def _coloured_code(form, dart_colour: list[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The least (traversal words, dart colours in visit order) over all
+    roots: two completions tie exactly when an isomorphism maps one onto the
+    other and keeps every dart's colour."""
+    _, sigma, alpha = form
+    newid = [-1] * len(sigma)
+    codes = (_root_code(sigma, alpha, root, newid) for root in range(len(sigma)))
+    return min((tuple(words), tuple(dart_colour[d] for d in order)) for words, order in codes)
+
+
 class TestGlueLexLeader:
     """The glue engine prunes by relabelling its polygons, so it must keep
     exactly the first completion of each class, as an unpruned run meets
@@ -972,6 +1001,43 @@ class TestGlueLexLeader:
             firsts.setdefault(canonical_code(Map(*form)), form)
         assert pruned == list(firsts.values())
         assert unpruned_nodes >= nodes
+
+    @pytest.mark.parametrize(
+        "colour",
+        [lambda b: b % 2, lambda b: b < 2, lambda b: b % 3, lambda b: b == 1],
+        ids=["b%2", "b<2", "b%3", "b==1"],
+    )
+    def test_keeps_the_first_completion_of_each_coloured_class(self, monkeypatch, colour):
+        """With each size class split by a colouring of the blocks, the engine
+        keeps the first completion of each class under the isomorphisms that
+        keep every block's colour, so every part of it keys on one partition."""
+        by_size = search._block_classes
+
+        def coloured(sizes):
+            return [
+                tuple(c for c in peers if colour(c) == colour(b))
+                for b, peers in enumerate(by_size(sizes))
+            ]
+
+        monkeypatch.setattr(search, "_block_classes", coloured)
+        wrong = []
+        for darts in range(6, 17, 2):
+            for sizes in _face_multisets(darts, darts):
+                # a dart's colour is its block's class, named by its first block
+                classes = coloured(sizes)
+                dart_colour = [classes[b][0] for b, s in enumerate(sizes) for _ in range(s)]
+                for dual_simple in (True, False):
+                    rules = _GlueRules(sizes=sizes, dual_simple=dual_simple)
+                    pruned = _glue_run(rules, None)[1]
+                    with monkeypatch.context() as patch:
+                        patch.setattr(search, "_block_swaps", lambda rules: {})
+                        unpruned = _glue_run(rules, None)[1]
+                    firsts = {}
+                    for form in unpruned:
+                        firsts.setdefault(_coloured_code(form, dart_colour), form)
+                    if pruned != list(firsts.values()):
+                        wrong.append((sizes, dual_simple, len(pruned), len(firsts)))
+        assert wrong == []
 
     @pytest.mark.parametrize(
         "sizes, named, swaps",
