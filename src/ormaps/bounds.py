@@ -11,11 +11,12 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .core import Map
+from .core import Map, _require_int
 from .dual import doubly_intersecting, dual
 
 
 def _require_positive_c(c: int) -> None:
+    _require_int(c, "connectivity parameter")
     if c < 1:
         raise ValueError(f"connectivity parameter must be >= 1, got {c}")
 
@@ -49,8 +50,11 @@ def genus_lower_bound(c: int, v_x: int, f_x: int) -> int:
     """Genus forced by vertex excess at least v_x and face excess at least f_x.
 
     Only meaningful for c >= 6 (the vertex-excess term would turn negative
-    below that); smaller c is rejected.
+    below that); smaller c is rejected.  All three must be integers.
     """
+    _require_int(c, "connectivity parameter")
+    _require_int(v_x, "v_x")
+    _require_int(f_x, "f_x")
     if c < 6:
         raise ValueError(f"the excess bound needs c >= 6, got {c}")
     if v_x < 0 or f_x < 0:

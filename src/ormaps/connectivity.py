@@ -266,8 +266,8 @@ def min_cut(g) -> tuple[int, tuple[int, ...] | None]:
     raise RuntimeError(f"scan found {len(cut)} of {kappa} cut vertices")
 
 
-def find_cutsets(g, k: int, cap: int = 10_000) -> list[frozenset[int]]:
-    """All inclusion-minimal cut-sets of size at most k, at most ``cap`` of them.
+def find_cutsets(g, k: int) -> list[frozenset[int]]:
+    """All inclusion-minimal cut-sets of size at most k.
 
     Deterministic: sizes ascending, lexicographic vertex order within a
     size.  Every vertex subset up to size k is tried, so this is the
@@ -283,8 +283,6 @@ def find_cutsets(g, k: int, cap: int = 10_000) -> list[frozenset[int]]:
             if any(found <= cut for found in cuts):
                 continue  # smaller cut inside; not inclusion-minimal
             if _disconnects(adj, cut):
-                if len(cuts) >= cap:
-                    return cuts
                 cuts.append(cut)
     return cuts
 

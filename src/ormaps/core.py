@@ -49,6 +49,12 @@ def _invariant(ok: bool, what: str) -> None:
         raise RuntimeError(what)
 
 
+def _require_int(value: object, name: str, error: type[ValueError] = ValueError) -> None:
+    """Raise ``error`` naming ``name`` unless value is an int; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise error(f"{name} must be an integer, got {value!r}")
+
+
 class Face(NamedTuple):
     """One facial walk: ``darts`` in walk order, starting at the minimal dart."""
 

@@ -70,13 +70,12 @@ def dual(m: Map) -> DualReport:
     return DualReport(dual_map, tuple(loops), multi)
 
 
-def is_dual_separating(m: Map, K, side: frozenset | set | None = None):
+def is_dual_separating(m: Map, K):
     """Decide whether K* is an edge cut of the dual; decompose it if so.
 
-    Returns a CutDecomposition or None.  The chosen side defaults to the
-    bipartition class containing face 0; pass ``side`` (a face index set
-    equal to either class) to pick the other one.  Both the bipartition and
-    the check that V(K) separates its sides come from
+    Returns a CutDecomposition or None.  The chosen side X_f is the
+    bipartition class containing face 0.  Both the bipartition and the
+    check that V(K) separates its sides come from
     ``connectivity._components``.
     """
     kset = set(K)
@@ -105,14 +104,6 @@ def is_dual_separating(m: Map, K, side: frozenset | set | None = None):
     if 1 in colour_of_0:
         return None
     X_f = frozenset(f for f in range(face_count) if 2 * f in colour_of_0)
-
-    if side is not None:
-        side = frozenset(side)
-        complement = frozenset(range(face_count)) - X_f
-        if side == complement:
-            X_f = side
-        elif side != X_f:
-            raise ValueError("side is not a class of the cut bipartition")
 
     k_darts = set()
     for e in K:

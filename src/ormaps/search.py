@@ -28,6 +28,7 @@ from .core import (
     _pack,
     _relabel,
     _renumber,
+    _require_int,
     canonical,
     canonical_form,
     from_rotations,
@@ -79,6 +80,9 @@ class SearchBudget(_Checked, _SearchBudgetFields):
     def _check(self) -> None:
         if self.max_nodes is not None:
             _check_integer(max_nodes=self.max_nodes)
+        seconds = self.max_seconds
+        if isinstance(seconds, bool) or not isinstance(seconds, (int, float, type(None))):
+            raise SearchError(f"max-seconds must be a number, got {seconds!r}")
         _check_not_negative(max_nodes=self.max_nodes, max_seconds=self.max_seconds)
 
 
@@ -92,14 +96,14 @@ class _Clock:
     __slots__ = ("nodes", "max_nodes", "deadline", "start")
 
     def __init__(self, budget: SearchBudget | None):
+        if budget is None:
+            budget = SearchBudget()
+        elif not isinstance(budget, SearchBudget):
+            raise SearchError(f"budget must be a SearchBudget or None, got {budget!r}")
         self.nodes = 0
-        self.max_nodes = budget.max_nodes if budget else None
+        self.max_nodes = budget.max_nodes
         self.start = time.monotonic()
-        self.deadline = (
-            self.start + budget.max_seconds
-            if budget and budget.max_seconds is not None
-            else None
-        )
+        self.deadline = None if budget.max_seconds is None else self.start + budget.max_seconds
 
     def tick(self) -> None:
         self.nodes += 1
@@ -220,8 +224,7 @@ class WitnessSpec(_Checked, _WitnessFields):
 def _check_integer(**values: object) -> None:
     """Reject a value that is not an int (a bool is not one), naming it by its spec key."""
     for name, value in values.items():
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise SearchError(f"{name.replace('_', '-')} must be an integer, got {value!r}")
+        _require_int(value, name.replace("_", "-"), SearchError)
 
 
 def _check_not_negative(**bounds: float | None) -> None:
@@ -1050,12 +1053,14 @@ def verify_remark24(cases=None, budget: SearchBudget | None = None) -> Remark24R
     because simplicity bounds the rest of the range.  A budget stop
     downgrades a case to "exhausted" with its node count, never to a
     verdict.  Each distinct label runs once, in first-occurrence order; an
-    unknown label, or a bare string in place of a sequence of labels, is
-    rejected before any case runs.
+    unknown label, an empty sequence, or a bare string in place of a
+    sequence of labels, is rejected before any case runs.
     """
     if isinstance(cases, str):
         raise SearchError(f"cases must be a sequence of labels, not the string {cases!r}")
     wanted = dict.fromkeys(cases) if cases is not None else CASE_LABELS
+    if not wanted:
+        raise SearchError("cases must name at least one case")
     for label in wanted:
         if label not in _REMARK_CASES:
             raise SearchError(f"unknown case {label!r}; pick from {', '.join(CASE_LABELS)}")
@@ -1771,8 +1776,7 @@ def enumerate_connected_maps(max_edges: int) -> tuple[Map, ...]:
     class comes first, or which children are skipped, does not matter.
     Output is by edge count, then code.
     """
-    if isinstance(max_edges, bool) or not isinstance(max_edges, int):
-        raise SearchError(f"max_edges must be an integer, got {max_edges!r}")
+    _require_int(max_edges, "max_edges", SearchError)
     if max_edges < 1:
         raise SearchError("need at least one edge")
     code, base = canonical(from_rotations([[1], [0]]))

@@ -21,6 +21,7 @@ from .core import (
     Map,
     _face_of,
     _invariant,
+    _require_int,
     assemble,
     face_size_multiset,
     from_rotations,
@@ -392,15 +393,15 @@ def _sew(m: Map, fa: Face, fb: Face, offset: int, g: int, require_simple: bool) 
 # -- filling a big face ----------------------------------------------------------
 
 
-def interior_fill(host: Map, face: Face | int, c: int, l: int, *, verify: bool = True) -> FillResult:
+def interior_fill(host: Map, face: Face | int, c: int, l: int) -> FillResult:
     """Plant an l-cycle of new vertices inside a big face, fanned to the rim.
 
     The boundary, a chordless simple cycle of size at least l*(c-1), splits
     into l arcs; inner vertex i fans out to every vertex of arc i, with the
     last arc absorbing the remainder.  All created faces are triangles
     except the inner l-gon, which stays chordless and meets each face in at
-    most one edge.  With ``verify`` the host must be c-connected and the
-    result is checked to still be.
+    most one edge.  The host must be c-connected, and the result is checked
+    to still be.
     """
     f = _face_of(host, face, SurgeryError)
     if l < 3:
@@ -413,7 +414,7 @@ def interior_fill(host: Map, face: Face | int, c: int, l: int, *, verify: bool =
         raise SurgeryError(f"face of size {cp} is too small; need {l * (c - 1)}")
     if _has_chord(host, verts):
         raise SurgeryError("face has a chord")
-    if verify and vertex_connectivity(host) < c:
+    if vertex_connectivity(host) < c:
         raise SurgeryError(f"host is not {c}-connected")
 
     arcs = [list(range(i * (c - 1), (i + 1) * (c - 1) + 1)) for i in range(l - 1)]
@@ -461,8 +462,7 @@ def interior_fill(host: Map, face: Face | int, c: int, l: int, *, verify: bool =
     fidx, alpha = out.face_index_of, out.reverse
     outside = [fidx[alpha[d]] for d in out.faces[inner].darts]
     _invariant(len(set(outside)) == l, "the filled face meets a neighbor face twice")
-    if verify:
-        _invariant(vertex_connectivity(out) >= c, "fill lost the connectivity it promised")
+    _invariant(vertex_connectivity(out) >= c, "fill lost the connectivity it promised")
     _invariant(validate(out).ok, "interior fill produced an invalid map")
     return FillResult(out, inner)
 
@@ -554,6 +554,7 @@ def stacked_triangulation(n: int) -> Map:
     Faces are refined oldest-first, which spreads the new vertices out, so
     large instances contain many pairwise disjoint triangles.
     """
+    _require_int(n, "the vertex count", SurgeryError)
     if n < 4:
         raise SurgeryError("triangulations start at four vertices")
     m = wheel(3)
@@ -656,18 +657,16 @@ def check_fill_ingredient(m: Map, l: int, c: int) -> tuple[str, ...]:
     return tuple(problems)
 
 
-def _witness_problems(m: Map, size: int, c: int | None) -> list[str]:
+def _witness_problems(m: Map, size: int, c: int) -> list[str]:
     """Problems keeping m from certifying a dual cut vertex at one size-gon.
 
-    Wanted: connectivity exactly c (unchecked when c is None), every face
-    a triangle except one size-gon, a simple dual, and that face a cut
-    vertex of the dual.
+    Wanted: connectivity exactly c, every face a triangle except one
+    size-gon, a simple dual, and that face a cut vertex of the dual.
     """
     problems: list[str] = []
-    if c is not None:
-        kappa = vertex_connectivity(m)
-        if kappa != c:
-            problems.append(f"connectivity {kappa}, expected {c}")
+    kappa = vertex_connectivity(m)
+    if kappa != c:
+        problems.append(f"connectivity {kappa}, expected {c}")
     odd = [f for f in m.faces if f.size != 3]
     shaped = len(odd) == 1 and odd[0].size == size
     if not shaped:
@@ -708,7 +707,7 @@ def _alignments(a: Map, b: Map, fa: int, fb: int, size: int):
 def _certified(
     candidates: Iterable[Map],
     size: int,
-    c: int | None,
+    c: int,
     failure: str,
     head: Sequence[str],
     genus_note: str = "",
@@ -765,6 +764,7 @@ def build_one_cut_witness(c: int, ingredients: Sequence[Map] = ()) -> PipelineOu
     triangles at distance two or more (c=6).  Every candidate assembly is
     verified from scratch; alignments are tried until one passes.
     """
+    _require_int(c, "the connectivity", SurgeryError)
     if c == 1:
         if ingredients:
             raise SurgeryError("the c=1 witness takes no ingredients")
@@ -883,20 +883,16 @@ def _torus_hexagon_cap() -> Map:
     return cap
 
 
-def one_cut_witness_from_triangulation(
-    host: Map,
-    triangles: Sequence[Face | int] | None = None,
-    pivots: Sequence[int] | None = None,
-    expect_connectivity: int | None = None,
-) -> PipelineOutcome:
+def one_cut_witness_from_triangulation(host: Map, expect_connectivity: int) -> PipelineOutcome:
     """Run the thread-a-cycle-then-cap-it pipeline on a triangulation.
 
-    Six disjoint triangles of the simple triangular host (found
-    automatically when not given) receive a new 6-cycle, opening them into
+    Six well-separated triangles of the simple triangular host, picked by
+    ``find_disjoint_triangles``, receive a new 6-cycle, opening them into
     a 24-gon plus a fresh hexagon; the hexagon is then capped with the
     one-big-face torus map cut out of the complete 7-vertex triangulation.
-    The genus rises by exactly six and the dual of the result is simple
-    with a cut vertex at the 24-gon; both facts are verified, not assumed.
+    The genus rises by exactly six, the result's connectivity must equal
+    ``expect_connectivity``, and its dual must be simple with a cut vertex
+    at the 24-gon; all three are verified, not assumed.
     """
     report = validate(host)
     if not report.ok:
@@ -905,13 +901,10 @@ def one_cut_witness_from_triangulation(
         raise SurgeryError("host is not a triangulation")
     if not host.is_simple_graph():
         raise SurgeryError("host has loops or parallel edges")
-    if (triangles is None) != (pivots is None):
-        raise SurgeryError("give both triangles and pivots, or neither")
-    if triangles is None:
-        found = find_disjoint_triangles(host, separated=True)
-        if found is None:
-            raise SurgeryError("no six well-separated triangles with a pivot cycle")
-        triangles, pivots = found
+    found = find_disjoint_triangles(host, separated=True)
+    if found is None:
+        raise SurgeryError("no six well-separated triangles with a pivot cycle")
+    triangles, pivots = found
     ins = insert_cycle_in_triangles(host, triangles, pivots)
     cap = _torus_hexagon_cap()
     caps = _alignments(ins.map, cap, ins.small_face_index, _min_face_of_size(cap, 6), 6)

@@ -396,7 +396,7 @@ def test_criterion_8_declared_limits():
 
     # the capping pipeline runs end to end on a user-style triangulation ...
     host = stacked_triangulation(33)
-    outcome = one_cut_witness_from_triangulation(host)
+    outcome = one_cut_witness_from_triangulation(host, expect_connectivity=3)
     if genus(outcome.map) != genus(host) + 6:
         failures.append("pipeline did not add six handles on a valid host")
 
@@ -404,7 +404,7 @@ def test_criterion_8_declared_limits():
     from conftest import make_cube
 
     try:
-        one_cut_witness_from_triangulation(make_cube())
+        one_cut_witness_from_triangulation(make_cube(), expect_connectivity=3)
     except SurgeryError as exc:
         if "triangulation" not in str(exc):
             failures.append(f"wrong rejection reason: {exc}")

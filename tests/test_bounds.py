@@ -201,3 +201,21 @@ class TestDeltaTables:
             assert all(e.value >= min_genus(c) + 2 for e in one)
             # a dual 1-cut needs strictly more genus than a 2-cut
             assert min(e.value for e in one) > two[0].value
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: two_cut_genus_bounds(7.0), "connectivity parameter"),
+        (lambda: one_cut_size_threshold(2.5), "connectivity parameter"),
+        (lambda: min_genus(True), "connectivity parameter"),
+        (lambda: genus_lower_bound(6.5, 0, 0), "connectivity parameter"),
+        (lambda: genus_lower_bound(6, 0.0, 0), "v_x"),
+        (lambda: genus_lower_bound(6, 0, True), "f_x"),
+        (lambda: check_one_cut_guarantee(make_wheel6(), True), "connectivity parameter"),
+    ],
+)
+def test_parameters_must_be_integers(call, name):
+    # a bool is not an integer here, though True == 1
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+        call()

@@ -189,10 +189,6 @@ class TestFindCutsets:
         cuts = find_cutsets(cycle_graph(6), 2)
         assert cuts == sorted(cuts, key=lambda c: (len(c), sorted(c)))
 
-    def test_cap_truncates(self):
-        cuts = find_cutsets(cycle_graph(6), 2, cap=3)
-        assert len(cuts) == 3
-
 
 def oracle_min_cut(g, kappa):
     """The smallest sorted cut among all subsets of kappa vertices."""

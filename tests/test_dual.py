@@ -193,16 +193,6 @@ class TestIsDualSeparating:
         check_decomposition(m, K, dec)
         assert len(dec.walks) == 1
 
-    def test_side_parameter(self, tetrahedron):
-        K = [tetrahedron.edge_id(d) for d in tetrahedron.faces[0].darts]
-        dec = is_dual_separating(tetrahedron, K)
-        other = frozenset(range(len(tetrahedron.faces))) - dec.X_f
-        flipped = is_dual_separating(tetrahedron, K, side=other)
-        assert flipped.X_f == other
-        check_decomposition(tetrahedron, K, flipped)
-        with pytest.raises(ValueError, match="bipartition"):
-            is_dual_separating(tetrahedron, K, side=frozenset({0, 99}))
-
     def test_unknown_edge_rejected(self, tetrahedron):
         with pytest.raises(ValueError, match="not edges"):
             is_dual_separating(tetrahedron, [999])

@@ -109,6 +109,8 @@ def test_map_hash_and_cached_faces():
         (SearchBudget(), {"max_nodes": 2.5}),
         (EmptyCircuitSpec(3), {"max_vertices": 4.5}),
         (WitnessSpec(3, 8), {"max_edges": None}),
+        (SearchBudget(), {"max_seconds": True}),
+        (SearchBudget(), {"max_seconds": "1"}),
     ],
     ids=[
         "SearchBudget",
@@ -117,6 +119,8 @@ def test_map_hash_and_cached_faces():
         "SearchBudget-integer",
         "EmptyCircuitSpec-integer",
         "WitnessSpec-integer",
+        "SearchBudget-seconds-bool",
+        "SearchBudget-seconds-string",
     ],
 )
 def test_replace_rechecks_specs(spec, change):

@@ -120,6 +120,28 @@ class TestSpecConstruction:
         with pytest.raises(SearchError, match=re.escape(message)):
             record(**fields)
 
+    @pytest.mark.parametrize("seconds", ["1", True, False, [1]])
+    def test_max_seconds_must_be_a_number(self, seconds):
+        message = f"max-seconds must be a number, got {seconds!r}"
+        with pytest.raises(SearchError, match=re.escape(message)):
+            SearchBudget(max_seconds=seconds)
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda budget: enumerate_empty(EmptyCircuitSpec(5), budget),
+            lambda budget: search_witness(WitnessSpec(3, 8), budget),
+            lambda budget: search_empty_9_cycle(budget),
+            lambda budget: verify_remark24(["i"], budget=budget),
+        ],
+        ids=["enumerate_empty", "search_witness", "search_empty_9_cycle", "verify_remark24"],
+    )
+    @pytest.mark.parametrize("budget", [5, (5, None)])
+    def test_budget_must_be_a_search_budget(self, run, budget):
+        # a plain tuple is no SearchBudget either: its fields were never checked
+        with pytest.raises(SearchError, match="budget must be a SearchBudget or None"):
+            run(budget)
+
 
 class TestSpecGrammar:
     def test_circuit_round_trip(self):
@@ -1230,6 +1252,14 @@ class TestRemark24:
         monkeypatch.setattr(search, "_run_case", lambda label, budget: ran.append(label))
         with pytest.raises(SearchError, match="sequence of labels"):
             verify_remark24(cases="viii")
+        assert ran == []
+
+    def test_empty_case_list_is_rejected_before_any_case_runs(self, monkeypatch):
+        ran = []
+        monkeypatch.setattr(search, "_run_case", lambda label, budget: ran.append(label))
+        for cases in ([], ()):
+            with pytest.raises(SearchError, match="at least one case"):
+                verify_remark24(cases=cases)
         assert ran == []
 
     def test_repeated_labels_run_once_in_first_occurrence_order(self):

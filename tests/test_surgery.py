@@ -471,14 +471,12 @@ class TestInteriorFill:
         with pytest.raises(SurgeryError, match="at least 2"):
             interior_fill(host, hexagon, c=1, l=3)
 
-    def test_underconnected_host_raises_unless_told_not_to(self, tetrahedron):
+    def test_underconnected_host_raises(self, tetrahedron):
         host = subdivide_edges(tetrahedron, [d for d in tetrahedron.faces[0].darts])
         hexagon = next(f.index for f in host.faces if f.size == 6)
         assert vertex_connectivity(host) == 2
         with pytest.raises(SurgeryError, match="not 3-connected"):
             interior_fill(host, hexagon, c=3, l=3)
-        res = interior_fill(host, hexagon, c=3, l=3, verify=False)
-        assert genus(res.map) == 0
 
     def test_pinched_face_raises(self):
         m = k4_wedge()
@@ -585,6 +583,11 @@ class TestStacking:
     def test_too_small_raises(self):
         with pytest.raises(SurgeryError):
             stacked_triangulation(3)
+
+    @pytest.mark.parametrize("n", [4.5, 5.0, True])
+    def test_non_integer_size_raises(self, n):
+        with pytest.raises(SurgeryError, match="vertex count must be an integer"):
+            stacked_triangulation(n)
 
 
 class TestFindDisjointTriangles:
@@ -740,6 +743,12 @@ class TestBuildWitness:
         with pytest.raises(SurgeryError, match="no witness construction"):
             build_one_cut_witness(c)
 
+    @pytest.mark.parametrize("c", [True, 3.0, "3"])
+    def test_non_integer_targets_raise(self, c):
+        # True == 1, but a bool is no connectivity
+        with pytest.raises(SurgeryError, match="connectivity must be an integer"):
+            build_one_cut_witness(c)
+
 
 @pytest.fixture(scope="module")
 def hexagon_cap():
@@ -767,7 +776,7 @@ class TestTorusCapPipeline:
         from ormaps.surgery import one_cut_witness_from_triangulation
 
         host = stacked_triangulation(33)
-        outcome = one_cut_witness_from_triangulation(host)
+        outcome = one_cut_witness_from_triangulation(host, expect_connectivity=3)
         out = outcome.map
         assert validate(out).ok
         assert genus(out) == genus(host) + 6
@@ -784,14 +793,7 @@ class TestTorusCapPipeline:
         from ormaps.surgery import one_cut_witness_from_triangulation
 
         with pytest.raises(SurgeryError, match="not a triangulation"):
-            one_cut_witness_from_triangulation(cube)
-
-    def test_pipeline_rejects_half_given_placement(self):
-        from ormaps.surgery import one_cut_witness_from_triangulation
-
-        host = stacked_triangulation(33)
-        with pytest.raises(SurgeryError, match="both triangles and pivots"):
-            one_cut_witness_from_triangulation(host, triangles=(0, 1, 2, 3, 4, 5))
+            one_cut_witness_from_triangulation(cube, expect_connectivity=3)
 
 
 # -- golden fingerprint of every surgery outcome -----------------------------------
@@ -881,19 +883,17 @@ def _surgery_operations():
 
     host = stacked_triangulation(33)
     separated = find_disjoint_triangles(host, separated=True)
-    yield ("pipeline", 33), lambda: one_cut_witness_from_triangulation(host)
-    yield ("pipeline", 33, "given"), lambda: one_cut_witness_from_triangulation(
-        host, *separated, expect_connectivity=3
+    yield ("pipeline", 33), lambda: one_cut_witness_from_triangulation(
+        host, expect_connectivity=3
     )
     yield ("pipeline", 33, "kappa"), lambda: one_cut_witness_from_triangulation(
         host, expect_connectivity=4
     )
     yield ("pipeline", 12), lambda: one_cut_witness_from_triangulation(
-        stacked_triangulation(12)
+        stacked_triangulation(12), expect_connectivity=3
     )
-    yield ("pipeline", "cube"), lambda: one_cut_witness_from_triangulation(make_cube())
-    yield ("pipeline", "half"), lambda: one_cut_witness_from_triangulation(
-        host, triangles=separated[0]
+    yield ("pipeline", "cube"), lambda: one_cut_witness_from_triangulation(
+        make_cube(), expect_connectivity=3
     )
 
     triangles, pivots = find_disjoint_triangles(host)
@@ -910,24 +910,20 @@ def _surgery_operations():
 
     tetra = wheel(3)
     pinched = subdivide_edges(tetra, list(tetra.faces[0].darts))
-    for name, m, c, l, verify in (
-        ("wheel6", wheel(6), 2, 3, True),
-        ("wheel6", wheel(6), 2, 6, True),
-        ("wheel6", wheel(6), 3, 4, True),
-        ("wheel8", wheel(8), 3, 4, True),
-        ("wheel8", wheel(8), 2, 4, False),
-        ("wheel8", wheel(8), 1, 3, True),
-        ("wheel8", wheel(8), 2, 2, True),
-        ("pinched", pinched, 3, 3, True),
-        ("pinched", pinched, 3, 3, False),
-        ("k4-wedge", k4_wedge(), 2, 3, True),
-        ("diamond", _diamond(), 2, 3, True),
+    for name, m, c, l in (
+        ("wheel6", wheel(6), 2, 3),
+        ("wheel6", wheel(6), 2, 6),
+        ("wheel6", wheel(6), 3, 4),
+        ("wheel8", wheel(8), 3, 4),
+        ("wheel8", wheel(8), 1, 3),
+        ("wheel8", wheel(8), 2, 2),
+        ("pinched", pinched, 3, 3),
+        ("k4-wedge", k4_wedge(), 2, 3),
+        ("diamond", _diamond(), 2, 3),
     ):
         for face in range(len(m.faces)):
-            yield ("fill", name, face, c, l, verify), (
-                lambda m=m, face=face, c=c, l=l, verify=verify: interior_fill(
-                    m, face, c, l, verify=verify
-                )
+            yield ("fill", name, face, c, l), (
+                lambda m=m, face=face, c=c, l=l: interior_fill(m, face, c, l)
             )
 
     small = [wheel(3), wheel(5), make_cube(), cycle_square_gadget(5)]
@@ -946,7 +942,7 @@ def _surgery_operations():
 
 # SHA-1 over every record of _surgery_operations; a change here means some
 # map, seam, vertex map, report line or refusal text moved.
-SURGERY_GOLDEN = "54732688c62b72172dde33a1cda154527db301c0"
+SURGERY_GOLDEN = "58d4c747f9b16e0923633d54152eeedf3308f409"
 
 
 @pytest.mark.golden
