@@ -72,6 +72,7 @@ def _face_of(m: Map, f: Face | int, error: type[ValueError] = ValueError) -> Fac
         if f.index >= len(m.faces) or m.faces[f.index].darts != f.darts:
             raise error("face does not belong to this map")
         return m.faces[f.index]
+    _require_int(f, "a face index", error)
     if not 0 <= f < len(m.faces):
         raise error(f"no face with index {f}")
     return m.faces[f]

@@ -209,6 +209,7 @@ def wedge_at_vertex(a: Map, va: int, b: Map, vb: int) -> Map:
 
 def wheel(rim: int) -> Map:
     """Plane wheel: hub 0 joined to the rim cycle 1..rim."""
+    _require_int(rim, "the rim size", SurgeryError)
     if rim < 3:
         raise SurgeryError("a wheel needs at least three rim vertices")
     rots: list[list[int]] = [list(range(1, rim + 1))]
@@ -237,6 +238,7 @@ def cycle_square_gadget_raw(c: int) -> Map:
     collides with cycle edges, producing parallel pairs; callers subdivide
     those away.
     """
+    _require_int(c, "the cycle length", SurgeryError)
     if c < 3:
         raise SurgeryError("the gadget needs at least three vertices")
     rotations = {i: [(i, s) for s in range(4)] for i in range(c)}
@@ -404,6 +406,8 @@ def interior_fill(host: Map, face: Face | int, c: int, l: int) -> FillResult:
     to still be.
     """
     f = _face_of(host, face, SurgeryError)
+    _require_int(c, "the connectivity target", SurgeryError)
+    _require_int(l, "the inner cycle length", SurgeryError)
     if l < 3:
         raise SurgeryError("the inner cycle needs length at least 3")
     if c < 2:

@@ -590,6 +590,26 @@ class TestStacking:
             stacked_triangulation(n)
 
 
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: wheel(4.5), "the rim size"),
+        (lambda: cycle_square_gadget(5.0), "the cycle length"),
+        (lambda: cycle_square_gadget_raw(True), "the cycle length"),
+        (lambda: interior_fill(wheel(8), 8, 2, 3.0), "the inner cycle length"),
+        (lambda: interior_fill(wheel(8), 8, 2.5, 3), "the connectivity target"),
+        (lambda: interior_fill(wheel(8), 8, True, 3), "the connectivity target"),
+        (lambda: stack_vertex(wheel(3), 1.0), "a face index"),
+        (lambda: stack_vertex(wheel(3), True), "a face index"),
+    ],
+    ids=["wheel", "gadget", "gadget-raw", "fill-l", "fill-c", "fill-c-bool", "face", "face-bool"],
+)
+def test_non_integer_arguments_raise(call, name):
+    # a bool is no integer: stack_vertex(m, True) once stacked into face 1
+    with pytest.raises(SurgeryError, match=f"^{name} must be an integer, got "):
+        call()
+
+
 class TestFindDisjointTriangles:
     def test_finds_six_on_a_big_host(self):
         host = stacked_triangulation(33)
