@@ -436,9 +436,7 @@ def _cmd_search(args, manifest) -> int:
     # nine-cycle, the last of argparse's choices
     outcome = search_empty_9_cycle(_budget(args), stop_at_first=args.stop_at_first)
     _report_finds(outcome, args.out, "nine-cycle", manifest)
-    if outcome.maps or outcome.complete:
-        return EXIT_OK
-    return EXIT_EXHAUSTED
+    return EXIT_OK if outcome.maps or outcome.complete else EXIT_EXHAUSTED
 
 
 def _cmd_export(args, manifest) -> int:

@@ -1074,20 +1074,19 @@ class _GlueRules(NamedTuple):
     """Structural constraints the side-matching DFS enforces.
 
     The engine only builds maps whose underlying graph is simple and whose
-    dual is loop-free (a block is never matched to itself).  ``vertices``
-    is the fewest and the most vertices a wanted completion has; the front
-    end proves them, and the engine only enforces them.  Under
-    ``dual_simple``, two blocks may share at most one edge.
-    ``forced_block`` sends every side of its block into block 0, and those
-    two blocks may share any number of edges; ``spanning_block`` demands
-    every vertex carry exactly one corner of that block.
+    dual is loop-free (a block is never matched to itself), so no vertex
+    has degree above ``max_vertices`` - 1.  Under ``dual_simple``, two
+    blocks may share at most one edge.  ``forced_block`` sends every side
+    of its block into block 0, and those two blocks may share any number of
+    edges; ``spanning_block`` demands every vertex carry exactly one corner
+    of that block.
     """
 
     sizes: tuple[int, ...]
-    vertices: tuple[int, int]
     dual_simple: bool = True
     forced_block: int | None = None
     min_degree: int = 2
+    max_vertices: int = 64
     spanning_block: int | None = None
 
 
@@ -1197,12 +1196,12 @@ def _run_glue_engine(rules: _GlueRules, clock: _Clock, accept) -> None:
     two different chains.  Like ``succ`` there, ``snext`` is never cleared.
 
     ``spare`` is the degree that may still go above ``min_degree``.  A
-    connected completion has at least ``least`` vertices, the low end of
-    ``rules.vertices``, which the front end proves, so its degrees above
-    ``min_degree`` sum to at most n - ``min_degree`` * ``least``, and
-    ``spare`` starts there.  A chain of L darts spends ``over[L]`` = max(0,
-    L - ``min_degree``) of it, and more than there is once L passes the
-    degree cap, ``max_vertices`` - 1 (the high end);
+    connected simple completion has at least ``least`` vertices, the low end
+    of ``_vertex_range`` (the size of ``spanning_block`` when that is
+    larger), so its degrees above ``min_degree`` sum to at most n -
+    ``min_degree`` * ``least``, and ``spare`` starts there.  A chain of L
+    darts spends ``over[L]`` = max(0, L - ``min_degree``) of it, and more
+    than there is once L passes the degree cap, ``max_vertices`` - 1;
     joining chains of ls and lh darts spends ``cost[ls][lh]`` = over[ls+lh]
     - over[ls] - over[lh] more.  Each open chain ends up inside exactly one
     vertex, and a vertex's excess is at least the sum of its chains'
@@ -1251,8 +1250,10 @@ def _run_glue_engine(rules: _GlueRules, clock: _Clock, accept) -> None:
         else:
             room[b0 * nb + b1] = 1 if rules.dual_simple else n
     spanning = rules.spanning_block
-    min_degree = rules.min_degree
-    least, max_vertices = rules.vertices
+    min_degree, max_vertices = rules.min_degree, rules.max_vertices
+    least = _vertex_range(
+        n // 2, nb, min_degree, max_vertices, 0 if spanning is None else sizes[spanning]
+    )[0]
     spare = n - min_degree * least
     # chains start at one dart and never pass max_vertices - 1 darts, nor n
     top = min(max(max_vertices - 1, 1), n)
@@ -1540,17 +1541,20 @@ def _has_face_pair(m: Map, demand: str, sizes: tuple[int, int]) -> bool:
     return False
 
 
-def _vertex_range(edges: int, faces: int, min_degree: int, max_vertices: int) -> tuple[int, int]:
+def _vertex_range(
+    edges: int, faces: int, min_degree: int, max_vertices: int, least: int = 0
+) -> tuple[int, int]:
     """The fewest and the most vertices of a connected simple map of these counts.
 
     The map is orientable, with minimum degree c = ``min_degree`` and at
-    most ``max_vertices`` vertices.  Its vertex count V obeys c + 1 <= V and
-    c V <= 2E; simplicity gives V(V-1)/2 >= E; and Euler's formula V - E + F
-    = 2 - 2g with g >= 0 gives V <= E - F + 2 and V = E + F (mod 2).  Every
-    V of that parity between the two ends passes all of these, and the
-    range is empty (the first end is the larger) when no V does.
+    least ``least`` and at most ``max_vertices`` vertices.  Its vertex count
+    V obeys c + 1 <= V and c V <= 2E; simplicity gives V(V-1)/2 >= E; and
+    Euler's formula V - E + F = 2 - 2g with g >= 0 gives V <= E - F + 2 and
+    V = E + F (mod 2).  Every V of that parity between the two ends passes
+    all of these, and the range is empty (the first end is the larger) when
+    no V does.
     """
-    low = min_degree + 1
+    low = max(min_degree + 1, least)
     while low * (low - 1) // 2 < edges:
         low += 1
     low += (low + edges + faces) % 2
@@ -1571,10 +1575,10 @@ def search_witness(spec: WitnessSpec, budget: SearchBudget | None = None) -> Wit
     admissible for its E edges and F = t + 2 faces: c + 1 <= V <=
     min(max-vertices, 2E / c), V(V-1)/2 >= E, V <= E - F + 2 and V = E + F
     (mod 2), the last two from Euler's formula (``_vertex_range``).  Every
-    other sweep gives the engine that range: the largest V is its vertex
-    cap and V - 1 its degree cap, and the engine holds the degree above c
-    to what the least V leaves; what that cuts off could only have closed
-    into disconnected maps, which are no witnesses.
+    other sweep runs with the largest admissible V as its vertex cap and
+    V - 1 as its degree cap, and the engine holds the degree above c to
+    what the least admissible V leaves; what that cuts off could only have
+    closed into disconnected maps, which are no witnesses.
     """
     clock = _Clock(budget)
     swept: list[str] = []
@@ -1600,9 +1604,9 @@ def search_witness(spec: WitnessSpec, budget: SearchBudget | None = None) -> Wit
         sizes = tuple(sorted((a, b) + (3,) * t, reverse=True))
         rules = _GlueRules(
             sizes=sizes,
-            vertices=(least, max_v),
             dual_simple="simple" in spec.dual_demands,
             min_degree=spec.connectivity,
+            max_vertices=max_v,
         )
 
         def accept(m: Map) -> None:
@@ -1638,9 +1642,8 @@ def search_empty_9_cycle(
 
     The face multiset is fully determined: one 15-gon, the spanning 9-gon,
     and six triangles, hence 21 edges; one 9-gon corner per vertex makes 9
-    vertices, the engine's whole vertex range, hence genus 3.  The gluing
-    engine runs with the 9-gon's sides forced into the 15-gon and dual
-    multi-edges allowed only at the 9-gon.
+    vertices, hence genus 3.  The gluing engine runs with the 9-gon's sides
+    forced into the 15-gon and dual multi-edges allowed only at the 9-gon.
     Reports every find within budget unless told to stop at the first.  An
     empty result is no non-existence claim; only ``complete`` says whether
     the space was finished.  A find that ``empty_map_problems`` rejects
@@ -1649,10 +1652,10 @@ def search_empty_9_cycle(
     clock = _Clock(budget)
     rules = _GlueRules(
         sizes=_NINE_SIZES,
-        vertices=(9, 9),
         dual_simple=True,
         forced_block=1,
         min_degree=2,
+        max_vertices=9,
         spanning_block=1,
     )
     finds = _Finds(EmptyCircuitSpec(k=9, mode="circuit", single_neighbor=True))

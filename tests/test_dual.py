@@ -313,6 +313,12 @@ class TestDoublyIntersecting:
         with pytest.raises(ValueError, match=f"no face with index {index}"):
             doubly_intersecting(wheel(5), index, 0)
 
+    @pytest.mark.parametrize("index", [True, 1.0])
+    def test_non_integer_index_rejected(self, index):
+        # a bool is no integer: True once named face 1
+        with pytest.raises(ValueError, match="^a face index must be an integer, got "):
+            doubly_intersecting(wheel(5), index, 2)
+
     def test_face_of_another_map_rejected(self):
         # index 0 exists in both wheels, with different darts
         with pytest.raises(ValueError, match="does not belong"):

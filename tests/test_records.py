@@ -59,10 +59,10 @@ RECORDS = [
         "_GlueRules",
         [
             "sizes",
-            "vertices",
             ("dual_simple", True),
             ("forced_block", None),
             ("min_degree", 2),
+            ("max_vertices", 64),
             ("spanning_block", None),
         ],
     ),

@@ -636,17 +636,9 @@ class TestShapeStabiliser:
         assert {canonical_code(m.mirror()) for m in out.maps} <= codes
 
 
-def _glue_rules(sizes, most: int = 64, least: int | None = None, **named) -> _GlueRules:
-    """Glue rules over ``sizes`` with at most ``most`` vertices and at least
-    ``least``, by default the floor ``_vertex_range`` proves for them."""
-    if least is None:
-        least = _vertex_range(sum(sizes) // 2, len(sizes), named.get("min_degree", 2), most)[0]
-    return _GlueRules(sizes=sizes, vertices=(least, most), **named)
-
-
 def _complete_graph_rules(n: int) -> _GlueRules:
     edges = n * (n - 1) // 2
-    return _glue_rules((3,) * (2 * edges // 3), n, min_degree=n - 1)
+    return _GlueRules(sizes=(3,) * (2 * edges // 3), min_degree=n - 1, max_vertices=n)
 
 
 # Fingerprints of the face-gluing engine, captured from the union-find
@@ -663,15 +655,15 @@ def _complete_graph_rules(n: int) -> _GlueRules:
 # size of their own is now its GLUE_FIRST_OF_CLASS digest, and forced-6-3,
 # whose named block 1 shares its size, happens to reach it too.
 GLUE_GOLDEN = [
-    ("pair-4-4", _glue_rules((4, 4) + (3,) * 6, 7),
+    ("pair-4-4", _GlueRules(sizes=(4, 4) + (3,) * 6, max_vertices=7),
      None, 3483, True, 21, "69e93c2d2e1b22f2fc81b3791490d0ec4778549e",
      "c8bf23261e5dc16270b4c54811df8f9814acae8d"),
     ("spanning-7",
-     _glue_rules((7,) + (3,) * 9, 7, 7, spanning_block=0),
+     _GlueRules(sizes=(7,) + (3,) * 9, max_vertices=7, spanning_block=0),
      None, 8903, True, 8, "fb98a1b582a580c65e720637279d352da189c707",
      "39c9ec56b3c1cdaa22dbbc9d5065bcf516dd1e2d"),
     ("nine-cycle",
-     _glue_rules(_NINE_SIZES, 9, 9, forced_block=1, spanning_block=1),
+     _GlueRules(sizes=_NINE_SIZES, forced_block=1, max_vertices=9, spanning_block=1),
      100_000, 100_001, _Stop, 0, "97d170e1550eee4afc0af065b78cda302a97674c",
      "97d170e1550eee4afc0af065b78cda302a97674c"),
     ("k4", _complete_graph_rules(4), None, 10, True, 1,
@@ -679,11 +671,11 @@ GLUE_GOLDEN = [
     ("k7", _complete_graph_rules(7), None, 1212, True, 2,
      "fd15c4356d24432594b2df00fffaa83dd0001c56", "34d42fce7089e8105c360e58669834fef4934069"),
     ("loose-4-4",
-     _glue_rules((4, 4) + (3,) * 4, 6, dual_simple=False, min_degree=3),
+     _GlueRules(sizes=(4, 4) + (3,) * 4, dual_simple=False, min_degree=3, max_vertices=6),
      None, 396, True, 3, "d337854412e0ddea6952dacfd913d20de60b07bc",
      "da086f2d50ef3732594e9cab20d5e476d2644554"),
     ("forced-6-3",
-     _glue_rules((6, 3) + (3,) * 5, 7, forced_block=1),
+     _GlueRules(sizes=(6, 3) + (3,) * 5, forced_block=1, max_vertices=7),
      None, 273, True, 3, "6ec4917c123ff6ae607414b0c195dc18f17aa5fb",
      "0f5c13336c55b26a3ca4e7a6ef87d6343b0d51a2"),
 ]
@@ -787,8 +779,11 @@ def _witness_sweeps(spec, swept):
 
 
 def _witness_rules(spec, sizes, cap: int) -> _GlueRules:
-    return _glue_rules(
-        sizes, cap, dual_simple="simple" in spec.dual_demands, min_degree=spec.connectivity
+    return _GlueRules(
+        sizes=sizes,
+        dual_simple="simple" in spec.dual_demands,
+        min_degree=spec.connectivity,
+        max_vertices=cap,
     )
 
 
@@ -844,12 +839,8 @@ class TestGlueGolden:
         ids=[row[0] for row in GLUE_GOLDEN],
     )
     def test_engine_matches_its_fingerprint(
-        self, monkeypatch, rules, max_nodes, nodes, result, completions, digest, forms
+        self, rules, max_nodes, nodes, result, completions, digest, forms
     ):
-        # the engine enforces the range its rules give and derives none
-        monkeypatch.setattr(
-            search, "_vertex_range", lambda *args: pytest.fail("the engine derived a range")
-        )
         clock = _Clock(SearchBudget(max_nodes=max_nodes) if max_nodes else None)
         seen = []
 
@@ -945,13 +936,14 @@ class TestGlueGolden:
             _assert_prunes_only_dead_branches(old_run, new_run, label)
 
     @pytest.mark.parametrize("rules, max_nodes", _floor_cases())
-    def test_vertex_floor_keeps_every_connected_completion(self, rules, max_nodes):
-        """Each rule set run with its vertex floor and with a floor of one
-        vertex, under which the degree budget never binds below the degree
-        cap: the floor drops no connected completion, reorders none and
-        costs no node."""
-        unfloored = _glue_run(rules._replace(vertices=(1, rules.vertices[1])), max_nodes)
-        _assert_prunes_only_dead_branches(unfloored, _glue_run(rules, max_nodes), "")
+    def test_vertex_floor_keeps_every_connected_completion(self, monkeypatch, rules, max_nodes):
+        """Each rule set run with the engine's vertex floor and with a floor
+        of one vertex, under which the degree budget never binds below the
+        degree cap: the floor drops no connected completion, reorders none
+        and costs no node."""
+        floored = _glue_run(rules, max_nodes)
+        monkeypatch.setattr(search, "_vertex_range", lambda *args: (1, args[3]))
+        _assert_prunes_only_dead_branches(_glue_run(rules, max_nodes), floored, "")
 
 
 def _check_glue_guarantees(rules: _GlueRules, m) -> None:
@@ -988,30 +980,6 @@ class TestGlueGuarantees:
             pass
         assert len(seen) == completions
 
-    def test_front_ends_pass_the_vertex_range_they_prove(self, monkeypatch):
-        """Each feasible sweep of each GLUE_WITNESS_GOLDEN spec gets the range
-        ``_vertex_range`` proves for it, and the nine-cycle search gets the 9
-        vertices its spanning 9-gon forces."""
-        seen = []
-
-        def record(rules, clock, accept):
-            seen.append((rules.sizes, rules.vertices))
-
-        monkeypatch.setattr(search, "_run_glue_engine", record)
-        for text, *_ in GLUE_WITNESS_GOLDEN:
-            spec = parse_witness_spec(text)
-            seen.clear()
-            # the engine stub finds nothing, so every sweep runs
-            swept = search_witness(spec).swept
-            assert seen == [
-                (sizes, _vertex_range(edges, t + 2, spec.connectivity, spec.max_vertices))
-                for _, line, edges, t, sizes in _witness_sweeps(spec, swept)
-                if not line.endswith("infeasible")
-            ], text
-        seen.clear()
-        search_empty_9_cycle()
-        assert seen == [(_NINE_SIZES, (9, 9))]
-
 
 def _face_multisets(darts: int, top: int):
     """Every multiset of face sizes >= 3 with ``darts`` darts, largest first."""
@@ -1040,13 +1008,13 @@ class TestGlueLexLeader:
     @pytest.mark.parametrize(
         "rules",
         [
-            _glue_rules(sizes, dual_simple=dual_simple, min_degree=min_degree)
+            _GlueRules(sizes=sizes, dual_simple=dual_simple, min_degree=min_degree)
             for darts in range(6, 17, 2)
             for sizes in _face_multisets(darts, darts)
             for dual_simple in (True, False)
             for min_degree in (2, 3)
         ]
-        + [_glue_rules((5, 3, 3, 3), 5, 5, spanning_block=0)],
+        + [_GlueRules(sizes=(5, 3, 3, 3), max_vertices=5, spanning_block=0)],
         ids=lambda r: f"{r.sizes}-simple={r.dual_simple}-c={r.min_degree}-span={r.spanning_block}",
     )
     def test_keeps_the_first_completion_of_each_class(self, monkeypatch, rules):
@@ -1086,7 +1054,7 @@ class TestGlueLexLeader:
                 classes = coloured(sizes)
                 dart_colour = [classes[b][0] for b, s in enumerate(sizes) for _ in range(s)]
                 for dual_simple in (True, False):
-                    rules = _glue_rules(sizes, dual_simple=dual_simple)
+                    rules = _GlueRules(sizes=sizes, dual_simple=dual_simple)
                     pruned = _glue_run(rules, None)[1]
                     with monkeypatch.context() as patch:
                         patch.setattr(search, "_block_swaps", _no_swaps)
@@ -1107,7 +1075,7 @@ class TestGlueLexLeader:
         ],
     )
     def test_named_blocks_keep_their_place(self, sizes, named, swaps):
-        assert search._block_swaps(_glue_rules(sizes, **named)) == swaps
+        assert search._block_swaps(_GlueRules(sizes=sizes, **named)) == swaps
 
 
 def test_glue_engine_matches_the_corpus_oracle():
@@ -1132,7 +1100,7 @@ def test_glue_engine_matches_the_corpus_oracle():
             }
             got = set()
             _run_glue_engine(
-                _glue_rules(sizes, dual_simple=dual_simple),
+                _GlueRules(sizes=sizes, dual_simple=dual_simple),
                 _Clock(None),
                 lambda m: got.add(canonical_code(m)),
             )
@@ -1382,6 +1350,7 @@ class TestWitnessSearch:
     def test_spanning_block_raises_the_floor(self):
         # the nine-cycle search: E = 21 and F = 8 allow V = 7, its 9-gon demands 9
         assert _vertex_range(21, 8, 2, 9) == (7, 9)
+        assert _vertex_range(21, 8, 2, 9, 9) == (9, 9)
 
     @given(st.integers(1, 60), st.integers(1, 30), st.integers(1, 8), st.integers(1, 20))
     def test_vertex_range_is_empty_where_no_cap_was(self, edges, faces, c, max_vertices):
@@ -1412,11 +1381,11 @@ class TestWitnessSearch:
         edges, faces = (a + b + 3 * t) // 2, t + 2
         # the caps search_witness used before Euler's formula bounded them
         old_v = min(max_vertices, 2 * edges // c)
-        rules = _glue_rules(
-            tuple(sorted((a, b) + (3,) * t, reverse=True)),
-            old_v,
+        rules = _GlueRules(
+            sizes=tuple(sorted((a, b) + (3,) * t, reverse=True)),
             dual_simple=dual_simple,
             min_degree=c,
+            max_vertices=old_v,
         )
         counts = []
         try:
@@ -1446,14 +1415,16 @@ class TestWitnessSearch:
         t += (a + b + t) % 2  # 2E = a + b + 3t is even
         edges = (a + b + 3 * t) // 2
         cap = min(max_vertices, 2 * edges // c)
-        rules = _glue_rules(
-            tuple(sorted((a, b) + (3,) * t, reverse=True)),
-            cap,
+        rules = _GlueRules(
+            sizes=tuple(sorted((a, b) + (3,) * t, reverse=True)),
             dual_simple=dual_simple,
             min_degree=c,
+            max_vertices=cap,
         )
         floored = _glue_run(rules, 20_000)
-        unfloored = _glue_run(rules._replace(vertices=(1, cap)), 20_000)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(search, "_vertex_range", lambda *args: (1, args[3]))
+            unfloored = _glue_run(rules, 20_000)
         _assert_prunes_only_dead_branches(unfloored, floored, "")
 
 
